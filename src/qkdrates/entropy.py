@@ -5,14 +5,14 @@ with Bell-state outcomes: a bit error means the pair is Psi+ or Psi-, a
 phase error means Phi- or Psi-, and a Y error means Phi- or Psi+.  Privacy
 amplification cost is the conditional entropy of the phase error given the
 bit error, maximized over the Y error rate interval the protocol leaves
-unconstrained.
+unconstrained.  That maximum has a closed form: the Y rate that makes the
+phase error independent of the bit error, clipped to the interval.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .protocols import ProtocolSpec
 
@@ -29,9 +29,6 @@ __all__ = [
 
 # Probabilities this far below zero are treated as rounding noise.
 NEG_TOL = 1e-12
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi
-_INV_PHI_SQ = (3.0 - math.sqrt(5.0)) / 2.0  # 1/phi^2
 
 
 class InfeasibleRatesError(ValueError):
@@ -164,39 +161,16 @@ def feasible_y_interval(e_x: float, e_z: float) -> tuple[float, float]:
     return lo, hi
 
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    """Golden-section maximum of a unimodal ``f`` on [a, b] to width ``tol``."""
-    h = b - a
-    if h <= tol:
-        return f((a + b) / 2.0)
-    n = int(math.ceil(math.log(tol / h) / math.log(_INV_PHI)))
-    c = a + _INV_PHI_SQ * h
-    d = a + _INV_PHI * h
-    yc = f(c)
-    yd = f(d)
-    for _ in range(n - 1):
-        h *= _INV_PHI
-        if yc > yd:
-            b, d, yd = d, c, yc
-            c = a + _INV_PHI_SQ * h
-            yc = f(c)
-        else:
-            a, c, yc = c, d, yd
-            d = a + _INV_PHI * h
-            yd = f(d)
-    return max(yc, yd)
-
-
-@lru_cache(maxsize=65536)
 def worst_case_conditional_phase_entropy(spec: ProtocolSpec, e_x: float) -> float:
     """Largest ``H(e_z | e_x)`` consistent with the protocol's constraints.
 
     The phase error rate is ``spec.phase_ratio * e_x``; the Y error rate
     ranges over the protocol's admissible interval intersected with the
-    feasible set.  The six-state protocol pins the Y rate, so no
-    maximization happens.  The search is a 256-point bracketing grid
-    followed by golden-section refinement to 1e-9 in the Y rate; the grid
-    guards against maxima at the interval edges.
+    feasible set.  With ``e_x`` and ``e_z`` fixed the objective is concave
+    in ``e_y`` and stationary where the phase error is independent of the
+    bit error, ``e_y* = e_x + e_z - 2 e_x e_z``, so the maximum is the
+    objective at ``e_y*`` clipped to the interval.  For BB84 that is
+    ``H(e_x)``; the six-state interval is a single point.
 
     Raises
     ------
@@ -211,13 +185,6 @@ def worst_case_conditional_phase_entropy(spec: ProtocolSpec, e_x: float) -> floa
         )
     e_x = min(max(e_x, 0.0), spec.max_bit_error)
     e_z = spec.phase_ratio * e_x
-
-    def objective(e_y: float) -> float:
-        return conditional_phase_entropy(distribution_from_rates(e_x, e_y, e_z))
-
-    if spec.y_pinned:
-        return objective(spec.y_lo_ratio * e_x)
-
     lo, hi = spec.y_interval(e_x)
     feas_lo, feas_hi = feasible_y_interval(e_x, e_z)
     lo = max(lo, feas_lo)
@@ -226,19 +193,5 @@ def worst_case_conditional_phase_entropy(spec: ProtocolSpec, e_x: float) -> floa
         raise InfeasibleRatesError(
             f"admissible Y interval empty for {spec.name} at e_x={e_x}"
         )
-    if hi <= lo:
-        return objective(lo)
-
-    # Coarse bracket around the grid argmax, then refine.
-    n_grid = 256
-    step = (hi - lo) / (n_grid - 1)
-    best_i = 0
-    best_v = -1.0
-    for i in range(n_grid):
-        v = objective(lo + i * step)
-        if v > best_v:
-            best_v = v
-            best_i = i
-    a = lo + max(best_i - 1, 0) * step
-    b = lo + min(best_i + 1, n_grid - 1) * step
-    return max(best_v, _golden_max(objective, a, b, 1e-9))
+    e_y = max(lo, min(e_x + e_z - 2.0 * e_x * e_z, hi))
+    return conditional_phase_entropy(distribution_from_rates(e_x, e_y, e_z))

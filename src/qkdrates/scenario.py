@@ -51,6 +51,10 @@ class LinkModel:
     length_km: float
 
     def __post_init__(self) -> None:
+        if not (
+            math.isfinite(self.attenuation_db_per_km) and math.isfinite(self.length_km)
+        ):
+            raise ValueError("attenuation and length must be finite")
         if self.attenuation_db_per_km < 0.0:
             raise ValueError("attenuation must be >= 0 dB/km")
         if self.length_km < 0.0:
@@ -316,6 +320,8 @@ def distance_sweep(
     with ``rate_old`` (multi-photon discount only) and ``rate_new`` (dark
     counts credited), both clamped at zero for display.
     """
+    if not all(math.isfinite(v) for v in (l_min, l_max, step)):
+        raise ValueError("l_min, l_max and step must be finite")
     if not 0.0 <= l_min <= l_max:
         raise ValueError("need 0 <= l_min <= l_max")
     if step <= 0.0:

@@ -430,8 +430,8 @@ def compare_to_analytic(stats: EmpiricalStats, scn: Scenario) -> list[FieldCompa
     analytic breakdown, using binomial standard errors at the analytic
     values.
 
-    A field whose analytic value is exactly zero scores 0 when the
-    empirical count is also zero and ``inf`` otherwise.
+    A field whose analytic value is exactly 0 or 1 has no binomial spread:
+    it scores 0 when the empirical value equals it and ``inf`` otherwise.
     """
     b = analytic_breakdown(scn)
     n = stats.n_pulses
@@ -443,8 +443,8 @@ def compare_to_analytic(stats: EmpiricalStats, scn: Scenario) -> list[FieldCompa
         ("p_dk", Category.DARK_COUNT, b.p_dk),
     ):
         empirical = stats.rate(cat)
-        if analytic <= 0.0:
-            z = 0.0 if stats.category_count(cat) == 0 else math.inf
+        if analytic <= 0.0 or analytic >= 1.0:
+            z = 0.0 if empirical == min(max(analytic, 0.0), 1.0) else math.inf
         else:
             z = (empirical - analytic) / math.sqrt(analytic * (1.0 - analytic) / n)
         rows.append(FieldComparison(name, empirical, analytic, z))

@@ -23,8 +23,8 @@ def brute_force_worst_case(spec, e_x, n_grid=10_000):
     """Independent oracle for the worst-case conditional phase entropy.
 
     Dense-grid maximum over the admissible Y error interval, evaluating the
-    four-outcome entropy directly from the linear system.  Bypasses the
-    package's golden-section search entirely.
+    four-outcome entropy directly from the linear system, independent of
+    the package's closed form.
     """
     e_z = spec.phase_ratio * e_x
     if spec.y_pinned:

@@ -222,6 +222,17 @@ class TestSweepCommand:
         assert code == 2
         assert "length range" in err
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize(
+        "flag", ["--length-min-km", "--length-max-km", "--length-step-km", "--length-km"]
+    )
+    def test_non_finite_exits_2(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "sweep", flag, value)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_out_file_byte_stable(self, capsys, tmp_path):
         args = (
             "sweep",

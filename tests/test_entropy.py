@@ -1,9 +1,10 @@
 """Tests for entropy primitives and the worst-case conditional entropy."""
 
-import math
-
 import numpy as np
 import pytest
+from conftest import brute_force_worst_case
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qkdrates.entropy import (
     InfeasibleRatesError,
@@ -16,36 +17,6 @@ from qkdrates.entropy import (
     worst_case_conditional_phase_entropy,
 )
 from qkdrates.protocols import BB84, PBC00, SIX_STATE, protocol_catalog
-
-
-def brute_force_worst_case(spec, e_x, n_grid=10_000):
-    """Independent oracle: dense-grid maximum of the conditional entropy.
-
-    Evaluates the four-outcome entropy directly from the linear system,
-    bypassing the package's search machinery.
-    """
-    e_z = spec.phase_ratio * e_x
-    if spec.y_pinned:
-        ys = [spec.y_lo_ratio * e_x]
-    else:
-        lo, hi = spec.y_interval(e_x)
-        lo = max(lo, abs(e_x - e_z))
-        hi = min(hi, e_x + e_z, 2.0 - e_x - e_z)
-        ys = np.linspace(lo, hi, n_grid)
-    best = -1.0
-    for e_y in ys:
-        probs = [
-            1.0 - (e_x + e_y + e_z) / 2.0,
-            (e_x + e_y - e_z) / 2.0,
-            (e_y + e_z - e_x) / 2.0,
-            (e_x + e_z - e_y) / 2.0,
-        ]
-        h4 = -sum(p * math.log2(p) for p in probs if p > 1e-300)
-        hx = 0.0
-        if 0.0 < e_x < 1.0:
-            hx = -e_x * math.log2(e_x) - (1 - e_x) * math.log2(1 - e_x)
-        best = max(best, h4 - hx)
-    return best
 
 
 class TestBinaryEntropy:
@@ -211,3 +182,29 @@ class TestWorstCaseConditionalEntropy:
         lo, hi = feasible_y_interval(0.2, 0.2)
         assert lo == 0.0
         assert hi == pytest.approx(0.4)
+
+
+@st.composite
+def admissible_points(draw):
+    """A protocol, an admissible bit error rate and a Y rate in its interval."""
+    spec = draw(st.sampled_from(protocol_catalog()))
+    e_x = draw(st.floats(0.0, spec.max_bit_error))
+    e_z = spec.phase_ratio * e_x
+    lo, hi = spec.y_interval(e_x)
+    feas_lo, feas_hi = feasible_y_interval(e_x, e_z)
+    lo, hi = max(lo, feas_lo), min(hi, feas_hi)
+    t = draw(st.floats(0.0, 1.0))
+    return spec, e_x, e_z, max(lo, min(lo + t * (hi - lo), hi))
+
+
+class TestClosedFormProperties:
+    @given(admissible_points())
+    def test_no_admissible_y_exceeds_worst_case(self, point):
+        spec, e_x, e_z, e_y = point
+        value = conditional_phase_entropy(distribution_from_rates(e_x, e_y, e_z))
+        assert value <= worst_case_conditional_phase_entropy(spec, e_x) + 1e-12
+
+    @given(st.floats(0.0, 1.0))
+    def test_bb84_is_shor_preskill(self, e_x):
+        value = worst_case_conditional_phase_entropy(BB84, e_x)
+        assert value == pytest.approx(binary_entropy(e_x), abs=1e-12)

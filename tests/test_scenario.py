@@ -51,6 +51,13 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             LinkModel(-0.1, 10.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_link(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            LinkModel(0.2, bad)
+        with pytest.raises(ValueError, match="finite"):
+            LinkModel(bad, 10.0)
+
     def test_dark_count_range(self):
         with pytest.raises(ValueError):
             DetectorModel(1.0, 2)
@@ -288,6 +295,14 @@ class TestDistanceSweep:
             distance_sweep(make_scenario(), 10.0, 5.0, 1.0)
         with pytest.raises(ValueError):
             distance_sweep(make_scenario(), 0.0, 5.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "l_min, l_max, step",
+        [(0.0, math.inf, 1.0), (0.0, 5.0, math.inf), (0.0, 5.0, math.nan), (math.nan, 5.0, 1.0)],
+    )
+    def test_non_finite_range(self, l_min, l_max, step):
+        with pytest.raises(ValueError, match="finite"):
+            distance_sweep(make_scenario(), l_min, l_max, step)
 
     def test_at_length_preserves_other_fields(self):
         scn = make_scenario()

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from qkdrates.cli import main
 from qkdrates.protocols import BB84, PBC00, SIX_STATE
 from qkdrates.scenario import (
     DetectorModel,
@@ -127,6 +128,27 @@ class TestAnalyticsAgreement:
         stats = run_simulation(scn, EveModel.none(), 1_000_000, seed=103)
         for row in compare_to_analytic(stats, scn):
             assert abs(row.z) <= 3.0, row
+
+    @pytest.mark.parametrize("protocol", ["bb84", "six-state"])
+    def test_zero_km_single_photon(self, protocol, tmp_path):
+        # every pulse arrives, so the analytic p_sq is exactly 1
+        report = tmp_path / "report.txt"
+        code = main(
+            [
+                "simulate", "--protocol", protocol, "--length-km", "0",
+                "--dark-count-prob", "1e-5", "--e-x-sq", "0.05",
+                "--n-pulses", "20000", "--seed", "3", "--out", str(report),
+            ]
+        )  # fmt: skip
+        assert code == 0
+        rows = {line.split()[0]: line.split()[1:] for line in report.read_text().splitlines()}
+        assert float(rows["p_sq"][1]) == 1.0
+        assert float(rows["p_sq"][2]) == 0.0
+
+    def test_analytic_rate_one_mismatch_is_inf(self):
+        stats = run_simulation(make_scenario(length=10.0), EveModel.none(), 20_000, seed=5)
+        zs = {row.name: row.z for row in compare_to_analytic(stats, make_scenario(length=0.0))}
+        assert zs["p_sq"] == math.inf
 
     def test_mismatched_model_detected(self):
         scn = make_scenario(c=1e-3)

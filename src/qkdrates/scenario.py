@@ -32,6 +32,7 @@ __all__ = [
     "breakdown",
     "decoy_invert",
     "intrinsic_error_from_decoy",
+    "intrinsic_error_from_decoy_with_slope",
     "worst_case_no_decoy",
     "distance_sweep",
 ]
@@ -89,8 +90,11 @@ class SourceModel:
 
     def __post_init__(self) -> None:
         if self.kind is SourceKind.POISSONIAN:
-            if self.mean_photon_number is None or self.mean_photon_number <= 0.0:
-                raise ValueError("Poissonian source needs mean photon number > 0")
+            mu = self.mean_photon_number
+            if mu is None or not (math.isfinite(mu) and mu > 0.0):
+                raise ValueError(
+                    f"Poissonian source needs a finite mean photon number > 0, got {mu}"
+                )
         elif self.mean_photon_number is not None:
             raise ValueError("single-photon source takes no mean photon number")
 
@@ -266,9 +270,17 @@ def intrinsic_error_from_decoy(spec: ProtocolSpec, e_x_sq_raw: float) -> float:
     the inversion returns ``e / (2 - e)``; solving for ``e`` gives
     ``2*raw / (1 + raw)``.
     """
+    return intrinsic_error_from_decoy_with_slope(spec, e_x_sq_raw)[0]
+
+
+def intrinsic_error_from_decoy_with_slope(
+    spec: ProtocolSpec, e_x_sq_raw: float
+) -> tuple[float, float]:
+    """:func:`intrinsic_error_from_decoy` and its derivative in the raw rate,
+    for propagating a standard error through the correction."""
     if spec.name != "pbc00":
-        return e_x_sq_raw
-    return 2.0 * e_x_sq_raw / (1.0 + e_x_sq_raw)
+        return e_x_sq_raw, 1.0
+    return 2.0 * e_x_sq_raw / (1.0 + e_x_sq_raw), 2.0 / (1.0 + e_x_sq_raw) ** 2
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,23 @@
 """Monte Carlo pulse-level simulator used as an oracle for the analytic
 breakdowns.
 
-Each pulse is sampled through emission, channel loss, optional
-intercept-resend eavesdropping, the intrinsic error channel, sifting, and
-dark counts, then classified into one of four conclusive categories (or
-discarded).  Sifting is a Bernoulli keep/discard at the protocol's
-conclusive rate rather than explicit basis bookkeeping, which is exact in
-the asymptotic-bias limit the rate formulas assume.  Phase errors are not
-sampled; the analytic side derives them from the protocol relations.
+Each pulse goes through emission, channel loss, optional intercept-resend
+eavesdropping, the intrinsic error channel, sifting, and dark counts, and
+ends in one of four conclusive categories or is discarded.  Sifting is a
+Bernoulli keep/discard at the protocol's conclusive rate rather than
+explicit basis bookkeeping, which is exact in the asymptotic-bias limit the
+rate formulas assume.  Phase errors are not sampled; the analytic side
+derives them from the protocol relations.
+
+Sampling is event-sparse.  Pulses are independent and most of them are
+silent (no photon arrives and no detector fires), so a batch draws only how
+many of its pulses carry an arrival and how many of the rest a dark fire,
+as two Binomial counts.  Photon numbers, fire counts, sifting and bit flips
+are then drawn per event from the exact conditional distributions
+(zero-truncated Poisson and Binomial, sampled by inverse CDF), so the cost
+follows the number of events rather than pulses, and nothing is drawn from
+the analytic breakdown it checks.  Each batch is tallied in one pass over
+its events.
 
 Pulses are processed in fixed-size batches, each driven by its own
 counter-based Philox stream derived from ``(seed, batch_index)``, so
@@ -17,6 +27,7 @@ results are bit-identical whether batches run serially or in parallel.
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum, IntEnum
@@ -30,7 +41,7 @@ from .scenario import (
     SourceModel,
     breakdown as analytic_breakdown,
     decoy_invert,
-    intrinsic_error_from_decoy,
+    intrinsic_error_from_decoy_with_slope,
     transmittance,
 )
 
@@ -54,6 +65,8 @@ __all__ = [
 
 DEFAULT_BATCH_SIZE = 1_000_000
 MIN_CATEGORY_COUNT = 100
+# Above this mean a Poisson count is zero with probability below 1e-13.
+_ZTP_TABLE_MAX_LAM = 30.0
 
 
 class Category(IntEnum):
@@ -178,12 +191,101 @@ class EmpiricalStats:
         return math.sqrt(p * (1.0 - p) / n)
 
 
-def _simulate_arrays(scn: Scenario, eve: EveModel, size: int, rng: np.random.Generator):
-    """Sample one batch; returns (emitted, arrived, fired_count, category,
-    bit_error) arrays.
+class _Events:
+    """Per-pulse photon numbers, dark fires, category and bit error.
 
-    Draw order is fixed per batch: photon numbers, sifting, eavesdropper
-    flips, intrinsic flips, dark-count fires, dark sifting, dark bits.
+    :func:`_sample_events` fills one with only the pulses of a batch that
+    carry an event, arrivals first.  Arrival events have ``arrived >= 1``
+    and click one detector; dark events have ``arrived == 0`` and ``fired
+    >= 1`` dark fires (``fired`` is 0 for arrivals).  Every other pulse is
+    silent: nothing arrived, no detector fired, and it is not conclusive,
+    which is what a fresh instance holds (with one emitted photon).  A plain
+    class, not a dataclass, because it is built per batch and not compared.
+    """
+
+    __slots__ = ("emitted", "arrived", "fired", "category", "bit_error")
+
+    def __init__(self, n: int) -> None:
+        self.emitted = np.ones(n, dtype=np.int64)
+        self.arrived = np.zeros(n, dtype=np.int64)
+        self.fired = np.zeros(n, dtype=np.int8)
+        self.category = np.zeros(n, dtype=np.int8)
+        self.bit_error = np.zeros(n, dtype=bool)
+
+
+def _inverse_cdf(rng: np.random.Generator, pmf: np.ndarray, size: int) -> np.ndarray:
+    """Draw ``size`` values ``k`` in ``1..len(pmf)`` with ``P(k) = pmf[k-1]``.
+
+    One uniform per draw, compared against the cumulative bounds in turn
+    (a chop-down search: each step only revisits the draws still above the
+    last bound, so mass concentrated at ``k = 1`` costs one pass).  A
+    single-valued pmf draws nothing.
+    """
+    values = np.ones(size, dtype=np.int64)
+    if pmf.size == 1:
+        return values
+    u = rng.random(size)
+    cdf = np.cumsum(pmf[:-1])
+    live = np.flatnonzero(u >= cdf[0])
+    for bound in cdf[1:]:
+        if not live.size:
+            break
+        values[live] += 1
+        live = live[u[live] >= bound]
+    values[live] += 1
+    return values
+
+
+def _zero_truncated_poisson(
+    rng: np.random.Generator, lam: float, size: int
+) -> np.ndarray:
+    """Poisson(``lam``) counts conditioned on being at least 1."""
+    if size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if lam > _ZTP_TABLE_MAX_LAM:
+        # the table would be long and zeros are rare: redraw them instead
+        counts = rng.poisson(lam, size)
+        while (zeros := np.flatnonzero(counts == 0)).size:
+            counts[zeros] = rng.poisson(lam, zeros.size)
+        return counts
+    # the table ends where the Poisson tail is far below double precision
+    k = np.arange(1, int(lam + 12.0 * math.sqrt(lam)) + 25)
+    # lam^k / k! / (e^lam - 1), exact for tiny lam
+    return _inverse_cdf(rng, np.cumprod(lam / k) / math.expm1(lam), size)
+
+
+def _zero_truncated_binomial(
+    rng: np.random.Generator, n: int, p: float, size: int
+) -> np.ndarray:
+    """Binomial(``n``, ``p``) counts conditioned on being at least 1."""
+    if size == 0:
+        return np.zeros(0, dtype=np.int64)
+    k = np.arange(1, n + 1)
+    pmf = np.array([math.comb(n, int(j)) for j in k]) * p**k * (1.0 - p) ** (n - k)
+    return _inverse_cdf(rng, pmf / -math.expm1(n * math.log1p(-p)), size)
+
+
+def _sample_events(
+    scn: Scenario, eve: EveModel, size: int, rng: np.random.Generator
+) -> _Events:
+    """Sample the events of one batch of ``size`` pulses.
+
+    Pulses are independent, so only the number of pulses with an event is
+    drawn per batch; everything else is drawn per event.  Draw order:
+
+    1. the number of arrival pulses, Binomial(``size``, ``p``) with
+       ``p = eta`` (single photon) or ``1 - exp(-mu*eta)`` (Poisson);
+    2. the number of dark events among the other pulses,
+       Binomial(``size - arrivals``, ``1 - (1-C)^n_det``);
+    3. per arrival (Poisson source), a zero-truncated Poisson(``mu*eta``)
+       arrived count and an independent Poisson(``mu*(1-eta)``) lost count
+       (Poisson thinning);
+    4. per arrival, sifting, then eavesdropper flips and intrinsic flips of
+       the kept ones, one uniform each;
+    5. per dark event, a zero-truncated Binomial(``n_det``, ``C``) fire
+       count and, for a Poisson source, the lost count;
+    6. per single fire, dark sifting, then the random bit of the kept ones.
+
     Draws with probability 0 or 1 are skipped, so the stream depends on the
     scenario but not on how batches are scheduled.
     """
@@ -193,73 +295,64 @@ def _simulate_arrays(scn: Scenario, eve: EveModel, size: int, rng: np.random.Gen
     n_det = scn.detector.detector_count
     dark_keep = scn.protocol.dark_conclusive_multiplier / n_det
     eve_flip_p = eve.flip_probability(scn.protocol.basis_count)
+    poisson = scn.source.kind is SourceKind.POISSONIAN
+    mu = scn.source.mean_photon_number
 
-    if scn.source.kind is SourceKind.SINGLE_PHOTON:
-        emitted = np.ones(size, dtype=np.int64)
-        arrived = (rng.random(size) < eta).astype(np.int64)
+    def keep(count: int, p: float) -> np.ndarray:
+        return rng.random(count) < p if p < 1.0 else np.ones(count, dtype=bool)
+
+    n_arr = int(rng.binomial(size, -math.expm1(-mu * eta) if poisson else eta))
+    n_dark = 0
+    if c > 0.0:
+        p_fire = -math.expm1(n_det * math.log1p(-c))
+        n_dark = int(rng.binomial(size - n_arr, p_fire))
+    ev = _Events(n_arr + n_dark)
+    arr, dark = slice(0, n_arr), slice(n_arr, None)
+
+    if poisson:
+        ev.arrived[arr] = _zero_truncated_poisson(rng, mu * eta, n_arr)
+        ev.emitted[arr] = ev.arrived[arr]
+        if eta < 1.0:
+            ev.emitted[arr] += rng.poisson(mu * (1.0 - eta), n_arr)
     else:
-        # Poisson thinning: arriving and lost photon counts are independent.
-        mu = scn.source.mean_photon_number
-        arrived = rng.poisson(mu * eta, size)
-        lost = rng.poisson(mu * (1.0 - eta), size)
-        emitted = arrived + lost
+        ev.arrived[arr] = 1
+    kept = keep(n_arr, cf)
+    # a kept qubit is SINGLE_QUBIT (1), or MULTI_QUBIT (2) if more was emitted
+    ev.category[arr] = kept
+    ev.category[arr] += kept & (ev.emitted[arr] > 1)
+    flips = np.zeros(int(np.count_nonzero(kept)), dtype=bool)
+    if eve_flip_p > 0.0:
+        flips ^= rng.random(flips.size) < eve_flip_p
+    if scn.e_x_sq > 0.0:
+        flips ^= rng.random(flips.size) < scn.e_x_sq
+    # arrivals come first, so kept arrivals sit at their own indices
+    ev.bit_error[np.flatnonzero(kept) if cf < 1.0 else arr] = flips
 
-    category = np.zeros(size, dtype=np.int8)
-    bit_error = np.zeros(size, dtype=bool)
-    fired_count = np.zeros(size, dtype=np.int8)
-
-    qubit_idx = np.nonzero(arrived >= 1)[0]
-    if qubit_idx.size:
-        if cf < 1.0:
-            kept = qubit_idx[rng.random(qubit_idx.size) < cf]
-        else:
-            kept = qubit_idx
-        if kept.size:
-            category[kept] = np.where(
-                emitted[kept] == 1, Category.SINGLE_QUBIT, Category.MULTI_QUBIT
-            )
-            flips = np.zeros(kept.size, dtype=bool)
-            if eve_flip_p > 0.0:
-                flips ^= rng.random(kept.size) < eve_flip_p
-            if scn.e_x_sq > 0.0:
-                flips ^= rng.random(kept.size) < scn.e_x_sq
-            bit_error[kept] = flips
-
-    empty_idx = np.nonzero(arrived == 0)[0]
-    if empty_idx.size and c > 0.0:
-        fires = rng.binomial(n_det, c, empty_idx.size)
-        fired_count[empty_idx] = fires.astype(np.int8)
-        single_fire = empty_idx[fires == 1]
-        if single_fire.size:
-            if dark_keep < 1.0:
-                dark_kept = single_fire[rng.random(single_fire.size) < dark_keep]
-            else:
-                dark_kept = single_fire
-            if dark_kept.size:
-                category[dark_kept] = Category.DARK_COUNT
-                bit_error[dark_kept] = rng.random(dark_kept.size) < 0.5
-
-    return emitted, arrived, fired_count, category, bit_error
+    ev.fired[dark] = _zero_truncated_binomial(rng, n_det, c, n_dark)
+    if poisson:
+        # an empty pulse emitted only photons that were lost
+        ev.emitted[dark] = rng.poisson(mu * (1.0 - eta), n_dark) if eta < 1.0 else 0
+    single = n_arr + np.flatnonzero(ev.fired[dark] == 1)
+    dark_kept = single[keep(single.size, dark_keep)]
+    ev.category[dark_kept] = Category.DARK_COUNT
+    ev.bit_error[dark_kept] = rng.random(dark_kept.size) < 0.5
+    return ev
 
 
-def _tally(n_pulses, emitted, category, bit_error) -> EmpiricalStats:
+def _tally(n_pulses: int, events: _Events) -> EmpiricalStats:
+    """Tally one batch in a single pass over its events."""
+    # bins indexed by (category, bit error, emitted photons capped at 2)
+    key = (events.category * 2 + events.bit_error) * 3 + np.minimum(events.emitted, 2)
+    counts = np.bincount(key, minlength=len(Category) * 6).reshape(len(Category), 2, 3)
     values: dict[str, int] = {"n_pulses": n_pulses}
-    for cat in (
-        Category.SINGLE_QUBIT,
-        Category.MULTI_QUBIT,
-        Category.EMPTY_QUBIT,
-        Category.DARK_COUNT,
-    ):
-        mask = category == cat
-        values[f"cat{int(cat)}_count"] = int(mask.sum())
-        values[f"cat{int(cat)}_errors"] = int(bit_error[mask].sum())
-    conclusive = category != Category.NOT_CONCLUSIVE
-    single = conclusive & (emitted == 1)
-    empty = conclusive & (emitted == 0)
-    values["single_pulse_conclusive"] = int(single.sum())
-    values["single_pulse_errors"] = int(bit_error[single].sum())
-    values["empty_pulse_conclusive"] = int(empty.sum())
-    values["empty_pulse_errors"] = int(bit_error[empty].sum())
+    for cat in list(Category)[1:]:
+        values[f"cat{int(cat)}_count"] = int(counts[cat].sum())
+        values[f"cat{int(cat)}_errors"] = int(counts[cat, 1].sum())
+    conclusive = counts[1:]
+    values["single_pulse_conclusive"] = int(conclusive[:, :, 1].sum())
+    values["single_pulse_errors"] = int(conclusive[:, 1, 1].sum())
+    values["empty_pulse_conclusive"] = int(conclusive[:, :, 0].sum())
+    values["empty_pulse_errors"] = int(conclusive[:, 1, 0].sum())
     return EmpiricalStats(**values)
 
 
@@ -280,7 +373,7 @@ def run_simulation(
 
     Deterministic for fixed ``(scn, eve, n_pulses, seed, batch_size)``;
     ``workers`` only parallelizes independent batches and never changes the
-    result.
+    result; at most ``min(workers, os.cpu_count(), batches)`` threads run.
     """
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
@@ -290,13 +383,12 @@ def run_simulation(
 
     def one_batch(index_size: tuple[int, int]) -> EmpiricalStats:
         index, size = index_size
-        rng = _batch_rng(seed, index)
-        emitted, _, _, category, bit_error = _simulate_arrays(scn, eve, size, rng)
-        return _tally(size, emitted, category, bit_error)
+        return _tally(size, _sample_events(scn, eve, size, _batch_rng(seed, index)))
 
     jobs = list(enumerate(sizes))
-    if workers > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    threads = min(workers, os.cpu_count() or 1, len(jobs))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(one_batch, jobs))
     else:
         parts = [one_batch(job) for job in jobs]
@@ -312,41 +404,47 @@ def sample_outcomes(
 ) -> list[PulseOutcome]:
     """Materialize per-pulse outcomes for inspection (single batch only).
 
-    Tallies over the outcomes match ``run_simulation`` for the same seed
-    whenever ``n_pulses <= DEFAULT_BATCH_SIZE``.  Detector flags are
-    reconstructed from the sampled fire counts with an auxiliary stream:
-    which detector fired is uniform given the count, and never feeds back
-    into categories or bit values.
+    The events are those ``run_simulation`` samples for batch 0, so tallies
+    over the outcomes match it for the same seed whenever ``n_pulses <=
+    DEFAULT_BATCH_SIZE``.  An auxiliary stream places the events on
+    uniformly random pulse positions (pulses are exchangeable), draws the
+    photon numbers of the silent pulses, and picks which detectors fired:
+    uniform given the fire count, and never fed back into categories or bit
+    values.
     """
     if not 1 <= n_pulses <= DEFAULT_BATCH_SIZE:
         raise ValueError(f"n_pulses must be in [1, {DEFAULT_BATCH_SIZE}]")
-    rng = _batch_rng(seed, 0)
-    emitted, arrived, fired_count, category, bit_error = _simulate_arrays(
-        scn, eve, n_pulses, rng
-    )
+    events = _sample_events(scn, eve, n_pulses, _batch_rng(seed, 0))
     aux = np.random.Generator(
         np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0, 1)))
     )
+    positions = aux.choice(n_pulses, size=events.category.size, replace=False)
+    pulses = _Events(n_pulses)
+    if scn.source.kind is SourceKind.POISSONIAN:
+        # a silent pulse emitted only photons that were lost
+        lost_mean = scn.source.mean_photon_number * (1.0 - transmittance(scn.link))
+        pulses.emitted[:] = aux.poisson(lost_mean, n_pulses)
+    for name in _Events.__slots__:
+        getattr(pulses, name)[positions] = getattr(events, name)
+
     n_det = scn.detector.detector_count
     outcomes = []
     for i in range(n_pulses):
-        cat = Category(int(category[i]))
-        if arrived[i] >= 1:
+        cat = Category(int(pulses.category[i]))
+        fired = [False] * n_det
+        if pulses.arrived[i] >= 1:
             # detection precedes sifting, so one detector fires either way
-            fired = [False] * n_det
             fired[int(aux.integers(n_det))] = True
-        else:
-            k = int(fired_count[i])
-            fired = [False] * n_det
-            for j in aux.choice(n_det, size=k, replace=False):
+        elif pulses.fired[i]:
+            for j in aux.choice(n_det, size=int(pulses.fired[i]), replace=False):
                 fired[int(j)] = True
         outcomes.append(
             PulseOutcome(
-                emitted_photons=int(emitted[i]),
-                arrived_photons=int(arrived[i]),
+                emitted_photons=int(pulses.emitted[i]),
+                arrived_photons=int(pulses.arrived[i]),
                 detector_fired=tuple(fired),
                 category=cat,
-                bit_error=bool(bit_error[i])
+                bit_error=bool(pulses.bit_error[i])
                 if cat is not Category.NOT_CONCLUSIVE
                 else None,
             )
@@ -523,9 +621,7 @@ def recover_single_photon_rates(stats: EmpiricalStats, scn: Scenario) -> DecoyRe
     p1 = math.exp(-mu) * mu
     p_sq_se = math.sqrt(w_hat * (1.0 - w_hat) / n)
     e_raw_se = math.sqrt(q_hat * (1.0 - q_hat) / n) / (p1 * eta)
-    e_x_sq = intrinsic_error_from_decoy(scn.protocol, e_raw)
-    # Chain rule through 2r/(1+r); identity slope for factor-1 protocols.
-    slope = 2.0 / (1.0 + e_raw) ** 2 if scn.protocol.name == "pbc00" else 1.0
+    e_x_sq, slope = intrinsic_error_from_decoy_with_slope(scn.protocol, e_raw)
     return DecoyRecovery(
         p_sq=p_sq,
         p_sq_se=p_sq_se,

@@ -248,6 +248,21 @@ class TestSweepCommand:
         assert b"\r" not in path_a.read_bytes()
 
 
+class TestMeanPhotonNumber:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["rate", "simulate", "sweep", "decoy"])
+    def test_non_finite_exits_2(self, capsys, command, value):
+        code, out, err = run_cli(
+            capsys, command, "--source-kind", "poissonian",
+            f"--mean-photon-number={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "mean photon number" in err
+        assert "Traceback" not in err
+
+
 class TestSimulateCommand:
     ARGS = (
         "simulate",

@@ -17,6 +17,7 @@ from qkdrates.scenario import (
     decoy_invert,
     distance_sweep,
     intrinsic_error_from_decoy,
+    intrinsic_error_from_decoy_with_slope,
     poisson_breakdown,
     single_photon_breakdown,
     transmittance,
@@ -69,6 +70,11 @@ class TestModelValidation:
     def test_single_photon_rejects_mu(self):
         with pytest.raises(ValueError):
             SourceModel(kind=SourceKind.SINGLE_PHOTON, mean_photon_number=0.5)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 0.0, -0.5])
+    def test_bad_mean_photon_number(self, bad):
+        with pytest.raises(ValueError, match="finite mean photon number"):
+            SourceModel.poissonian(bad)
 
     def test_detector_count_must_match_protocol(self):
         with pytest.raises(ValueError, match="detectors"):
@@ -212,6 +218,17 @@ class TestDecoyInvert:
             0.04, abs=1e-9
         )
         assert intrinsic_error_from_decoy(BB84, 0.3) == 0.3
+
+    @pytest.mark.parametrize("spec", [BB84, SIX_STATE, PBC00])
+    def test_correction_slope(self, spec):
+        raw, h = 0.05, 1e-6
+        value, slope = intrinsic_error_from_decoy_with_slope(spec, raw)
+        assert value == intrinsic_error_from_decoy(spec, raw)
+        finite_difference = (
+            intrinsic_error_from_decoy(spec, raw + h)
+            - intrinsic_error_from_decoy(spec, raw - h)
+        ) / (2 * h)
+        assert slope == pytest.approx(finite_difference, rel=1e-8)
 
     def test_no_dark_counts(self):
         mu, eta = 0.5, 0.2

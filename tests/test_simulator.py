@@ -1,9 +1,13 @@
 """Tests for the Monte Carlo pulse simulator against analytic predictions."""
 
+import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
 
+from qkdrates import simulator
 from qkdrates.cli import main
 from qkdrates.protocols import BB84, PBC00, SIX_STATE
 from qkdrates.scenario import (
@@ -12,9 +16,11 @@ from qkdrates.scenario import (
     Scenario,
     SourceModel,
     breakdown,
+    transmittance,
 )
 from qkdrates.simulator import (
     Category,
+    EmpiricalStats,
     EveModel,
     compare_to_analytic,
     empirical_breakdown,
@@ -34,6 +40,23 @@ def make_scenario(spec=BB84, source=None, length=50.0, c=1e-5, e_x_sq=0.05):
         detector=DetectorModel(dark_count_prob=c, detector_count=spec.detector_count),
         e_x_sq=e_x_sq,
     )
+
+
+def outcome_stats(outcomes) -> EmpiricalStats:
+    """Tally materialized outcomes the way ``run_simulation`` does."""
+    values = {"n_pulses": len(outcomes)}
+    for f in dataclasses.fields(EmpiricalStats)[1:]:
+        values[f.name] = 0
+    for o in outcomes:
+        if o.category is Category.NOT_CONCLUSIVE:
+            continue
+        values[f"cat{int(o.category)}_count"] += 1
+        values[f"cat{int(o.category)}_errors"] += o.bit_error
+        for photons, prefix in ((1, "single"), (0, "empty")):
+            if o.emitted_photons == photons:
+                values[f"{prefix}_pulse_conclusive"] += 1
+                values[f"{prefix}_pulse_errors"] += o.bit_error
+    return EmpiricalStats(**values)
 
 
 class TestDeterminism:
@@ -57,20 +80,83 @@ class TestDeterminism:
         )
         assert serial == threaded
 
+    def test_partial_last_batch(self):
+        # 250_001 pulses in batches of 100_000: two full batches and 50_001
+        scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
+        eve = EveModel.none()
+        whole = run_simulation(scn, eve, 250_001, seed=4, batch_size=100_000)
+        prefix = run_simulation(scn, eve, 200_000, seed=4, batch_size=100_000)
+        threaded = run_simulation(
+            scn, eve, 250_001, seed=4, batch_size=100_000, workers=2
+        )
+        assert whole == threaded
+        assert whole.n_pulses == 250_001
+        last = {
+            f.name: getattr(whole, f.name) - getattr(prefix, f.name)
+            for f in dataclasses.fields(EmpiricalStats)
+        }
+        assert last["n_pulses"] == 50_001
+        assert all(value >= 0 for value in last.values())
+        assert 0 < sum(last[f"cat{i}_count"] for i in range(1, 5)) < 50_001
+
+    def test_thread_count_capped(self, monkeypatch):
+        seen = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
+        scn = make_scenario()
+        serial = run_simulation(scn, EveModel.none(), 50_000, seed=3, batch_size=10_000)
+        for workers, batches, want in ((10_000, 5, [3]), (10_000, 2, [2]), (2, 5, [2])):
+            seen.clear()
+            stats = run_simulation(
+                scn, EveModel.none(), batches * 10_000, seed=3,
+                batch_size=10_000, workers=workers,
+            )  # fmt: skip
+            assert seen == want
+            if batches == 5:
+                assert stats == serial
+        monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
+        seen.clear()
+        assert run_simulation(
+            scn, EveModel.none(), 50_000, seed=3, batch_size=10_000, workers=8
+        ) == serial
+        assert seen == []
+
     def test_outcomes_match_tallies(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
         stats = run_simulation(scn, EveModel.none(), 50_000, seed=5)
         outcomes = sample_outcomes(scn, EveModel.none(), 50_000, seed=5)
-        counts = {cat: 0 for cat in Category}
-        errors = 0
-        for o in outcomes:
-            counts[o.category] += 1
-            if o.category is not Category.NOT_CONCLUSIVE and o.bit_error:
-                errors += 1
-        assert counts[Category.SINGLE_QUBIT] == stats.cat1_count
-        assert counts[Category.MULTI_QUBIT] == stats.cat2_count
-        assert counts[Category.DARK_COUNT] == stats.cat4_count
-        assert errors == stats.error_count
+        assert outcome_stats(outcomes) == stats
+
+
+class TestSampleOutcomes:
+    @pytest.mark.parametrize("spec", [BB84, PBC00])
+    def test_tallies_equal_run_simulation(self, spec):
+        source = SourceModel.poissonian(0.5)
+        scn = make_scenario(spec, source=source, length=30.0, c=1e-3)
+        eve = EveModel.intercept_resend()
+        outcomes = sample_outcomes(scn, eve, 40_000, seed=17)
+        stats = run_simulation(scn, eve, 40_000, seed=17)
+        assert outcome_stats(outcomes) == stats
+        assert stats.cat1_errors > 0 and stats.cat4_count > 0
+        assert stats.empty_pulse_conclusive > 0
+
+    def test_silent_pulses(self):
+        # silent pulses carry only lost photons, Poisson(mu (1 - eta)) each
+        scn = make_scenario(source=SourceModel.poissonian(0.8), length=30.0, c=1e-3)
+        silent = [
+            o.emitted_photons
+            for o in sample_outcomes(scn, EveModel.none(), 40_000, seed=19)
+            if o.arrived_photons == 0 and not any(o.detector_fired)
+        ]
+        lam = 0.8 * (1.0 - transmittance(scn.link))
+        mean = sum(silent) / len(silent)
+        assert abs(mean - lam) <= 5 * math.sqrt(lam / len(silent))
 
 
 class TestPulseInvariants:
@@ -264,3 +350,118 @@ class TestTallyCsv:
         assert text.endswith("\n")
         counts = [int(line.split(",")[1]) for line in lines[1:]]
         assert sum(counts) == stats.conclusive_count
+
+
+def assert_matches_pmf(draws, pmf):
+    """Chi-square goodness of fit of ``draws`` in ``1..len(pmf)`` against
+    ``pmf``, bins merged from ``k = 1`` up until each expects at least 5
+    draws, at a false-alarm rate of about 1e-6 (Wilson-Hilferty quantile)."""
+    n = draws.size
+    assert draws.min() >= 1 and draws.max() <= len(pmf)
+    observed = np.bincount(draws - 1, minlength=len(pmf))
+    bins, obs, exp = [], 0, 0.0
+    for o, p in zip(observed, pmf):
+        obs, exp = obs + o, exp + n * p
+        if exp >= 5.0:
+            bins.append((obs, exp))
+            obs, exp = 0, 0.0
+    if bins:
+        last_obs, last_exp = bins.pop()
+        bins.append((last_obs + obs, last_exp + exp))
+    else:
+        bins.append((obs, exp))
+    chi2 = sum((o - e) ** 2 / e for o, e in bins)
+    df = len(bins) - 1
+    if df == 0:
+        assert chi2 == pytest.approx(0.0, abs=1e-6)
+        return
+    crit = df * (1 - 2 / (9 * df) + 4.75 * math.sqrt(2 / (9 * df))) ** 3
+    assert chi2 <= crit, (chi2, crit, bins)
+
+
+def assert_mean_matches(draws, pmf):
+    k = np.arange(1, len(pmf) + 1)
+    mean = float(np.dot(k, pmf))
+    sd = math.sqrt(max(float(np.dot(k**2, pmf)) - mean**2, 0.0))
+    assert abs(draws.mean() - mean) <= 5 * sd / math.sqrt(draws.size) + 1e-12
+
+
+class TestZeroTruncatedSamplers:
+    N = 400_000
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-3, 0.05, 0.5, 1.0, 5.0, 40.0])
+    def test_poisson(self, lam):
+        rng = np.random.default_rng(int(lam * 1e4) + 1)
+        draws = simulator._zero_truncated_poisson(rng, lam, self.N)
+        k = np.arange(1, int(lam + 20 * math.sqrt(lam)) + 40)
+        log_pmf = k * math.log(lam) - np.array([math.lgamma(j + 1) for j in k])
+        pmf = np.exp(log_pmf - math.log(math.expm1(lam)))
+        assert_matches_pmf(draws, pmf)
+        assert_mean_matches(draws, pmf)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("p", [1e-6, 1e-5, 1e-3, 0.05, 0.3])
+    def test_binomial(self, n, p):
+        rng = np.random.default_rng(int(p * 1e6) + n)
+        draws = simulator._zero_truncated_binomial(rng, n, p, self.N)
+        k = np.arange(1, n + 1)
+        comb = np.array([math.comb(n, j) for j in range(1, n + 1)])
+        pmf = comb * p**k * (1 - p) ** (n - k)
+        pmf /= 1 - (1 - p) ** n
+        assert_matches_pmf(draws, pmf)
+        assert_mean_matches(draws, pmf)
+
+    def test_empty_request_draws_nothing(self):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        assert simulator._zero_truncated_poisson(rng, 0.0, 0).size == 0
+        assert simulator._zero_truncated_binomial(rng, 2, 0.0, 0).size == 0
+        assert rng.bit_generator.state == state
+
+
+class TestHighDarkRate:
+    """Exact per-pulse rates, not the linearized ``2C`` of the analytic
+    breakdown: at large C double fires remove ``1 - (1-C)^(n-1)`` of the
+    single-fire dark counts."""
+
+    @pytest.mark.parametrize("c", [1e-3, 0.3])
+    @pytest.mark.parametrize("spec", [BB84, PBC00])
+    def test_three_sigma(self, spec, c):
+        mu, n = 0.5, 1_000_000
+        scn = make_scenario(spec, source=SourceModel.poissonian(mu), c=c)
+        stats = run_simulation(scn, EveModel.none(), n, seed=2026)
+        eta = transmittance(scn.link)
+        cf = spec.conclusive_factor(scn.e_x_sq)
+        d = spec.detector_count
+        dark = spec.dark_conclusive_multiplier * c * (1 - c) ** (d - 1)
+        p1 = mu * math.exp(-mu)
+        want = {
+            "p_sq": cf * p1 * eta,
+            "p_mq": cf * (1 - math.exp(-mu * eta) - p1 * eta),
+            "p_dk": dark * math.exp(-mu * eta),
+            "empty": dark * math.exp(-mu),
+        }
+        got = {
+            "p_sq": stats.cat1_count / n,
+            "p_mq": stats.cat2_count / n,
+            "p_dk": stats.cat4_count / n,
+            "empty": stats.empty_pulse_conclusive / n,
+        }
+        for name, p in want.items():
+            assert abs(got[name] - p) <= 3 * math.sqrt(p * (1 - p) / n), name
+        p_c = want["p_sq"] + want["p_mq"] + want["p_dk"]
+        e_x = ((want["p_sq"] + want["p_mq"]) * scn.e_x_sq + want["p_dk"] / 2) / p_c
+        assert abs(stats.e_x_hat - e_x) <= 3 * math.sqrt(e_x * (1 - e_x) / (p_c * n))
+
+    def test_double_fire_rate(self):
+        # single-photon pulses: a lost photon, then two or more dark fires
+        c, n = 0.3, 50_000
+        scn = make_scenario(PBC00, c=c)
+        outcomes = sample_outcomes(scn, EveModel.none(), n, seed=2026)
+        doubles = sum(
+            o.arrived_photons == 0 and sum(o.detector_fired) >= 2 for o in outcomes
+        )
+        d = PBC00.detector_count
+        multi_fire = 1 - (1 - c) ** d - d * c * (1 - c) ** (d - 1)
+        p = (1 - transmittance(scn.link)) * multi_fire
+        assert abs(doubles / n - p) <= 3 * math.sqrt(p * (1 - p) / n)

@@ -6,7 +6,9 @@ vs analytic comparison), ``decoy`` (decoy-state recovery check).
 
 Configuration is an INI file with sections ``[protocol]``, ``[source]``,
 ``[link]``, ``[detector]``, ``[simulation]``; every key is optional and CLI
-flags override file values.  Exit codes: 0 success, 1 check or inversion
+flags override file values.  Each :class:`RunConfig` field declares its INI
+key, parser and flag once; the file reader, the writer and the flags all
+follow from that table.  Exit codes: 0 success, 1 check or inversion
 failure, 2 invalid input.
 """
 
@@ -28,12 +30,13 @@ from .keyrate import (
     rate_shor_preskill,
     threshold_bit_error,
 )
-from .protocols import get_protocol
+from .protocols import get_protocol, protocol_catalog
 from .scenario import (
     DecoyInversionError,
     DetectorModel,
     LinkModel,
     Scenario,
+    SourceKind,
     SourceModel,
     breakdown,
     distance_sweep,
@@ -58,54 +61,15 @@ class ConfigError(ValueError):
     """Invalid configuration value; message names the offending field."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters with figure-reproducing defaults."""
-
-    protocol: str = "bb84"
-    source_kind: str = "single-photon"
-    mean_photon_number: float = 0.5
-    mu_values: tuple[float, ...] = (0.1, 0.5)
-    attenuation_db_per_km: float = 0.2
-    length_km: float = 50.0
-    length_min_km: float = 0.0
-    length_max_km: float = 400.0
-    length_step_km: float = 1.0
-    e_x_sq: float = 0.01
-    dark_count_prob: float = 1e-6
-    analytic_dark_count_prob: float | None = None
-    n_pulses: int = 1_000_000
-    seed: int = 1
-    eve: str = "none"
-
-    def to_ini(self) -> str:
-        parser = configparser.ConfigParser()
-        parser["protocol"] = {"name": self.protocol}
-        parser["source"] = {
-            "kind": self.source_kind,
-            "mean_photon_number": repr(self.mean_photon_number),
-            "mu_values": ", ".join(repr(m) for m in self.mu_values),
-        }
-        parser["link"] = {
-            "attenuation_db_per_km": repr(self.attenuation_db_per_km),
-            "length_km": repr(self.length_km),
-            "length_min_km": repr(self.length_min_km),
-            "length_max_km": repr(self.length_max_km),
-            "length_step_km": repr(self.length_step_km),
-            "e_x_sq": repr(self.e_x_sq),
-        }
-        detector = {"dark_count_prob": repr(self.dark_count_prob)}
-        if self.analytic_dark_count_prob is not None:
-            detector["analytic_dark_count_prob"] = repr(self.analytic_dark_count_prob)
-        parser["detector"] = detector
-        parser["simulation"] = {
-            "n_pulses": str(self.n_pulses),
-            "seed": str(self.seed),
-            "eve": self.eve,
-        }
-        buffer = io.StringIO()
-        parser.write(buffer)
-        return buffer.getvalue()
+_COMMANDS = {
+    "rate": "rates at one length",
+    "threshold": "error thresholds",
+    "sweep": "distance sweep CSV",
+    "simulate": "Monte Carlo vs analytic check",
+    "decoy": "decoy-state recovery check",
+}
+_ALL = tuple(_COMMANDS)
+_SCENARIO = ("rate", "sweep", "simulate", "decoy")
 
 
 def _parse_mu_values(text: str) -> tuple[float, ...]:
@@ -115,28 +79,84 @@ def _parse_mu_values(text: str) -> tuple[float, ...]:
     return values
 
 
-_SCHEMA = {
-    ("protocol", "name"): ("protocol", str),
-    ("source", "kind"): ("source_kind", str),
-    ("source", "mean_photon_number"): ("mean_photon_number", float),
-    ("source", "mu_values"): ("mu_values", _parse_mu_values),
-    ("link", "attenuation_db_per_km"): ("attenuation_db_per_km", float),
-    ("link", "length_km"): ("length_km", float),
-    ("link", "length_min_km"): ("length_min_km", float),
-    ("link", "length_max_km"): ("length_max_km", float),
-    ("link", "length_step_km"): ("length_step_km", float),
-    ("link", "e_x_sq"): ("e_x_sq", float),
-    ("detector", "dark_count_prob"): ("dark_count_prob", float),
-    ("detector", "analytic_dark_count_prob"): ("analytic_dark_count_prob", float),
-    ("simulation", "n_pulses"): ("n_pulses", int),
-    ("simulation", "seed"): ("seed", int),
-    ("simulation", "eve"): ("eve", str),
-}
+def _option(default, section, key, parse, commands=_SCENARIO, help=None):
+    """A RunConfig field with its INI ``[section] key``, the parser for its
+    INI and ``--flag`` text, and the subcommands that take the flag.  The
+    help text may name ``{protocols}``, ``{sources}`` or ``{eves}``."""
+    metadata = dict(
+        section=section, key=key, parse=parse, commands=commands, help=help
+    )
+    return dataclasses.field(default=default, metadata=metadata)
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Validated run parameters with figure-reproducing defaults.
+
+    Each field declares its INI location, parser and ``--flag``; the config
+    file reader and writer and the command-line flags all come from here.
+    """
+
+    protocol: str = _option("bb84", "protocol", "name", str, _ALL, "{protocols}")
+    source_kind: str = _option("single-photon", "source", "kind", str, help="{sources}")
+    mean_photon_number: float = _option(0.5, "source", "mean_photon_number", float)
+    mu_values: tuple[float, ...] = _option(
+        (0.1, 0.5), "source", "mu_values", _parse_mu_values, ("decoy",),
+        "comma-separated decoy mean photon numbers",
+    )
+    attenuation_db_per_km: float = _option(0.2, "link", "attenuation_db_per_km", float)
+    length_km: float = _option(50.0, "link", "length_km", float)
+    length_min_km: float = _option(0.0, "link", "length_min_km", float, ("sweep",))
+    length_max_km: float = _option(400.0, "link", "length_max_km", float, ("sweep",))
+    length_step_km: float = _option(1.0, "link", "length_step_km", float, ("sweep",))
+    e_x_sq: float = _option(0.01, "link", "e_x_sq", float)
+    dark_count_prob: float = _option(1e-6, "detector", "dark_count_prob", float)
+    analytic_dark_count_prob: float | None = _option(
+        None, "detector", "analytic_dark_count_prob", float, ("simulate",),
+        "compare against an analytic model with a different dark count "
+        "probability (diagnostic)",
+    )
+    n_pulses: int = _option(
+        1_000_000, "simulation", "n_pulses", int, ("simulate", "decoy")
+    )
+    seed: int = _option(1, "simulation", "seed", int, _ALL, "simulation seed")
+    eve: str = _option("none", "simulation", "eve", str, ("simulate",), "{eves}")
+
+    def to_ini(self) -> str:
+        sections: dict[str, dict[str, str]] = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if value is not None:
+                section = sections.setdefault(f.metadata["section"], {})
+                section[f.metadata["key"]] = _format(value)
+        parser = configparser.ConfigParser()
+        parser.read_dict(sections)
+        buffer = io.StringIO()
+        parser.write(buffer)
+        return buffer.getvalue()
+
+
+def _format(value) -> str:
+    """Config text that a field's parser reads back as ``value``."""
+    if isinstance(value, tuple):
+        return ", ".join(repr(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
+def _parse(f: dataclasses.Field, raw: str, where: str):
+    try:
+        return f.metadata["parse"](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{f.name}: bad value for {where}: {raw!r}") from exc
+
+
+def _flag(f: dataclasses.Field) -> str:
+    return "--" + f.name.replace("_", "-")
 
 
 def load_config(source: str, from_path: bool = True) -> RunConfig:
     """Parse an INI config file (or literal text) into a RunConfig."""
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         if from_path:
             with open(source, encoding="utf-8") as handle:
@@ -148,17 +168,17 @@ def load_config(source: str, from_path: bool = True) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
 
+    table = {
+        (f.metadata["section"], f.metadata["key"]): f
+        for f in dataclasses.fields(RunConfig)
+    }
     overrides = {}
     for section in parser.sections():
         for key, raw in parser[section].items():
-            try:
-                field, convert = _SCHEMA[(section, key)]
-            except KeyError:
-                raise ConfigError(f"unknown config key [{section}] {key}") from None
-            try:
-                overrides[field] = convert(raw)
-            except ValueError as exc:
-                raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
+            f = table.get((section, key))
+            if f is None:
+                raise ConfigError(f"unknown config key [{section}] {key}")
+            overrides[f.name] = _parse(f, raw, f"[{section}] {key}")
     return dataclasses.replace(RunConfig(), **overrides)
 
 
@@ -172,17 +192,21 @@ def config_scenario(
         protocol = get_protocol(cfg.protocol)
     except ValueError as exc:
         raise ConfigError(f"protocol: {exc}") from exc
-    if cfg.source_kind == "single-photon":
+    try:
+        kind = SourceKind(cfg.source_kind)
+    except ValueError:
+        raise ConfigError(
+            "source_kind must be "
+            + " or ".join(repr(kind.value) for kind in SourceKind)
+            + f", got {cfg.source_kind!r}"
+        ) from None
+    if kind is SourceKind.SINGLE_PHOTON:
         source = SourceModel.single_photon()
-    elif cfg.source_kind == "poissonian":
+    else:
         try:
             source = SourceModel.poissonian(cfg.mean_photon_number)
         except ValueError as exc:
             raise ConfigError(f"mean_photon_number: {exc}") from exc
-    else:
-        raise ConfigError(
-            f"source kind must be 'single-photon' or 'poissonian', got {cfg.source_kind!r}"
-        )
     try:
         link = LinkModel(
             attenuation_db_per_km=cfg.attenuation_db_per_km,
@@ -210,7 +234,9 @@ def config_eve(cfg: RunConfig) -> EveModel:
         return EveModel(kind=EveKind(cfg.eve))
     except ValueError:
         raise ConfigError(
-            f"eve must be 'none' or 'intercept-resend', got {cfg.eve!r}"
+            "eve must be "
+            + " or ".join(repr(kind.value) for kind in EveKind)
+            + f", got {cfg.eve!r}"
         ) from None
 
 
@@ -335,8 +361,7 @@ def cmd_simulate(
 
 
 def cmd_decoy(cfg: RunConfig, out_path: str | None, workers: int = 1) -> int:
-    if cfg.source_kind != "poissonian":
-        cfg = dataclasses.replace(cfg, source_kind="poissonian")
+    cfg = dataclasses.replace(cfg, source_kind=SourceKind.POISSONIAN.value)
     scn = config_scenario(cfg)
     mu_values = list(cfg.mu_values)
     if cfg.mean_photon_number not in mu_values:
@@ -363,108 +388,53 @@ def cmd_decoy(cfg: RunConfig, out_path: str | None, workers: int = 1) -> int:
     return 0
 
 
-def _add_scenario_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--protocol", help="bb84 | six-state | pbc00")
-    parser.add_argument("--source-kind", help="single-photon | poissonian")
-    parser.add_argument("--mean-photon-number", type=float)
-    parser.add_argument("--attenuation-db-per-km", type=float)
-    parser.add_argument("--length-km", type=float)
-    parser.add_argument("--e-x-sq", type=float)
-    parser.add_argument("--dark-count-prob", type=float)
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="INI config file path")
-    common.add_argument("--seed", type=int, help="simulation seed")
-    common.add_argument("--out", help="write output to file instead of stdout")
-
     parser = argparse.ArgumentParser(
         prog="qkdrates",
         description="Key generation rates, thresholds, and Monte Carlo checks "
         "for BB84, six-state, and PBC00.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    allowed = {
+        "protocols": " | ".join(spec.name for spec in protocol_catalog()),
+        "sources": " | ".join(kind.value for kind in SourceKind),
+        "eves": " | ".join(kind.value for kind in EveKind),
+    }
+    commands = {}
+    for name, text in _COMMANDS.items():
+        command = sub.add_parser(name, help=text)
+        command.add_argument("--config", help="INI config file path")
+        command.add_argument("--out", help="write output to file instead of stdout")
+        commands[name] = command
+    for f in dataclasses.fields(RunConfig):
+        text = f.metadata["help"]
+        for name in f.metadata["commands"]:
+            commands[name].add_argument(
+                _flag(f), dest=f.name, help=text and text.format(**allowed)
+            )
 
-    p_rate = sub.add_parser("rate", parents=[common], help="rates at one length")
-    _add_scenario_flags(p_rate)
-
-    p_thr = sub.add_parser("threshold", parents=[common], help="error thresholds")
-    p_thr.add_argument("--protocol", help="bb84 | six-state | pbc00")
-    p_thr.add_argument(
+    commands["threshold"].add_argument(
         "e_x_sq_values",
         nargs="*",
         type=float,
         default=[0.0, 0.01, 0.1],
         help="intrinsic bit error rates (default: 0 0.01 0.1)",
     )
-
-    p_sweep = sub.add_parser("sweep", parents=[common], help="distance sweep CSV")
-    _add_scenario_flags(p_sweep)
-    p_sweep.add_argument("--length-min-km", type=float)
-    p_sweep.add_argument("--length-max-km", type=float)
-    p_sweep.add_argument("--length-step-km", type=float)
-
-    p_sim = sub.add_parser(
-        "simulate", parents=[common], help="Monte Carlo vs analytic check"
-    )
-    _add_scenario_flags(p_sim)
-    p_sim.add_argument("--n-pulses", type=int)
-    p_sim.add_argument("--eve", help="none | intercept-resend")
-    p_sim.add_argument(
-        "--analytic-dark-count-prob",
-        type=float,
-        help="compare against an analytic model with a different dark count "
-        "probability (diagnostic)",
-    )
-    p_sim.add_argument("--workers", type=int, default=1)
-    p_sim.add_argument(
+    for name in ("simulate", "decoy"):
+        commands[name].add_argument("--workers", type=int, default=1)
+    commands["simulate"].add_argument(
         "--tally-out", help="also write raw per-category tallies as CSV"
     )
-
-    p_decoy = sub.add_parser(
-        "decoy", parents=[common], help="decoy-state recovery check"
-    )
-    _add_scenario_flags(p_decoy)
-    p_decoy.add_argument("--n-pulses", type=int)
-    p_decoy.add_argument(
-        "--mu-values", help="comma-separated decoy mean photon numbers"
-    )
-    p_decoy.add_argument("--workers", type=int, default=1)
-
     return parser
-
-
-_FLAG_FIELDS = (
-    "protocol",
-    "source_kind",
-    "mean_photon_number",
-    "attenuation_db_per_km",
-    "length_km",
-    "e_x_sq",
-    "dark_count_prob",
-    "length_min_km",
-    "length_max_km",
-    "length_step_km",
-    "n_pulses",
-    "seed",
-    "eve",
-    "analytic_dark_count_prob",
-)
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
-    for field in _FLAG_FIELDS:
-        value = getattr(args, field, None)
-        if value is not None:
-            overrides[field] = value
-    if getattr(args, "mu_values", None) is not None:
-        try:
-            overrides["mu_values"] = _parse_mu_values(args.mu_values)
-        except ValueError:
-            raise ConfigError(f"bad --mu-values: {args.mu_values!r}") from None
+    for f in dataclasses.fields(RunConfig):
+        raw = getattr(args, f.name, None)
+        if raw is not None:
+            overrides[f.name] = _parse(f, raw, _flag(f))
     return dataclasses.replace(cfg, **overrides)
 
 

@@ -238,9 +238,11 @@ def max_distance(
     ``rate_fn`` selects ``"gllp"`` or ``"improved"``.  Exponential
     bracketing from 1 km is followed by bisection to ``tol_km``.  Returns
     ``math.inf`` when the rate is still positive at ``cap_km`` and 0.0 when
-    it is non-positive already at zero length.
+    it is non-positive already at zero length.  A length with no conclusive
+    results at all has no positive rate.
     """
-    from .scenario import breakdown  # deferred: scenario imports this module
+    # deferred: scenario imports this module
+    from .scenario import NoConclusiveResultsError, breakdown
 
     if rate_fn == "improved":
         rate = rate_improved
@@ -250,7 +252,11 @@ def max_distance(
         raise ValueError(f"rate_fn must be 'gllp' or 'improved', got {rate_fn!r}")
 
     def rate_at(length_km: float) -> float:
-        return rate(breakdown(scn.at_length(length_km)), scn.protocol)
+        try:
+            b = breakdown(scn.at_length(length_km))
+        except NoConclusiveResultsError:
+            return 0.0
+        return rate(b, scn.protocol)
 
     if rate_at(0.0) <= 0.0:
         return 0.0

@@ -18,7 +18,6 @@ __all__ = [
     "PBC00",
     "protocol_catalog",
     "get_protocol",
-    "conclusive_factor",
 ]
 
 
@@ -29,7 +28,7 @@ class ProtocolSpec:
     Attributes
     ----------
     name : str
-        Canonical identifier, one of ``"bb84"``, ``"six-state"``, ``"pbc00"``.
+        Canonical identifier looked up by :func:`get_protocol`.
     phase_ratio : float
         Phase error rate of single-photon qubit results as a multiple of
         their bit error rate.
@@ -44,6 +43,11 @@ class ProtocolSpec:
         Number of encoding bases, used by the intercept-resend attack model.
     max_bit_error : float
         Largest bit error rate with a feasible Bell-outcome distribution.
+    k : float
+        Sifting constant: a received qubit state gives a conclusive result
+        at rate ``1 / (1 + k - k * e_x)``.  0 when every received qubit is
+        kept (BB84 and six-state with strongly biased basis choice), 1 for
+        PBC00's trine measurement.
     """
 
     name: str
@@ -54,6 +58,7 @@ class ProtocolSpec:
     dark_conclusive_multiplier: float
     basis_count: int
     max_bit_error: float
+    k: float
 
     @property
     def y_pinned(self) -> bool:
@@ -64,17 +69,11 @@ class ProtocolSpec:
         return (self.y_lo_ratio * e_x, self.y_hi_ratio * e_x)
 
     def conclusive_factor(self, e_x: float) -> float:
-        """Fraction of received qubit states yielding a conclusive result.
-
-        BB84 and the six-state protocol use strongly biased basis choice,
-        so asymptotically every received qubit is kept.  PBC00's trine
-        measurement is conclusive at rate ``1 / (2 - e_x)``.
-        """
+        """Fraction ``1 / (1 + k - k * e_x)`` of received qubit states
+        yielding a conclusive result."""
         if not 0.0 <= e_x <= 1.0:
             raise ValueError(f"e_x={e_x} outside [0, 1]")
-        if self.name == "pbc00":
-            return 1.0 / (2.0 - e_x)
-        return 1.0
+        return 1.0 / (1.0 + self.k - self.k * e_x)
 
 
 BB84 = ProtocolSpec(
@@ -86,6 +85,7 @@ BB84 = ProtocolSpec(
     dark_conclusive_multiplier=2.0,
     basis_count=2,
     max_bit_error=1.0,
+    k=0.0,
 )
 
 # Full basis tomography makes all three error rates equal, hence the pinned
@@ -99,10 +99,12 @@ SIX_STATE = ProtocolSpec(
     dark_conclusive_multiplier=2.0,
     basis_count=3,
     max_bit_error=2.0 / 3.0,
+    k=0.0,
 )
 
 # Three detectors, but a dark count survives basis reconciliation only 2/3
-# of the time, so the conclusive dark rate is 3C * (2/3) = 2C.
+# of the time, so the conclusive dark rate is 3C * (2/3) = 2C.  The trine
+# measurement is conclusive at rate 1 / (2 - e_x), hence k = 1.
 PBC00 = ProtocolSpec(
     name="pbc00",
     phase_ratio=1.25,
@@ -112,6 +114,7 @@ PBC00 = ProtocolSpec(
     dark_conclusive_multiplier=2.0,
     basis_count=3,
     max_bit_error=0.8,
+    k=1.0,
 )
 
 _CATALOG = (BB84, SIX_STATE, PBC00)
@@ -129,8 +132,3 @@ def get_protocol(name: str) -> ProtocolSpec:
             return spec
     valid = ", ".join(s.name for s in _CATALOG)
     raise ValueError(f"unknown protocol {name!r}; expected one of: {valid}")
-
-
-def conclusive_factor(spec: ProtocolSpec, e_x: float) -> float:
-    """Module-level alias for :meth:`ProtocolSpec.conclusive_factor`."""
-    return spec.conclusive_factor(e_x)

@@ -3,8 +3,9 @@
 A :class:`Scenario` bundles protocol, source, fiber link, and detector
 parameters and fully determines a :class:`~qkdrates.keyrate.RateBreakdown`
 for an honest (eavesdropper-free) channel.  Dark counts use the linearized
-conclusive rate ``2C`` per pulse with no arriving photon; simultaneous
-fires of two detectors are discarded.
+conclusive rate ``m*C`` per pulse with no arriving photon, ``m`` the
+protocol's dark conclusive multiplier; simultaneous fires of two detectors
+are discarded.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __all__ = [
     "SourceModel",
     "Scenario",
     "DecoyInversionError",
+    "NoConclusiveResultsError",
     "NoDecoyEstimate",
     "SweepRow",
     "transmittance",
@@ -31,17 +33,23 @@ __all__ = [
     "poisson_breakdown",
     "breakdown",
     "decoy_invert",
-    "intrinsic_error_from_decoy",
     "intrinsic_error_from_decoy_with_slope",
     "worst_case_no_decoy",
     "distance_sweep",
+    "MAX_SWEEP_ROWS",
 ]
 
 _DB_TO_NEPER = math.log(10.0) / 10.0
 
+MAX_SWEEP_ROWS = 1_000_000
+
 
 class DecoyInversionError(ValueError):
     """Raised when decoy statistics admit no physical single-photon solution."""
+
+
+class NoConclusiveResultsError(ValueError):
+    """Raised when an operating point yields no conclusive results at all."""
 
 
 @dataclass(frozen=True)
@@ -145,7 +153,7 @@ def single_photon_breakdown(scn: Scenario) -> RateBreakdown:
 
     Every pulse carries exactly one photon, so every conclusive result is
     either a received qubit (``conclusive_factor * eta``) or a dark count
-    on a lost photon (``2C * (1 - eta)``), and ``omega1 = 1``.
+    on a lost photon (``m*C * (1 - eta)``), and ``omega1 = 1``.
     """
     if scn.source.kind is not SourceKind.SINGLE_PHOTON:
         raise ValueError("scenario does not use a single-photon source")
@@ -154,7 +162,7 @@ def single_photon_breakdown(scn: Scenario) -> RateBreakdown:
     m = scn.protocol.dark_conclusive_multiplier
     p_sq = scn.protocol.conclusive_factor(scn.e_x_sq) * eta
     p_dk = m * c * (1.0 - eta)
-    p_c = p_sq + p_dk
+    p_c = _positive_conclusive_rate(p_sq + p_dk, eta, c)
     e_x = (p_sq * scn.e_x_sq + p_dk * 0.5) / p_c
     return RateBreakdown(
         p_emp=0.0,
@@ -175,12 +183,12 @@ def poisson_breakdown(scn: Scenario) -> RateBreakdown:
 
     * single-photon qubit results: ``cf * P_1 * eta``,
     * multi-photon qubit results: ``cf * sum_{k>=2} P_k (1 - (1-eta)^k)``,
-    * dark counts: ``2C`` times the no-arrival probability ``exp(-eta*mu)``,
+    * dark counts: ``m*C`` times the no-arrival probability ``exp(-eta*mu)``,
     * empty-pulse qubit results: zero on an honest channel.
 
     Single-photon and empty-pulse conclusive fractions follow from splitting
     the dark counts by emitted photon number: ``omega1 * p_c = p_sq +
-    2C * P_1 * (1 - eta)`` and ``omega0 * p_c = 2C * P_0``.  Multi-photon
+    m*C * P_1 * (1 - eta)`` and ``omega0 * p_c = m*C * P_0``.  Multi-photon
     qubit results carry the same intrinsic error rate as single-photon ones;
     the rate formulas still grant the eavesdropper full information on them.
     """
@@ -199,7 +207,7 @@ def poisson_breakdown(scn: Scenario) -> RateBreakdown:
     p_sq = cf * p1 * eta
     p_mq = cf * max(1.0 - no_arrival - p1 * eta, 0.0)
     p_dk = m * c * no_arrival
-    p_c = p_sq + p_mq + p_dk
+    p_c = _positive_conclusive_rate(p_sq + p_mq + p_dk, eta, c)
 
     omega1 = (p_sq + m * c * p1 * (1.0 - eta)) / p_c
     omega0 = m * c * p0 / p_c
@@ -216,6 +224,15 @@ def poisson_breakdown(scn: Scenario) -> RateBreakdown:
     )
 
 
+def _positive_conclusive_rate(p_c: float, eta: float, c: float) -> float:
+    if p_c <= 0.0:
+        raise NoConclusiveResultsError(
+            f"no conclusive results: transmittance {eta:.3g} and dark count "
+            f"probability {c:.3g} give a conclusive rate of 0"
+        )
+    return p_c
+
+
 def breakdown(scn: Scenario) -> RateBreakdown:
     """Dispatch to the breakdown matching the scenario's source kind."""
     if scn.source.kind is SourceKind.SINGLE_PHOTON:
@@ -229,18 +246,20 @@ def decoy_invert(
     mu_bar: float,
     eta: float,
     c: float,
+    dark_conclusive_multiplier: float,
 ) -> tuple[float, float]:
     """Recover single-photon qubit rate and error rate from decoy estimates.
 
     Inverts the two relations linking the decoy-estimated single-photon
     conclusive rate ``p_c * omega1`` and error rate ``e_x^1`` to the
-    underlying qubit quantities, assuming dark counts carry error rate 1/2:
+    underlying qubit quantities, assuming dark counts carry error rate 1/2.
+    With ``m`` the protocol's dark conclusive multiplier:
 
-    ``p_sq = p_c*omega1 - 2C * exp(-mu) * mu * (1 - eta)``
-    ``e_x_sq = (e_x^1 * p_c*omega1 / (exp(-mu) * mu) - C * (1 - eta)) / eta``
+    ``p_sq = p_c*omega1 - m*C * exp(-mu) * mu * (1 - eta)``
+    ``e_x_sq = (e_x^1 * p_c*omega1 / (exp(-mu) * mu) - m*C/2 * (1 - eta)) / eta``
 
-    The relations apply to protocols whose conclusive factor is 1; see
-    :func:`intrinsic_error_from_decoy` for the PBC00 correction.
+    The recovered error rate still carries the conclusive factor; see
+    :func:`intrinsic_error_from_decoy_with_slope` for its removal.
 
     Raises
     ------
@@ -251,36 +270,31 @@ def decoy_invert(
     if mu_bar <= 0.0 or not 0.0 < eta <= 1.0:
         raise ValueError("mu_bar must be > 0 and eta in (0, 1]")
     p1 = math.exp(-mu_bar) * mu_bar
-    dark_single = 2.0 * c * p1 * (1.0 - eta)
+    m = dark_conclusive_multiplier
+    dark_single = m * c * p1 * (1.0 - eta)
     if p_c_omega1 <= dark_single:
         raise DecoyInversionError(
             "single-photon conclusive rate below the dark-count floor"
         )
     p_sq = p_c_omega1 - dark_single
-    e_x_sq = (e_x_1 * p_c_omega1 / p1 - c * (1.0 - eta) * 1.0) / eta
+    e_x_sq = (e_x_1 * p_c_omega1 / p1 - 0.5 * m * c * (1.0 - eta)) / eta
     if e_x_sq < -1e-9 or e_x_sq > 1.0 + 1e-9:
         raise DecoyInversionError(f"recovered e_x_sq={e_x_sq} outside [0, 1]")
     return p_sq, min(max(e_x_sq, 0.0), 1.0)
 
 
-def intrinsic_error_from_decoy(spec: ProtocolSpec, e_x_sq_raw: float) -> float:
-    """Undo the conclusive factor folded into a decoy-recovered error rate.
-
-    For protocols with conclusive factor 1 this is the identity.  For PBC00
-    the inversion returns ``e / (2 - e)``; solving for ``e`` gives
-    ``2*raw / (1 + raw)``.
-    """
-    return intrinsic_error_from_decoy_with_slope(spec, e_x_sq_raw)[0]
-
-
 def intrinsic_error_from_decoy_with_slope(
     spec: ProtocolSpec, e_x_sq_raw: float
 ) -> tuple[float, float]:
-    """:func:`intrinsic_error_from_decoy` and its derivative in the raw rate,
-    for propagating a standard error through the correction."""
-    if spec.name != "pbc00":
-        return e_x_sq_raw, 1.0
-    return 2.0 * e_x_sq_raw / (1.0 + e_x_sq_raw), 2.0 / (1.0 + e_x_sq_raw) ** 2
+    """Undo the conclusive factor folded into a decoy-recovered error rate,
+    and the derivative in the raw rate for propagating a standard error.
+
+    The inversion returns ``r = e * cf(e) = e / (1 + k - k*e)``; solving for
+    ``e`` gives ``(1+k) r / (1 + k r)``, the identity when ``k = 0``.
+    """
+    k = spec.k
+    denominator = 1.0 + k * e_x_sq_raw
+    return (1.0 + k) * e_x_sq_raw / denominator, (1.0 + k) / denominator**2
 
 
 @dataclass(frozen=True)
@@ -330,7 +344,8 @@ def distance_sweep(
 
     Returns one row per grid point ``l_min, l_min + step, ... <= l_max``
     with ``rate_old`` (multi-photon discount only) and ``rate_new`` (dark
-    counts credited), both clamped at zero for display.
+    counts credited), both clamped at zero for display.  A grid of more
+    than ``MAX_SWEEP_ROWS`` rows is refused before any row is built.
     """
     if not all(math.isfinite(v) for v in (l_min, l_max, step)):
         raise ValueError("l_min, l_max and step must be finite")
@@ -338,7 +353,10 @@ def distance_sweep(
         raise ValueError("need 0 <= l_min <= l_max")
     if step <= 0.0:
         raise ValueError("step must be positive")
-    n_rows = int(math.floor((l_max - l_min) / step + 1e-9)) + 1
+    n_steps = (l_max - l_min) / step + 1e-9
+    if n_steps >= MAX_SWEEP_ROWS:
+        raise ValueError(f"grid has more than {MAX_SWEEP_ROWS} rows")
+    n_rows = int(math.floor(n_steps)) + 1
     rows = []
     for i in range(n_rows):
         length = l_min + i * step

@@ -357,6 +357,8 @@ def _tally(n_pulses: int, events: _Events) -> EmpiricalStats:
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))
     return np.random.Generator(np.random.Philox(seq))
 
@@ -616,7 +618,9 @@ def recover_single_photon_rates(stats: EmpiricalStats, scn: Scenario) -> DecoyRe
     w_hat = stats.single_pulse_conclusive / n
     q_hat = stats.single_pulse_errors / n
     e_x_1 = stats.single_pulse_errors / max(stats.single_pulse_conclusive, 1)
-    p_sq, e_raw = decoy_invert(w_hat, e_x_1, mu, eta, c)
+    p_sq, e_raw = decoy_invert(
+        w_hat, e_x_1, mu, eta, c, scn.protocol.dark_conclusive_multiplier
+    )
 
     p1 = math.exp(-mu) * mu
     p_sq_se = math.sqrt(w_hat * (1.0 - w_hat) / n)

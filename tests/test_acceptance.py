@@ -174,6 +174,7 @@ def test_criterion_5_fig3_structure():
         0.5,
         transmittance(probe.link),
         1e-6,
+        BB84.dark_conclusive_multiplier,
     )
     recovery_exact = (
         abs(p_sq - b.p_sq) <= 1e-12 and abs(e_sq - probe.e_x_sq) <= 1e-12
@@ -257,6 +258,7 @@ def test_criterion_8_decoy_round_trip():
             mu,
             transmittance(scn.link),
             scn.detector.dark_count_prob,
+            spec.dark_conclusive_multiplier,
         )
         if abs(p_sq - b.p_sq) > 1e-9 or abs(e_sq - scn.e_x_sq) > 1e-9:
             analytic_ok = False

@@ -1,17 +1,31 @@
 """Tests for the command-line interface and config handling."""
 
+import contextlib
 import dataclasses
+import io
+import re
+import time
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkdrates.cli import (
     SWEEP_HEADER,
     ConfigError,
     RunConfig,
+    _build_parser,
+    _flag,
+    _format,
+    _resolve_config,
     config_scenario,
     load_config,
     main,
 )
+
+FIELDS = dataclasses.fields(RunConfig)
 
 FIG1_CONFIG = """\
 [protocol]
@@ -82,6 +96,12 @@ class TestConfig:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/run.ini")
+
+    def test_readme_example_loads(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+        assert ";" in block
+        assert load_config(block, from_path=False) == RunConfig()
 
     def test_scenario_validation(self):
         cfg = RunConfig(protocol="b92")
@@ -352,3 +372,175 @@ class TestFlagPrecedence:
     def test_config_replaces_defaults(self):
         cfg = load_config("[link]\nlength_km = 7\n", from_path=False)
         assert cfg == dataclasses.replace(RunConfig(), length_km=7.0)
+
+
+# A value for every RunConfig field, each different from its default.
+SAMPLES = {
+    "protocol": "pbc00",
+    "source_kind": "poissonian",
+    "mean_photon_number": 0.7,
+    "mu_values": (0.05, 0.2),
+    "attenuation_db_per_km": 0.25,
+    "length_km": 123.5,
+    "length_min_km": 5.0,
+    "length_max_km": 250.0,
+    "length_step_km": 0.5,
+    "e_x_sq": 0.02,
+    "dark_count_prob": 2e-7,
+    "analytic_dark_count_prob": 3e-5,
+    "n_pulses": 12345,
+    "seed": 99,
+    "eve": "intercept-resend",
+}
+
+# Each subcommand's flags, frozen so that an edit to the field table cannot
+# add or drop one unnoticed.
+SCENARIO_FLAGS = {
+    "--protocol", "--source-kind", "--mean-photon-number",
+    "--attenuation-db-per-km", "--length-km", "--e-x-sq", "--dark-count-prob",
+}  # fmt: skip
+COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--out"}
+COMMAND_FLAGS = {
+    "rate": COMMON_FLAGS | SCENARIO_FLAGS,
+    "threshold": COMMON_FLAGS | {"--protocol"},
+    "sweep": COMMON_FLAGS
+    | SCENARIO_FLAGS
+    | {"--length-min-km", "--length-max-km", "--length-step-km"},
+    "simulate": COMMON_FLAGS
+    | SCENARIO_FLAGS
+    | {"--n-pulses", "--eve", "--analytic-dark-count-prob", "--workers", "--tally-out"},
+    "decoy": COMMON_FLAGS
+    | SCENARIO_FLAGS
+    | {"--n-pulses", "--mu-values", "--workers"},
+}
+
+
+class TestFieldTable:
+    def test_samples_cover_every_field(self):
+        assert set(SAMPLES) == {f.name for f in FIELDS}
+        assert all(SAMPLES[f.name] != f.default for f in FIELDS)
+
+    def test_flag_sets_per_subcommand(self):
+        sub = next(
+            action for action in _build_parser()._actions if action.dest == "command"
+        )
+        got = {
+            name: {opt for action in parser._actions for opt in action.option_strings}
+            for name, parser in sub.choices.items()
+        }
+        assert got == COMMAND_FLAGS
+
+    @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
+    def test_ini_round_trip(self, f):
+        cfg = dataclasses.replace(RunConfig(), **{f.name: SAMPLES[f.name]})
+        assert load_config(cfg.to_ini(), from_path=False) == cfg
+
+    @pytest.mark.parametrize(
+        "f, command",
+        [(f, command) for f in FIELDS for command in f.metadata["commands"]],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_flag_round_trip(self, f, command):
+        value = SAMPLES[f.name]
+        args = _build_parser().parse_args([command, f"{_flag(f)}={_format(value)}"])
+        cfg = _resolve_config(args)
+        assert cfg == dataclasses.replace(RunConfig(), **{f.name: value})
+
+    @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
+    def test_bad_value_exits_2_from_flag_and_file(self, capsys, tmp_path, f):
+        # str fields parse anything and are checked when the run is set up
+        bad = {"protocol": "b92", "source_kind": "laser", "eve": "alice"}.get(
+            f.name, "tiny"
+        )
+        command = "simulate" if f.name == "eve" else f.metadata["commands"][0]
+        path = tmp_path / "bad.ini"
+        path.write_text(f"[{f.metadata['section']}]\n{f.metadata['key']} = {bad}\n")
+        for argv in (
+            [command, f"{_flag(f)}={bad}"],
+            [command, "--config", str(path)],
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 2, argv
+            assert out == ""
+            assert f.name in err, err
+
+    @pytest.mark.parametrize("command", ["simulate", "decoy"])
+    def test_negative_seed(self, capsys, command):
+        code, _, err = run_cli(capsys, command, "--seed", "-1")
+        assert code == 2
+        assert "seed must be >= 0" in err
+
+
+class TestNoConclusiveResults:
+    @pytest.mark.parametrize(
+        "argv", [["rate"], ["simulate", "--n-pulses", "1000"]], ids=lambda a: a[0]
+    )
+    def test_exits_2(self, capsys, argv):
+        code, out, err = run_cli(
+            capsys, *argv, "--length-km", "100000", "--dark-count-prob", "0"
+        )
+        assert code == 2
+        assert out == ""
+        assert "no conclusive results" in err
+        assert "Traceback" not in err
+
+
+def test_sweep_tiny_step_exits_2_at_once(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sweep", "--length-step-km", "1e-12")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: length range:")
+
+
+FUZZ_EDGES = st.sampled_from(
+    ["0", "-1", "1e300", "inf", "-inf", "nan", "1e-320", "", "abc", "0x10",
+     "1,2", "bb84", "poissonian", "intercept-resend"]
+)  # fmt: skip
+FUZZ_VALUES = st.one_of(
+    FUZZ_EDGES,
+    st.floats().map(repr),
+    st.floats(0.0, 1.0).map(repr),
+    st.text(max_size=6),
+)
+FUZZ_PULSES = st.integers(-10, 10_000).map(str) | FUZZ_EDGES
+
+
+@st.composite
+def cli_calls(draw):
+    """A subcommand and a few of its table flags, ``--n-pulses`` capped at
+    1e4 so that every simulation stays small."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    fields = [f for f in FIELDS if command in f.metadata["commands"]]
+    chosen = draw(st.lists(st.sampled_from(fields), max_size=4, unique=True))
+    argv = [command]
+    for f in fields:
+        if f.name == "n_pulses":
+            argv.append(f"--n-pulses={draw(FUZZ_PULSES)}")
+        elif f in chosen:
+            argv.append(f"{_flag(f)}={draw(FUZZ_VALUES)}")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_calls())
+# no conclusive results: zero dark counts and a transmittance of exactly 0,
+# a pair that random draws rarely hit together
+@example(["rate", "--length-km=1e300", "--dark-count-prob=0"])
+@example(["simulate", "--n-pulses=100", "--attenuation-db-per-km=1e300",
+          "--dark-count-prob=0"])  # fmt: skip
+def test_fuzzed_flags_exit_cleanly(argv):
+    # a small sweep limit keeps every example fast; the limit path is
+    # exercised all the same
+    with (
+        mock.patch("qkdrates.scenario.MAX_SWEEP_ROWS", 500),
+        contextlib.redirect_stdout(io.StringIO()),
+        contextlib.redirect_stderr(io.StringIO()),
+    ):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+            assert code == 2, argv
+    assert code in (0, 1, 2), argv

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qkdrates.entropy import binary_entropy
 from qkdrates.keyrate import (
@@ -213,6 +215,28 @@ class TestImprovedRate:
             b = breakdown(scn)
             assert rate_improved(b, spec) >= rate_gllp(b, spec) - 1e-12
 
+    @given(
+        spec=st.sampled_from(protocol_catalog()),
+        mu=st.none() | st.floats(0.01, 3.0),
+        attenuation=st.floats(0.0, 1.0),
+        length=st.floats(0.0, 500.0),
+        log_dark=st.floats(-10.0, -2.0),
+        e_x_sq=st.floats(0.0, 0.5),
+    )
+    def test_dominates_gllp_property(
+        self, spec, mu, attenuation, length, log_dark, e_x_sq
+    ):
+        source = SourceModel.single_photon() if mu is None else SourceModel.poissonian(mu)
+        scn = Scenario(
+            protocol=spec,
+            source=source,
+            link=LinkModel(attenuation, length),
+            detector=DetectorModel(10.0**log_dark, spec.detector_count),
+            e_x_sq=e_x_sq,
+        )
+        b = breakdown(scn)
+        assert rate_improved(b, spec) >= rate_gllp(b, spec) - 1e-12
+
 
 class TestNonuniformDarkBound:
     def test_uniform_detectors_leak_nothing(self):
@@ -278,6 +302,20 @@ class TestMaxDistance:
     def test_zero_rate_at_origin(self):
         scn = fig1_scenario(PBC00, e_x_sq=0.1)
         assert max_distance(scn, "improved") == 0.0
+
+    @pytest.mark.parametrize("mu", [None, 0.5])
+    def test_no_conclusive_results_ends_reach(self, mu):
+        # without dark counts the rate stays positive until the
+        # transmittance underflows to 0 near 745 / (0.1 ln 10) = 3237 km
+        source = SourceModel.single_photon() if mu is None else SourceModel.poissonian(mu)
+        scn = Scenario(
+            protocol=BB84,
+            source=source,
+            link=LinkModel(attenuation_db_per_km=1.0, length_km=0.0),
+            detector=DetectorModel(dark_count_prob=0.0, detector_count=2),
+            e_x_sq=0.01,
+        )
+        assert 3000.0 < max_distance(scn, "improved") < 3300.0
 
     def test_rejects_unknown_rate_fn(self):
         with pytest.raises(ValueError):

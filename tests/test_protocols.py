@@ -7,7 +7,6 @@ from qkdrates.protocols import (
     BB84,
     PBC00,
     SIX_STATE,
-    conclusive_factor,
     get_protocol,
     protocol_catalog,
 )
@@ -31,6 +30,7 @@ class TestCatalog:
         assert BB84.y_interval(0.2) == (0.0, 0.4)
         assert BB84.detector_count == 2
         assert BB84.dark_conclusive_multiplier == 2.0
+        assert BB84.k == 0.0
         assert not BB84.y_pinned
 
     def test_six_state_constants(self):
@@ -38,6 +38,7 @@ class TestCatalog:
         assert SIX_STATE.y_pinned
         assert SIX_STATE.y_interval(0.2) == (0.2, 0.2)
         assert SIX_STATE.detector_count == 2
+        assert SIX_STATE.k == 0.0
 
     def test_pbc00_constants(self):
         assert PBC00.phase_ratio == 1.25
@@ -45,6 +46,7 @@ class TestCatalog:
         assert PBC00.detector_count == 3
         # 3 detectors, but only 2C of dark counts survive reconciliation
         assert PBC00.dark_conclusive_multiplier == 2.0
+        assert PBC00.k == 1.0
 
 
 class TestConclusiveFactor:
@@ -55,9 +57,6 @@ class TestConclusiveFactor:
     def test_pbc00_formula(self):
         assert PBC00.conclusive_factor(0.0) == pytest.approx(0.5)
         assert PBC00.conclusive_factor(1.0) == pytest.approx(1.0)
-
-    def test_module_level_alias(self):
-        assert conclusive_factor(PBC00, 0.1) == PBC00.conclusive_factor(0.1)
 
     def test_pbc00_increasing_and_bounded(self):
         values = [PBC00.conclusive_factor(e) for e in np.linspace(0.0, 0.5, 200)]

@@ -4,23 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qkdrates.keyrate import rate_gllp, single_photon_class_error
-from qkdrates.protocols import BB84, PBC00, SIX_STATE
+from qkdrates import scenario
+from qkdrates.protocols import BB84, PBC00, SIX_STATE, protocol_catalog
 from qkdrates.scenario import (
     DecoyInversionError,
     DetectorModel,
+    NoConclusiveResultsError,
     LinkModel,
     Scenario,
     SourceKind,
     SourceModel,
     decoy_invert,
     distance_sweep,
-    intrinsic_error_from_decoy,
     intrinsic_error_from_decoy_with_slope,
     poisson_breakdown,
     single_photon_breakdown,
     transmittance,
+    breakdown,
     worst_case_no_decoy,
 )
 
@@ -116,6 +120,16 @@ class TestSinglePhotonBreakdown:
         assert b.omega1 == 1.0
 
 
+class TestNoConclusiveResults:
+    # 1e5 km at 0.2 dB/km: the transmittance underflows to exactly 0
+    @pytest.mark.parametrize("source", [None, SourceModel.poissonian(0.5)])
+    def test_breakdown_names_the_cause(self, source):
+        scn = make_scenario(source=source, length=1e5, c=0.0)
+        assert transmittance(scn.link) == 0.0
+        with pytest.raises(NoConclusiveResultsError, match="no conclusive results"):
+            breakdown(scn)
+
+
 class TestPoissonBreakdown:
     def test_decoy_relation_exact(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5))
@@ -175,7 +189,7 @@ class TestDecoyInvert:
         b = poisson_breakdown(scn)
         eta = transmittance(scn.link)
         p_sq, e_x_sq = decoy_invert(
-            b.omega1 * b.p_c, single_photon_class_error(b), 0.5, eta, 1e-6
+            b.omega1 * b.p_c, single_photon_class_error(b), 0.5, eta, 1e-6, 2.0
         )
         assert p_sq == pytest.approx(b.p_sq, abs=1e-9)
         assert e_x_sq == pytest.approx(0.01, abs=1e-9)
@@ -201,6 +215,7 @@ class TestDecoyInvert:
                 mu,
                 transmittance(scn.link),
                 scn.detector.dark_count_prob,
+                spec.dark_conclusive_multiplier,
             )
             assert p_sq == pytest.approx(b.p_sq, abs=1e-9)
             assert e_x_sq == pytest.approx(scn.e_x_sq, abs=1e-9)
@@ -210,42 +225,75 @@ class TestDecoyInvert:
         b = poisson_breakdown(scn)
         p_sq, e_raw = decoy_invert(
             b.omega1 * b.p_c, single_photon_class_error(b), 0.5,
-            transmittance(scn.link), 1e-6,
+            transmittance(scn.link), 1e-6, PBC00.dark_conclusive_multiplier,
         )
         assert p_sq == pytest.approx(b.p_sq, abs=1e-9)
         assert e_raw == pytest.approx(0.04 / (2.0 - 0.04), abs=1e-9)
-        assert intrinsic_error_from_decoy(PBC00, e_raw) == pytest.approx(
-            0.04, abs=1e-9
-        )
-        assert intrinsic_error_from_decoy(BB84, 0.3) == 0.3
+        assert intrinsic_error_from_decoy_with_slope(PBC00, e_raw)[
+            0
+        ] == pytest.approx(0.04, abs=1e-9)
+        assert intrinsic_error_from_decoy_with_slope(BB84, 0.3) == (0.3, 1.0)
 
     @pytest.mark.parametrize("spec", [BB84, SIX_STATE, PBC00])
     def test_correction_slope(self, spec):
         raw, h = 0.05, 1e-6
-        value, slope = intrinsic_error_from_decoy_with_slope(spec, raw)
-        assert value == intrinsic_error_from_decoy(spec, raw)
+        _, slope = intrinsic_error_from_decoy_with_slope(spec, raw)
         finite_difference = (
-            intrinsic_error_from_decoy(spec, raw + h)
-            - intrinsic_error_from_decoy(spec, raw - h)
+            intrinsic_error_from_decoy_with_slope(spec, raw + h)[0]
+            - intrinsic_error_from_decoy_with_slope(spec, raw - h)[0]
         ) / (2 * h)
         assert slope == pytest.approx(finite_difference, rel=1e-8)
+
+    @given(spec=st.sampled_from(protocol_catalog()), e=st.floats(0.0, 1.0))
+    def test_correction_inverts_conclusive_factor(self, spec, e):
+        raw = e * spec.conclusive_factor(e)
+        corrected, _ = intrinsic_error_from_decoy_with_slope(spec, raw)
+        assert corrected == pytest.approx(e, abs=1e-12)
+
+    @given(
+        spec=st.sampled_from(protocol_catalog()),
+        mu=st.floats(0.05, 2.0),
+        length=st.floats(0.0, 300.0),
+        log_dark=st.floats(-8.0, -4.0),
+        e_x_sq=st.floats(0.0, 0.5),
+    )
+    def test_round_trip_property(self, spec, mu, length, log_dark, e_x_sq):
+        scn = make_scenario(
+            spec,
+            source=SourceModel.poissonian(mu),
+            length=length,
+            c=10.0**log_dark,
+            e_x_sq=e_x_sq,
+        )
+        b = poisson_breakdown(scn)
+        p_sq, e_raw = decoy_invert(
+            b.omega1 * b.p_c,
+            single_photon_class_error(b),
+            mu,
+            transmittance(scn.link),
+            scn.detector.dark_count_prob,
+            spec.dark_conclusive_multiplier,
+        )
+        assert p_sq == pytest.approx(b.p_sq, abs=1e-9)
+        e_x_sq_back, _ = intrinsic_error_from_decoy_with_slope(spec, e_raw)
+        assert e_x_sq_back == pytest.approx(e_x_sq, abs=1e-9)
 
     def test_no_dark_counts(self):
         mu, eta = 0.5, 0.2
         p1 = mu * math.exp(-mu)
-        p_sq, e_x_sq = decoy_invert(p1 * eta, 0.02, mu, eta, 0.0)
+        p_sq, e_x_sq = decoy_invert(p1 * eta, 0.02, mu, eta, 0.0, 2.0)
         assert p_sq == pytest.approx(p1 * eta, abs=1e-15)
         assert e_x_sq == pytest.approx(0.02 * p1 * eta / (p1 * eta), abs=1e-12)
 
     def test_below_dark_floor(self):
         with pytest.raises(DecoyInversionError):
-            decoy_invert(1e-12, 0.5, 0.5, 0.1, 1e-3)
+            decoy_invert(1e-12, 0.5, 0.5, 0.1, 1e-3, 2.0)
 
     def test_unphysical_error_rate(self):
         mu, eta = 0.5, 0.01
         p1 = mu * math.exp(-mu)
         with pytest.raises(DecoyInversionError):
-            decoy_invert(p1, 0.9, mu, eta, 0.0)
+            decoy_invert(p1, 0.9, mu, eta, 0.0, 2.0)
 
 
 class TestWorstCaseNoDecoy:
@@ -312,6 +360,17 @@ class TestDistanceSweep:
             distance_sweep(make_scenario(), 10.0, 5.0, 1.0)
         with pytest.raises(ValueError):
             distance_sweep(make_scenario(), 0.0, 5.0, 0.0)
+
+    def test_row_limit(self, monkeypatch):
+        monkeypatch.setattr(scenario, "MAX_SWEEP_ROWS", 5)
+        assert len(distance_sweep(make_scenario(), 0.0, 4.0, 1.0)) == 5
+        with pytest.raises(ValueError, match="more than 5 rows"):
+            distance_sweep(make_scenario(), 0.0, 5.0, 1.0)
+
+    def test_tiny_step_rejected(self):
+        for step in (1e-12, 5e-324):
+            with pytest.raises(ValueError, match="rows"):
+                distance_sweep(make_scenario(), 0.0, 400.0, step)
 
     @pytest.mark.parametrize(
         "l_min, l_max, step",

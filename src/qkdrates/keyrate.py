@@ -184,10 +184,15 @@ def threshold_bit_error(spec: ProtocolSpec, e_x_sq: float) -> float | None:
     As the dark-count share ``f = p_dk / p_c`` sweeps [0, 1], the observed
     error rate is ``e_x(f) = (1-f)*e_x_sq + f/2`` and the normalized key
     rate is ``1 - H(e_x(f)) - (1-f)*H(e_z^sq | e_x^sq)`` (conclusive-rate
-    factors cancel).  Returns ``e_x`` at the first downward zero crossing,
-    found by bisection on ``f`` to 1e-9 after a bracketing scan, or 0.5 if
-    the rate stays non-negative on the whole sweep.  Returns ``None`` when
-    the rate is already negative at ``f = 0``.
+    factors cancel).  This margin is convex in ``f``, zero at ``f = 1`` and
+    rising there with slope ``H(e_z^sq | e_x^sq)``, so when that entropy is
+    positive the margin is negative on exactly one interval ``(f*, 1)``.
+    Returns ``e_x(f*)``, found by bisecting [0, 1] to 1e-9 while keeping
+    the non-negative end as ``lo``: as long as the margin stays non-negative
+    this halves ``1 - f``, so a dip of any width is bracketed before it is
+    bisected.  Returns 0.5 only when that entropy is 0 (``e_x_sq = 0``),
+    where the margin never dips, and ``None`` when the margin is already
+    negative at ``f = 0``.
     """
     if not 0.0 <= e_x_sq < 0.5:
         raise ValueError(f"e_x_sq={e_x_sq} outside [0, 0.5)")
@@ -201,23 +206,10 @@ def threshold_bit_error(spec: ProtocolSpec, e_x_sq: float) -> float | None:
 
     if margin(0.0) < 0.0:
         return None
-
-    # The margin is convex in f and exactly zero at f = 1, so the negative
-    # region, when present, is a single interval ending at 1.  Scan for its
-    # left edge; the extra point just below 1 catches very narrow dips.
-    n_scan = 2048
-    grid = [i / n_scan for i in range(n_scan + 1)]
-    grid[-1] = 1.0 - 1e-7
-    lo = 0.0
-    hi = None
-    for f in grid[1:]:
-        if margin(f) < 0.0:
-            hi = f
-            break
-        lo = f
-    if hi is None:
+    if h_worst == 0.0:
         return 0.5
 
+    lo, hi = 0.0, 1.0
     while hi - lo > 1e-9:
         mid = (lo + hi) / 2.0
         if margin(mid) < 0.0:

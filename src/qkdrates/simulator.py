@@ -49,13 +49,11 @@ __all__ = [
     "Category",
     "EveKind",
     "EveModel",
-    "PulseOutcome",
     "EmpiricalStats",
     "EmpiricalBreakdown",
     "FieldComparison",
     "DecoyRecovery",
     "run_simulation",
-    "sample_outcomes",
     "empirical_breakdown",
     "compare_to_analytic",
     "simulate_decoy_run",
@@ -65,6 +63,8 @@ __all__ = [
 
 DEFAULT_BATCH_SIZE = 1_000_000
 MIN_CATEGORY_COUNT = 100
+# numpy draws no Poisson count with a mean above about 9.2e18
+MAX_MEAN_PHOTON_NUMBER = 1e18
 # Above this mean a Poisson count is zero with probability below 1e-13.
 _ZTP_TABLE_MAX_LAM = 30.0
 
@@ -114,17 +114,6 @@ class EveModel:
         if self.kind is EveKind.NONE:
             return 0.0
         return (1.0 - 1.0 / basis_count) / 2.0
-
-
-@dataclass(frozen=True)
-class PulseOutcome:
-    """Fate of a single pulse, for inspection and invariant checks."""
-
-    emitted_photons: int
-    arrived_photons: int
-    detector_fired: tuple[bool, ...]
-    category: Category
-    bit_error: bool | None
 
 
 @dataclass(frozen=True)
@@ -198,9 +187,10 @@ class _Events:
     carry an event, arrivals first.  Arrival events have ``arrived >= 1``
     and click one detector; dark events have ``arrived == 0`` and ``fired
     >= 1`` dark fires (``fired`` is 0 for arrivals).  Every other pulse is
-    silent: nothing arrived, no detector fired, and it is not conclusive,
-    which is what a fresh instance holds (with one emitted photon).  A plain
-    class, not a dataclass, because it is built per batch and not compared.
+    silent (nothing arrived, no detector fired, not conclusive) and is not
+    stored.  A fresh instance holds one emitted photon, no arrival, no fire
+    and no conclusive result per entry.  A plain class, not a dataclass,
+    because it is built per batch and not compared.
     """
 
     __slots__ = ("emitted", "arrived", "fired", "category", "bit_error")
@@ -376,7 +366,14 @@ def run_simulation(
     Deterministic for fixed ``(scn, eve, n_pulses, seed, batch_size)``;
     ``workers`` only parallelizes independent batches and never changes the
     result; at most ``min(workers, os.cpu_count(), batches)`` threads run.
+    A mean photon number above ``MAX_MEAN_PHOTON_NUMBER`` is rejected.
     """
+    mu = scn.source.mean_photon_number
+    if mu is not None and mu > MAX_MEAN_PHOTON_NUMBER:
+        raise ValueError(
+            f"mean_photon_number: {mu:g} exceeds the simulator's limit "
+            f"of {MAX_MEAN_PHOTON_NUMBER:g}"
+        )
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     sizes = [
@@ -399,59 +396,6 @@ def run_simulation(
     for part in parts[1:]:
         total = total + part
     return total
-
-
-def sample_outcomes(
-    scn: Scenario, eve: EveModel, n_pulses: int, seed: int
-) -> list[PulseOutcome]:
-    """Materialize per-pulse outcomes for inspection (single batch only).
-
-    The events are those ``run_simulation`` samples for batch 0, so tallies
-    over the outcomes match it for the same seed whenever ``n_pulses <=
-    DEFAULT_BATCH_SIZE``.  An auxiliary stream places the events on
-    uniformly random pulse positions (pulses are exchangeable), draws the
-    photon numbers of the silent pulses, and picks which detectors fired:
-    uniform given the fire count, and never fed back into categories or bit
-    values.
-    """
-    if not 1 <= n_pulses <= DEFAULT_BATCH_SIZE:
-        raise ValueError(f"n_pulses must be in [1, {DEFAULT_BATCH_SIZE}]")
-    events = _sample_events(scn, eve, n_pulses, _batch_rng(seed, 0))
-    aux = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(0, 1)))
-    )
-    positions = aux.choice(n_pulses, size=events.category.size, replace=False)
-    pulses = _Events(n_pulses)
-    if scn.source.kind is SourceKind.POISSONIAN:
-        # a silent pulse emitted only photons that were lost
-        lost_mean = scn.source.mean_photon_number * (1.0 - transmittance(scn.link))
-        pulses.emitted[:] = aux.poisson(lost_mean, n_pulses)
-    for name in _Events.__slots__:
-        getattr(pulses, name)[positions] = getattr(events, name)
-
-    n_det = scn.detector.detector_count
-    outcomes = []
-    for i in range(n_pulses):
-        cat = Category(int(pulses.category[i]))
-        fired = [False] * n_det
-        if pulses.arrived[i] >= 1:
-            # detection precedes sifting, so one detector fires either way
-            fired[int(aux.integers(n_det))] = True
-        elif pulses.fired[i]:
-            for j in aux.choice(n_det, size=int(pulses.fired[i]), replace=False):
-                fired[int(j)] = True
-        outcomes.append(
-            PulseOutcome(
-                emitted_photons=int(pulses.emitted[i]),
-                arrived_photons=int(pulses.arrived[i]),
-                detector_fired=tuple(fired),
-                category=cat,
-                bit_error=bool(pulses.bit_error[i])
-                if cat is not Category.NOT_CONCLUSIVE
-                else None,
-            )
-        )
-    return outcomes
 
 
 @dataclass(frozen=True)
@@ -485,7 +429,6 @@ def empirical_breakdown(stats: EmpiricalStats) -> EmpiricalBreakdown:
     if n_c == 0:
         return EmpiricalBreakdown(breakdown=None, stderr={}, insufficient=True)
 
-    e_x = stats.error_count / n_c
     e_x_sq = stats.cat1_errors / stats.cat1_count if stats.cat1_count else 0.0
     b = RateBreakdown(
         p_emp=stats.cat3_count / n,
@@ -494,20 +437,16 @@ def empirical_breakdown(stats: EmpiricalStats) -> EmpiricalBreakdown:
         p_dk=stats.cat4_count / n,
         omega0=stats.empty_pulse_conclusive / n_c,
         omega1=stats.single_pulse_conclusive / n_c,
-        e_x=e_x,
+        e_x=stats.e_x_hat,
         e_x_sq=e_x_sq,
     )
 
-    def rate_se(count: int) -> float:
-        p = count / n
-        return math.sqrt(p * (1.0 - p) / n)
-
     stderr = {
-        "p_sq": rate_se(stats.cat1_count),
-        "p_mq": rate_se(stats.cat2_count),
-        "p_emp": rate_se(stats.cat3_count),
-        "p_dk": rate_se(stats.cat4_count),
-        "e_x": math.sqrt(e_x * (1.0 - e_x) / n_c),
+        "p_sq": stats.rate_se(Category.SINGLE_QUBIT),
+        "p_mq": stats.rate_se(Category.MULTI_QUBIT),
+        "p_emp": stats.rate_se(Category.EMPTY_QUBIT),
+        "p_dk": stats.rate_se(Category.DARK_COUNT),
+        "e_x": stats.e_x_se,
         "e_x_sq": math.sqrt(e_x_sq * (1.0 - e_x_sq) / stats.cat1_count)
         if stats.cat1_count
         else 0.0,
@@ -525,38 +464,37 @@ class FieldComparison:
     z: float
 
 
+def _z_score(empirical: float, analytic: float, trials: float) -> float:
+    """Binomial z-score of a rate over ``trials``, by the rule of
+    :func:`compare_to_analytic`."""
+    if analytic <= 0.0 or analytic >= 1.0:
+        return 0.0 if empirical == min(max(analytic, 0.0), 1.0) else math.inf
+    return (empirical - analytic) / math.sqrt(analytic * (1.0 - analytic) / trials)
+
+
 def compare_to_analytic(stats: EmpiricalStats, scn: Scenario) -> list[FieldComparison]:
     """Z-scores of empirical category rates and error rate against the
     analytic breakdown, using binomial standard errors at the analytic
-    values.
+    values (over all pulses for a rate, over the expected conclusive count
+    for the error rate).
 
     A field whose analytic value is exactly 0 or 1 has no binomial spread:
-    it scores 0 when the empirical value equals it and ``inf`` otherwise.
+    it scores 0 when the empirical value equals it (after clamping the
+    analytic value to [0, 1]) and ``inf`` otherwise.
     """
     b = analytic_breakdown(scn)
     n = stats.n_pulses
-    rows = []
-    for name, cat, analytic in (
-        ("p_sq", Category.SINGLE_QUBIT, b.p_sq),
-        ("p_mq", Category.MULTI_QUBIT, b.p_mq),
-        ("p_emp", Category.EMPTY_QUBIT, b.p_emp),
-        ("p_dk", Category.DARK_COUNT, b.p_dk),
-    ):
-        empirical = stats.rate(cat)
-        if analytic <= 0.0 or analytic >= 1.0:
-            z = 0.0 if empirical == min(max(analytic, 0.0), 1.0) else math.inf
-        else:
-            z = (empirical - analytic) / math.sqrt(analytic * (1.0 - analytic) / n)
-        rows.append(FieldComparison(name, empirical, analytic, z))
-
-    expected_conclusive = b.p_c * n
-    se = math.sqrt(max(b.e_x * (1.0 - b.e_x), 1e-300) / expected_conclusive)
-    if b.e_x in (0.0, 1.0):
-        z = 0.0 if stats.e_x_hat == b.e_x else math.inf
-    else:
-        z = (stats.e_x_hat - b.e_x) / se
-    rows.append(FieldComparison("e_x", stats.e_x_hat, b.e_x, z))
-    return rows
+    rows = (
+        ("p_sq", stats.rate(Category.SINGLE_QUBIT), b.p_sq, n),
+        ("p_mq", stats.rate(Category.MULTI_QUBIT), b.p_mq, n),
+        ("p_emp", stats.rate(Category.EMPTY_QUBIT), b.p_emp, n),
+        ("p_dk", stats.rate(Category.DARK_COUNT), b.p_dk, n),
+        ("e_x", stats.e_x_hat, b.e_x, b.p_c * n),
+    )
+    return [
+        FieldComparison(name, empirical, analytic, _z_score(empirical, analytic, trials))
+        for name, empirical, analytic, trials in rows
+    ]
 
 
 def simulate_decoy_run(

@@ -282,6 +282,31 @@ class TestMeanPhotonNumber:
         assert "mean photon number" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["simulate", "decoy"])
+    def test_above_simulator_limit_exits_2(self, capsys, command):
+        code, out, err = run_cli(
+            capsys, command, "--source-kind", "poissonian",
+            "--mean-photon-number", "1e30", "--n-pulses", "1000",
+        )  # fmt: skip
+        assert code == 2
+        assert out == ""
+        assert "mean_photon_number" in err and "1e+18" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        ("argv", "want"),
+        [
+            (("simulate", "--mean-photon-number", "1e18", "--n-pulses", "1000"), 0),
+            (("decoy", "--mean-photon-number", "1e18", "--n-pulses", "1000"), 1),
+            (("rate", "--mean-photon-number", "1e30"), 0),
+            (("sweep", "--mean-photon-number", "1e30"), 0),
+        ],
+    )
+    def test_huge_mean_runs(self, capsys, argv, want):
+        code, out, err = run_cli(capsys, *argv, "--source-kind", "poissonian")
+        assert code == want
+        assert out and err == ""
+
 
 class TestSimulateCommand:
     ARGS = (

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkdrates.entropy import binary_entropy
+from qkdrates.entropy import binary_entropy, worst_case_conditional_phase_entropy
 from qkdrates.keyrate import (
     RateBreakdown,
     max_distance,
@@ -282,6 +282,37 @@ class TestThresholdBitError:
     def test_domain(self):
         with pytest.raises(ValueError):
             threshold_bit_error(BB84, 0.5)
+
+    # At e_x_sq = 1e-9 the margin dips below zero only within about 4e-8 of
+    # f = 1.  Want: the root of the same double-precision margin, bisected
+    # to 1e-15 (a 50-digit bisection puts the exact roots up to 1.3e-9
+    # away, because 1 - H(e) loses digits near e = 1/2).
+    @pytest.mark.parametrize(
+        ("spec", "want"),
+        [(BB84, 0.4999999776), (SIX_STATE, 0.4999999868), (PBC00, 0.4999999735)],
+    )
+    def test_narrow_dip_below_half(self, spec, want):
+        assert abs(threshold_bit_error(spec, 1e-9) - want) <= 1e-9
+
+    @given(
+        spec=st.sampled_from(protocol_catalog()),
+        e_x_sq=st.floats(min_value=1e-6, max_value=0.49),
+    )
+    def test_margin_vanishes_at_threshold(self, spec, e_x_sq):
+        h_worst = worst_case_conditional_phase_entropy(spec, e_x_sq)
+
+        def margin(f):
+            return 1 - binary_entropy((1 - f) * e_x_sq + f / 2) - (1 - f) * h_worst
+
+        threshold = threshold_bit_error(spec, e_x_sq)
+        if threshold is None:
+            assert margin(0.0) < 0.0
+            return
+        f_star = (threshold - e_x_sq) / (0.5 - e_x_sq)
+        assert abs(margin(f_star)) <= 1e-8
+        assert all(margin(f_star * k / 64) >= -1e-12 for k in range(64))
+        # convex with margin(1) = 0: negative on all of (f*, 1)
+        assert margin((f_star + 1.0) / 2.0) < 0.0
 
 
 class TestMaxDistance:

@@ -26,7 +26,6 @@ from qkdrates.simulator import (
     empirical_breakdown,
     recover_single_photon_rates,
     run_simulation,
-    sample_outcomes,
     simulate_decoy_run,
     tally_csv,
 )
@@ -42,21 +41,14 @@ def make_scenario(spec=BB84, source=None, length=50.0, c=1e-5, e_x_sq=0.05):
     )
 
 
-def outcome_stats(outcomes) -> EmpiricalStats:
-    """Tally materialized outcomes the way ``run_simulation`` does."""
-    values = {"n_pulses": len(outcomes)}
-    for f in dataclasses.fields(EmpiricalStats)[1:]:
-        values[f.name] = 0
-    for o in outcomes:
-        if o.category is Category.NOT_CONCLUSIVE:
-            continue
-        values[f"cat{int(o.category)}_count"] += 1
-        values[f"cat{int(o.category)}_errors"] += o.bit_error
-        for photons, prefix in ((1, "single"), (0, "empty")):
-            if o.emitted_photons == photons:
-                values[f"{prefix}_pulse_conclusive"] += 1
-                values[f"{prefix}_pulse_errors"] += o.bit_error
-    return EmpiricalStats(**values)
+def sample_events(scn, eve, size, seed):
+    """Events of one batch of ``size`` pulses, as ``run_simulation`` draws them."""
+    return simulator._sample_events(scn, eve, size, np.random.default_rng(seed))
+
+
+def multi_fires(events):
+    """Mask of dark events in which two or more detectors fired."""
+    return (events.arrived == 0) & (events.fired >= 2)
 
 
 class TestDeterminism:
@@ -127,54 +119,30 @@ class TestDeterminism:
         ) == serial
         assert seen == []
 
-    def test_outcomes_match_tallies(self):
-        scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
-        stats = run_simulation(scn, EveModel.none(), 50_000, seed=5)
-        outcomes = sample_outcomes(scn, EveModel.none(), 50_000, seed=5)
-        assert outcome_stats(outcomes) == stats
-
-
-class TestSampleOutcomes:
-    @pytest.mark.parametrize("spec", [BB84, PBC00])
-    def test_tallies_equal_run_simulation(self, spec):
-        source = SourceModel.poissonian(0.5)
-        scn = make_scenario(spec, source=source, length=30.0, c=1e-3)
-        eve = EveModel.intercept_resend()
-        outcomes = sample_outcomes(scn, eve, 40_000, seed=17)
-        stats = run_simulation(scn, eve, 40_000, seed=17)
-        assert outcome_stats(outcomes) == stats
-        assert stats.cat1_errors > 0 and stats.cat4_count > 0
-        assert stats.empty_pulse_conclusive > 0
-
-    def test_silent_pulses(self):
-        # silent pulses carry only lost photons, Poisson(mu (1 - eta)) each
-        scn = make_scenario(source=SourceModel.poissonian(0.8), length=30.0, c=1e-3)
-        silent = [
-            o.emitted_photons
-            for o in sample_outcomes(scn, EveModel.none(), 40_000, seed=19)
-            if o.arrived_photons == 0 and not any(o.detector_fired)
-        ]
-        lam = 0.8 * (1.0 - transmittance(scn.link))
-        mean = sum(silent) / len(silent)
-        assert abs(mean - lam) <= 5 * math.sqrt(lam / len(silent))
-
 
 class TestPulseInvariants:
     def test_category_rules(self):
-        scn = make_scenario(source=SourceModel.poissonian(0.8), length=30.0, c=1e-3)
-        for o in sample_outcomes(scn, EveModel.none(), 30_000, seed=13):
-            fired = sum(o.detector_fired)
-            if o.category is Category.SINGLE_QUBIT:
-                assert o.emitted_photons == 1 and o.arrived_photons >= 1
-            elif o.category is Category.MULTI_QUBIT:
-                assert o.emitted_photons >= 2 and o.arrived_photons >= 1
-            elif o.category is Category.DARK_COUNT:
-                assert o.arrived_photons == 0 and fired == 1
-            elif o.category is Category.NOT_CONCLUSIVE:
-                assert o.bit_error is None
-                if o.arrived_photons == 0 and fired >= 2:
-                    pass  # double fires are discarded by construction
-            assert o.arrived_photons <= o.emitted_photons
+        scn = make_scenario(source=SourceModel.poissonian(0.8), length=30.0, c=0.3)
+        ev = sample_events(scn, EveModel.none(), 30_000, seed=13)
+        cat = ev.category
+        single = cat == Category.SINGLE_QUBIT
+        assert (ev.emitted[single] == 1).all()
+        assert (ev.arrived[single] >= 1).all() and (ev.fired[single] == 0).all()
+        multi = cat == Category.MULTI_QUBIT
+        assert (ev.emitted[multi] >= 2).all() and (ev.arrived[multi] >= 1).all()
+        dark = cat == Category.DARK_COUNT
+        assert (ev.arrived[dark] == 0).all() and (ev.fired[dark] == 1).all()
+        assert not ev.bit_error[cat == Category.NOT_CONCLUSIVE].any()
+        assert (ev.arrived <= ev.emitted).all()
+        assert single.any() and multi.any() and dark.any() and ev.bit_error.any()
+
+    @pytest.mark.parametrize("spec", [BB84, PBC00])
+    def test_every_tally_populated(self, spec):
+        source = SourceModel.poissonian(0.5)
+        scn = make_scenario(spec, source=source, length=30.0, c=1e-3)
+        stats = run_simulation(scn, EveModel.intercept_resend(), 40_000, seed=17)
+        assert stats.cat1_errors > 0 and stats.cat4_count > 0
+        assert stats.empty_pulse_conclusive > 0
 
     def test_no_category3_without_eve(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
@@ -190,14 +158,11 @@ class TestPulseInvariants:
     def test_double_fires_discarded(self):
         # huge dark count probability so double fires actually occur
         scn = make_scenario(length=1000.0, c=0.3, e_x_sq=0.0)
-        outcomes = sample_outcomes(scn, EveModel.none(), 20_000, seed=8)
-        doubles = [
-            o
-            for o in outcomes
-            if o.arrived_photons == 0 and sum(o.detector_fired) >= 2
-        ]
-        assert doubles
-        assert all(o.category is Category.NOT_CONCLUSIVE for o in doubles)
+        ev = sample_events(scn, EveModel.none(), 20_000, seed=8)
+        doubles = multi_fires(ev)
+        assert doubles.any()
+        assert (ev.category[doubles] == Category.NOT_CONCLUSIVE).all()
+        assert not ev.bit_error[doubles].any()
 
 
 class TestAnalyticsAgreement:
@@ -457,10 +422,8 @@ class TestHighDarkRate:
         # single-photon pulses: a lost photon, then two or more dark fires
         c, n = 0.3, 50_000
         scn = make_scenario(PBC00, c=c)
-        outcomes = sample_outcomes(scn, EveModel.none(), n, seed=2026)
-        doubles = sum(
-            o.arrived_photons == 0 and sum(o.detector_fired) >= 2 for o in outcomes
-        )
+        events = sample_events(scn, EveModel.none(), n, seed=2026)
+        doubles = int(multi_fires(events).sum())
         d = PBC00.detector_count
         multi_fire = 1 - (1 - c) ** d - d * c * (1 - c) ** (d - 1)
         p = (1 - transmittance(scn.link)) * multi_fire

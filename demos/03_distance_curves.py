@@ -43,11 +43,9 @@ sweeps = {name: distance_sweep(scn, 0.0, 400.0, 2.0) for name, scn in scenarios.
 
 with open("distance_curves.csv", "w", encoding="utf-8", newline="") as handle:
     handle.write("protocol,length_km,rate_old,rate_new\n")
-    for name, rows in sweeps.items():
-        for row in rows:
-            handle.write(
-                f"{name},{row.length_km:.10g},{row.rate_old:.10g},{row.rate_new:.10g}\n"
-            )
+    for name, sweep in sweeps.items():
+        for columns in zip(sweep.length_km, sweep.rate_old, sweep.rate_new):
+            handle.write(name + ",%.10g,%.10g,%.10g\n" % columns)
 print("wrote distance_curves.csv")
 
 try:
@@ -60,14 +58,13 @@ except ImportError:
 else:
     fig, ax = plt.subplots(figsize=(7, 5))
     colors = {"bb84": "C0", "six-state": "C2", "pbc00": "C3"}
-    for name, rows in sweeps.items():
-        ls = [r.length_km for r in rows]
+    for name, sweep in sweeps.items():
         ax.semilogy(
-            ls, [r.rate_new for r in rows], color=colors[name], label=f"{name} (new)"
+            sweep.length_km, sweep.rate_new, color=colors[name], label=f"{name} (new)"
         )
         ax.semilogy(
-            ls,
-            [r.rate_old for r in rows],
+            sweep.length_km,
+            sweep.rate_old,
             color=colors[name],
             linestyle="--",
             label=f"{name} (old)",

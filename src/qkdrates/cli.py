@@ -22,6 +22,8 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .keyrate import (
     rate_alice,
     rate_bob,
@@ -300,32 +302,20 @@ def cmd_threshold(cfg: RunConfig, values: list[float], out_path: str | None) -> 
 def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
     scn = config_scenario(cfg)
     try:
-        rows = distance_sweep(
+        sweep = distance_sweep(
             scn, cfg.length_min_km, cfg.length_max_km, cfg.length_step_km
         )
     except ValueError as exc:
         raise ConfigError(f"length range: {exc}") from exc
+    b = sweep.breakdown
+    columns = np.broadcast_arrays(
+        sweep.length_km, sweep.eta, b.p_c, b.p_sq, b.p_mq, b.p_dk,
+        b.omega0, b.omega1, b.e_x, sweep.rate_old, sweep.rate_new,
+    )  # fmt: skip
+    # "%.10g" % v formats a float exactly as _fmt(v) does
+    row = ",".join(["%.10g"] * len(columns))
     lines = [SWEEP_HEADER]
-    for row in rows:
-        b = row.breakdown
-        lines.append(
-            ",".join(
-                _fmt(v)
-                for v in (
-                    row.length_km,
-                    row.eta,
-                    b.p_c,
-                    b.p_sq,
-                    b.p_mq,
-                    b.p_dk,
-                    b.omega0,
-                    b.omega1,
-                    b.e_x,
-                    row.rate_old,
-                    row.rate_new,
-                )
-            )
-        )
+    lines.extend(row % values for values in zip(*(c.tolist() for c in columns)))
     _emit("\n".join(lines) + "\n", out_path)
     return 0
 

@@ -7,6 +7,8 @@ amplification cost is the conditional entropy of the phase error given the
 bit error, maximized over the Y error rate interval the protocol leaves
 unconstrained.  That maximum has a closed form: the Y rate that makes the
 phase error independent of the bit error, clipped to the interval.
+
+Every function here takes Python floats or, elementwise, numpy arrays.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ._elementwise import any_, entropy_term, first_failing, maximum, minimum, ndarray
 from .protocols import ProtocolSpec
 
 __all__ = [
@@ -35,26 +38,25 @@ class InfeasibleRatesError(ValueError):
     """Raised when error rates imply a negative Bell-outcome probability."""
 
 
-def _clamp_probability(p: float, what: str) -> float:
-    if p < 0.0:
-        if p < -NEG_TOL:
-            raise InfeasibleRatesError(f"{what} is negative: {p}")
-        return 0.0
-    return p
+def _clamp_probability(p, what: str):
+    bad = p < -NEG_TOL
+    if any_(bad):
+        raise InfeasibleRatesError(f"{what} is negative: {first_failing(p, bad)}")
+    return maximum(p, 0.0)
 
 
-def binary_entropy(p: float) -> float:
+def binary_entropy(p):
     """Binary Shannon entropy ``H(p)`` in bits.
 
     Parameters
     ----------
-    p : float
+    p : float or ndarray
         Probability in [0, 1].  Values within 1e-12 outside the interval
         are clamped; anything further raises ``ValueError``.
 
     Returns
     -------
-    float
+    float or ndarray
         ``-p*log2(p) - (1-p)*log2(1-p)`` with the convention ``0*log2(0) = 0``.
 
     Examples
@@ -64,6 +66,14 @@ def binary_entropy(p: float) -> float:
     >>> binary_entropy(0.0)
     0.0
     """
+    if p.__class__ is ndarray:
+        bad = (p < -NEG_TOL) | (p > 1.0 + NEG_TOL)
+        if bad.any():
+            raise ValueError(f"probability {first_failing(p, bad)} outside [0, 1]")
+        p = minimum(maximum(p, 0.0), 1.0)
+        return entropy_term(p) + entropy_term(1.0 - p)
+    # The threshold solver makes tens of thousands of scalar calls, so the
+    # float route is spelled out instead of going through the helpers.
     if p < 0.0 or p > 1.0:
         if p < -NEG_TOL or p > 1.0 + NEG_TOL:
             raise ValueError(f"probability {p} outside [0, 1]")
@@ -94,8 +104,11 @@ class PauliDistribution:
             value = _clamp_probability(getattr(self, field), field)
             object.__setattr__(self, field, value)
         total = self.p_identity + self.p_psi_plus + self.p_psi_minus + self.p_phi_minus
-        if abs(total - 1.0) > 1e-12:
-            raise InfeasibleRatesError(f"outcome probabilities sum to {total}, not 1")
+        bad = abs(total - 1.0) > 1e-12
+        if any_(bad):
+            raise InfeasibleRatesError(
+                f"outcome probabilities sum to {first_failing(total, bad)}, not 1"
+            )
 
     @property
     def e_x(self) -> float:
@@ -136,32 +149,31 @@ def distribution_from_rates(e_x: float, e_y: float, e_z: float) -> PauliDistribu
     )
 
 
-def joint_bit_phase_entropy(d: PauliDistribution) -> float:
+def joint_bit_phase_entropy(d: PauliDistribution):
     """Entropy in bits of the four-outcome bit/phase error pattern."""
     total = 0.0
     for p in (d.p_identity, d.p_psi_plus, d.p_phi_minus, d.p_psi_minus):
-        if p > 0.0:
-            total -= p * math.log2(p)
+        total = total + entropy_term(p)
     return total
 
 
-def conditional_phase_entropy(d: PauliDistribution) -> float:
+def conditional_phase_entropy(d: PauliDistribution):
     """Entropy of the phase error given the bit error, ``H(e_z | e_x)``.
 
     Equals the joint pattern entropy minus ``H(e_x)``; always in [0, 1].
     """
     value = joint_bit_phase_entropy(d) - binary_entropy(d.e_x)
-    return max(value, 0.0)
+    return maximum(value, 0.0)
 
 
-def feasible_y_interval(e_x: float, e_z: float) -> tuple[float, float]:
+def feasible_y_interval(e_x, e_z):
     """Y error rates for which all four outcome probabilities are >= 0."""
     lo = abs(e_x - e_z)
-    hi = min(e_x + e_z, 2.0 - e_x - e_z)
+    hi = minimum(e_x + e_z, 2.0 - e_x - e_z)
     return lo, hi
 
 
-def worst_case_conditional_phase_entropy(spec: ProtocolSpec, e_x: float) -> float:
+def worst_case_conditional_phase_entropy(spec: ProtocolSpec, e_x):
     """Largest ``H(e_z | e_x)`` consistent with the protocol's constraints.
 
     The phase error rate is ``spec.phase_ratio * e_x``; the Y error rate
@@ -179,19 +191,23 @@ def worst_case_conditional_phase_entropy(spec: ProtocolSpec, e_x: float) -> floa
     ValueError
         If ``e_x`` exceeds the protocol's largest meaningful bit error rate.
     """
-    if e_x < 0.0 or e_x > spec.max_bit_error + NEG_TOL:
+    bad = (e_x < 0.0) | (e_x > spec.max_bit_error + NEG_TOL)
+    if any_(bad):
         raise ValueError(
-            f"e_x={e_x} outside [0, {spec.max_bit_error}] for {spec.name}"
+            f"e_x={first_failing(e_x, bad)} outside [0, {spec.max_bit_error}] "
+            f"for {spec.name}"
         )
-    e_x = min(max(e_x, 0.0), spec.max_bit_error)
+    e_x = minimum(maximum(e_x, 0.0), spec.max_bit_error)
     e_z = spec.phase_ratio * e_x
     lo, hi = spec.y_interval(e_x)
     feas_lo, feas_hi = feasible_y_interval(e_x, e_z)
-    lo = max(lo, feas_lo)
-    hi = min(hi, feas_hi)
-    if hi < lo - NEG_TOL:
+    lo = maximum(lo, feas_lo)
+    hi = minimum(hi, feas_hi)
+    bad = hi < lo - NEG_TOL
+    if any_(bad):
         raise InfeasibleRatesError(
-            f"admissible Y interval empty for {spec.name} at e_x={e_x}"
+            f"admissible Y interval empty for {spec.name} "
+            f"at e_x={first_failing(e_x, bad)}"
         )
-    e_y = max(lo, min(e_x + e_z - 2.0 * e_x * e_z, hi))
+    e_y = maximum(lo, minimum(e_x + e_z - 2.0 * e_x * e_z, hi))
     return conditional_phase_entropy(distribution_from_rates(e_x, e_y, e_z))

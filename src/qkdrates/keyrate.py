@@ -14,7 +14,9 @@ where conclusive results come from:
   when dark-count results have error rate 1/2.
 
 Rates may be negative; callers clamp at zero for display so that root
-finding on the raw value stays well posed.
+finding on the raw value stays well posed.  ``RateBreakdown`` and the rate
+expressions take Python floats or, elementwise, numpy arrays; the two
+solvers work on floats.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from ._elementwise import all_, any_, first_failing, maximum
 from .entropy import (
     InfeasibleRatesError,
     binary_entropy,
@@ -56,7 +61,8 @@ class RateBreakdown:
     empty and single-photon pulses.  ``e_x`` is the bit error rate over all
     conclusive results, ``e_x_sq`` the rate restricted to single-photon
     qubit results, and ``e_x_dk`` the dark-count error rate (1/2 for
-    uniform detectors).
+    uniform detectors).  Fields may be numpy arrays (or floats) that
+    broadcast together; each check then applies to every element.
     """
 
     p_emp: float
@@ -71,17 +77,19 @@ class RateBreakdown:
 
     def __post_init__(self) -> None:
         for field in ("p_emp", "p_sq", "p_mq", "p_dk"):
-            if getattr(self, field) < -_TOL:
+            if any_(getattr(self, field) < -_TOL):
                 raise ValueError(f"{field} is negative")
-        if self.p_c <= 0.0:
+        if any_(self.p_c <= 0.0):
             raise ValueError("total conclusive rate must be positive")
-        if not (-_TOL <= self.omega0 and -_TOL <= self.omega1):
+        if not (all_(-_TOL <= self.omega0) and all_(-_TOL <= self.omega1)):
             raise ValueError("omega fractions must be non-negative")
-        if self.omega0 + self.omega1 > 1.0 + 1e-9:
+        if any_(self.omega0 + self.omega1 > 1.0 + 1e-9):
             raise ValueError("omega0 + omega1 exceeds 1")
         for field in ("e_x", "e_x_sq", "e_x_dk"):
             value = getattr(self, field)
-            if not -_TOL <= value <= 1.0 + _TOL:
+            ok = (-_TOL <= value) & (value <= 1.0 + _TOL)
+            if not all_(ok):
+                value = first_failing(value, np.logical_not(ok))
                 raise ValueError(f"{field}={value} outside [0, 1]")
 
     @property
@@ -98,20 +106,20 @@ def single_photon_class_error(b: RateBreakdown) -> float:
     implied by ``omega1``.
     """
     w1pc = b.omega1 * b.p_c
-    if w1pc <= 0.0:
+    if any_(w1pc <= 0.0):
         raise InfeasibleRatesError("no single-photon conclusive results")
     dark_single = w1pc - b.p_sq
-    if dark_single < -1e-9 * max(w1pc, 1.0):
+    if any_(dark_single < -1e-9 * maximum(w1pc, 1.0)):
         raise InfeasibleRatesError(
             "omega1 inconsistent with single-photon qubit rate"
         )
-    dark_single = max(dark_single, 0.0)
+    dark_single = maximum(dark_single, 0.0)
     return (b.p_sq * b.e_x_sq + dark_single * b.e_x_dk) / w1pc
 
 
 def rate_shor_preskill(p_c: float, e_x: float, spec: ProtocolSpec) -> float:
     """One-way CSS key rate with every result treated as a qubit result."""
-    if p_c <= 0.0:
+    if any_(p_c <= 0.0):
         raise ValueError("p_c must be positive")
     h_worst = worst_case_conditional_phase_entropy(spec, e_x)
     return p_c * (1.0 - binary_entropy(e_x) - h_worst)
@@ -122,10 +130,12 @@ def rate_gllp(b: RateBreakdown, spec: ProtocolSpec) -> float:
 
     ``p_c * [omega0 + omega1 - H(e_x) - omega1 * H(e_z^1 | e_x^1)]`` where
     the conditional entropy is the protocol worst case at the
-    single-photon-pulse error rate.
+    single-photon-pulse error rate.  The last term vanishes where
+    ``omega1 = 0``; an array breakdown needs ``omega1`` positive everywhere
+    or zero everywhere (every ``breakdown`` has it positive).
     """
     value = b.omega0 + b.omega1 - binary_entropy(b.e_x)
-    if b.omega1 > 0.0:
+    if any_(b.omega1 > 0.0):
         e_x_1 = single_photon_class_error(b)
         value -= b.omega1 * worst_case_conditional_phase_entropy(spec, e_x_1)
     return b.p_c * value
@@ -138,13 +148,7 @@ def rate_bob(b: RateBreakdown, spec: ProtocolSpec) -> float:
     single-photon qubit results as extractable:
     ``p_sq + p_dk - p_c*H(e_x) - p_sq*H(e_z^sq | e_x^sq)``.
     """
-    h_worst = worst_case_conditional_phase_entropy(spec, b.e_x_sq)
-    return (
-        b.p_sq
-        + b.p_dk
-        - b.p_c * binary_entropy(b.e_x)
-        - b.p_sq * h_worst
-    )
+    return _credited_rate(b, spec, b.p_dk)
 
 
 def rate_alice(b: RateBreakdown, spec: ProtocolSpec) -> float:
@@ -154,18 +158,23 @@ def rate_alice(b: RateBreakdown, spec: ProtocolSpec) -> float:
     share of conclusive results is extractable instead of the dark counts:
     ``p_sq + p_c*omega0 - p_c*H(e_x) - p_sq*H(e_z^sq | e_x^sq)``.
     """
-    h_worst = worst_case_conditional_phase_entropy(spec, b.e_x_sq)
-    return (
-        b.p_sq
-        + b.p_c * b.omega0
-        - b.p_c * binary_entropy(b.e_x)
-        - b.p_sq * h_worst
-    )
+    return _credited_rate(b, spec, b.p_c * b.omega0)
 
 
 def rate_improved(b: RateBreakdown, spec: ProtocolSpec) -> float:
-    """Best of the sender-side and receiver-side bounds."""
-    return max(rate_alice(b, spec), rate_bob(b, spec))
+    """Best of the sender-side and receiver-side bounds.
+
+    The two differ only in the credited term, and every later step of the
+    formula is monotone under rounding, so crediting the larger term equals
+    ``max(rate_alice, rate_bob)`` bit for bit with one entropy evaluation.
+    """
+    return _credited_rate(b, spec, maximum(b.p_dk, b.p_c * b.omega0))
+
+
+def _credited_rate(b: RateBreakdown, spec: ProtocolSpec, credited):
+    """``p_sq + credited - p_c*H(e_x) - p_sq*H(e_z^sq | e_x^sq)``."""
+    h_worst = worst_case_conditional_phase_entropy(spec, b.e_x_sq)
+    return b.p_sq + credited - b.p_c * binary_entropy(b.e_x) - b.p_sq * h_worst
 
 
 def nonuniform_dark_bound(q: float) -> float:

@@ -6,15 +6,23 @@ for an honest (eavesdropper-free) channel.  Dark counts use the linearized
 conclusive rate ``m*C`` per pulse with no arriving photon, ``m`` the
 protocol's dark conclusive multiplier; simultaneous fires of two detectors
 are discarded.
+
+A scenario's channel length may be a numpy array: ``transmittance`` and the
+breakdowns then evaluate every length at once, through the same formulas
+as for a single float, and :func:`distance_sweep` uses that to evaluate a
+whole grid in one pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from . import keyrate
+from ._elementwise import all_, any_, exp, first_failing, maximum
 from .keyrate import RateBreakdown
 from .protocols import ProtocolSpec
 
@@ -27,7 +35,7 @@ __all__ = [
     "DecoyInversionError",
     "NoConclusiveResultsError",
     "NoDecoyEstimate",
-    "SweepRow",
+    "Sweep",
     "transmittance",
     "single_photon_breakdown",
     "poisson_breakdown",
@@ -54,19 +62,24 @@ class NoConclusiveResultsError(ValueError):
 
 @dataclass(frozen=True)
 class LinkModel:
-    """Fiber link with exponential loss ``eta = exp(-A * l)``."""
+    """Fiber link with exponential loss ``eta = exp(-A * l)``.
+
+    ``length_km`` is a float or an array of lengths.
+    """
 
     attenuation_db_per_km: float
     length_km: float
 
     def __post_init__(self) -> None:
+        # abs(x) < inf is false for NaN and for either infinity
         if not (
-            math.isfinite(self.attenuation_db_per_km) and math.isfinite(self.length_km)
+            math.isfinite(self.attenuation_db_per_km)
+            and all_(abs(self.length_km) < math.inf)
         ):
             raise ValueError("attenuation and length must be finite")
         if self.attenuation_db_per_km < 0.0:
             raise ValueError("attenuation must be >= 0 dB/km")
-        if self.length_km < 0.0:
+        if any_(self.length_km < 0.0):
             raise ValueError("length must be >= 0 km")
 
 
@@ -138,14 +151,16 @@ class Scenario:
                 f"detectors, got {self.detector.detector_count}"
             )
 
-    def at_length(self, length_km: float) -> "Scenario":
-        """Copy of this scenario at a different channel length."""
-        return replace(self, link=replace(self.link, length_km=length_km))
+    def at_length(self, length_km) -> "Scenario":
+        """Copy of this scenario at a different channel length, or at an
+        array of lengths."""
+        link = LinkModel(self.link.attenuation_db_per_km, length_km)
+        return Scenario(self.protocol, self.source, link, self.detector, self.e_x_sq)
 
 
-def transmittance(link: LinkModel) -> float:
+def transmittance(link: LinkModel):
     """Probability that a photon traverses the link."""
-    return math.exp(-link.attenuation_db_per_km * _DB_TO_NEPER * link.length_km)
+    return exp(-link.attenuation_db_per_km * _DB_TO_NEPER * link.length_km)
 
 
 def single_photon_breakdown(scn: Scenario) -> RateBreakdown:
@@ -202,10 +217,10 @@ def poisson_breakdown(scn: Scenario) -> RateBreakdown:
 
     p0 = math.exp(-mu)
     p1 = mu * math.exp(-mu)
-    no_arrival = math.exp(-eta * mu)
+    no_arrival = exp(-eta * mu)
 
     p_sq = cf * p1 * eta
-    p_mq = cf * max(1.0 - no_arrival - p1 * eta, 0.0)
+    p_mq = cf * maximum(1.0 - no_arrival - p1 * eta, 0.0)
     p_dk = m * c * no_arrival
     p_c = _positive_conclusive_rate(p_sq + p_mq + p_dk, eta, c)
 
@@ -224,11 +239,12 @@ def poisson_breakdown(scn: Scenario) -> RateBreakdown:
     )
 
 
-def _positive_conclusive_rate(p_c: float, eta: float, c: float) -> float:
-    if p_c <= 0.0:
+def _positive_conclusive_rate(p_c, eta, c: float):
+    bad = p_c <= 0.0
+    if any_(bad):
         raise NoConclusiveResultsError(
-            f"no conclusive results: transmittance {eta:.3g} and dark count "
-            f"probability {c:.3g} give a conclusive rate of 0"
+            f"no conclusive results: transmittance {first_failing(eta, bad):.3g} "
+            f"and dark count probability {c:.3g} give a conclusive rate of 0"
         )
     return p_c
 
@@ -326,26 +342,30 @@ def worst_case_no_decoy(p_c: float, e_x: float, mu_bar: float) -> NoDecoyEstimat
     )
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One distance grid point with display-clamped rates."""
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """Columns of a distance sweep, one array element per grid point.
 
-    length_km: float
-    eta: float
-    breakdown: RateBreakdown = field(repr=False)
-    rate_old: float
-    rate_new: float
+    ``breakdown`` holds the breakdown columns; a field that is constant
+    over the grid (``p_emp``, ``e_x_sq``, and for a single-photon source
+    ``p_mq``, ``omega0``, ``omega1``) stays a float.  ``rate_old``
+    (multi-photon discount only) and ``rate_new`` (dark counts credited)
+    are clamped at zero for display.
+    """
+
+    length_km: np.ndarray
+    eta: np.ndarray
+    breakdown: RateBreakdown
+    rate_old: np.ndarray
+    rate_new: np.ndarray
 
 
-def distance_sweep(
-    scn: Scenario, l_min: float, l_max: float, step: float
-) -> list[SweepRow]:
+def distance_sweep(scn: Scenario, l_min: float, l_max: float, step: float) -> Sweep:
     """Evaluate breakdown and key rates on a distance grid.
 
-    Returns one row per grid point ``l_min, l_min + step, ... <= l_max``
-    with ``rate_old`` (multi-photon discount only) and ``rate_new`` (dark
-    counts credited), both clamped at zero for display.  A grid of more
-    than ``MAX_SWEEP_ROWS`` rows is refused before any row is built.
+    The grid is ``l_min, l_min + step, ... <= l_max``, evaluated in one pass
+    over the array of lengths.  A grid of more than ``MAX_SWEEP_ROWS`` rows
+    is refused before any is evaluated.
     """
     if not all(math.isfinite(v) for v in (l_min, l_max, step)):
         raise ValueError("l_min, l_max and step must be finite")
@@ -356,19 +376,13 @@ def distance_sweep(
     n_steps = (l_max - l_min) / step + 1e-9
     if n_steps >= MAX_SWEEP_ROWS:
         raise ValueError(f"grid has more than {MAX_SWEEP_ROWS} rows")
-    n_rows = int(math.floor(n_steps)) + 1
-    rows = []
-    for i in range(n_rows):
-        length = l_min + i * step
-        point = scn.at_length(length)
-        b = breakdown(point)
-        rows.append(
-            SweepRow(
-                length_km=length,
-                eta=transmittance(point.link),
-                breakdown=b,
-                rate_old=max(keyrate.rate_gllp(b, scn.protocol), 0.0),
-                rate_new=max(keyrate.rate_improved(b, scn.protocol), 0.0),
-            )
-        )
-    return rows
+    lengths = l_min + np.arange(int(math.floor(n_steps)) + 1) * step
+    points = scn.at_length(lengths)
+    b = breakdown(points)
+    return Sweep(
+        length_km=lengths,
+        eta=transmittance(points.link),
+        breakdown=b,
+        rate_old=maximum(keyrate.rate_gllp(b, scn.protocol), 0.0),
+        rate_new=maximum(keyrate.rate_improved(b, scn.protocol), 0.0),
+    )

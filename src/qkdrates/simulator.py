@@ -469,7 +469,10 @@ def _z_score(empirical: float, analytic: float, trials: float) -> float:
     :func:`compare_to_analytic`."""
     if analytic <= 0.0 or analytic >= 1.0:
         return 0.0 if empirical == min(max(analytic, 0.0), 1.0) else math.inf
-    return (empirical - analytic) / math.sqrt(analytic * (1.0 - analytic) / trials)
+    # sqrt(trials) is kept out of the variance, which for a subnormal rate
+    # would underflow to 0
+    deviation = (empirical - analytic) * math.sqrt(trials)
+    return deviation / math.sqrt(analytic * (1.0 - analytic))
 
 
 def compare_to_analytic(stats: EmpiricalStats, scn: Scenario) -> list[FieldComparison]:

@@ -24,6 +24,8 @@ from qkdrates.cli import (
     load_config,
     main,
 )
+from qkdrates.keyrate import rate_gllp, rate_improved
+from qkdrates.scenario import breakdown, transmittance
 
 FIELDS = dataclasses.fields(RunConfig)
 
@@ -231,6 +233,31 @@ class TestSweepCommand:
         assert code == 0
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert all(float(r[10]) >= float(r[9]) for r in rows)
+
+    @pytest.mark.parametrize("source", ["single-photon", "poissonian"])
+    @pytest.mark.parametrize("protocol", ["bb84", "six-state", "pbc00"])
+    def test_csv_matches_scalar_rows(self, capsys, protocol, source):
+        argv = (
+            "--protocol", protocol, "--source-kind", source,
+            "--length-min-km", "0", "--length-max-km", "400",
+            "--length-step-km", "12.5",
+        )  # fmt: skip
+        code, out, _ = run_cli(capsys, "sweep", *argv)
+        assert code == 0
+        cfg = _resolve_config(_build_parser().parse_args(["sweep", *argv]))
+        scn = config_scenario(cfg)
+        lines = [SWEEP_HEADER]
+        for i in range(33):
+            point = scn.at_length(0.0 + i * 12.5)
+            b = breakdown(point)
+            values = (
+                point.link.length_km, transmittance(point.link),
+                b.p_c, b.p_sq, b.p_mq, b.p_dk, b.omega0, b.omega1, b.e_x,
+                max(rate_gllp(b, scn.protocol), 0.0),
+                max(rate_improved(b, scn.protocol), 0.0),
+            )  # fmt: skip
+            lines.append(",".join(f"{v:.10g}" for v in values))
+        assert out == "\n".join(lines) + "\n"
 
     def test_invalid_range_exits_2(self, capsys):
         code, _, err = run_cli(
@@ -555,6 +582,8 @@ def cli_calls(draw):
 @example(["rate", "--length-km=1e300", "--dark-count-prob=0"])
 @example(["simulate", "--n-pulses=100", "--attenuation-db-per-km=1e300",
           "--dark-count-prob=0"])  # fmt: skip
+# a subnormal analytic dark-count rate, whose binomial variance underflows
+@example(["simulate", "--dark-count-prob=5e-324", "--n-pulses=4"])
 def test_fuzzed_flags_exit_cleanly(argv):
     # a small sweep limit keeps every example fast; the limit path is
     # exercised all the same

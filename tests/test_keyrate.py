@@ -217,6 +217,24 @@ class TestImprovedRate:
 
     @given(
         spec=st.sampled_from(protocol_catalog()),
+        p=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+            lambda p: sum(p) > 0.0
+        ),
+        omega=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
+            lambda w: (w[0] * (1.0 - w[1]), w[1])
+        ),
+        e_x=st.floats(0.0, 0.5),
+        e_x_sq=st.floats(0.0, 0.5),
+    )
+    def test_equals_max_of_alice_and_bob(self, spec, p, omega, e_x, e_x_sq):
+        b = RateBreakdown(
+            p_emp=p[0], p_sq=p[1], p_mq=p[2], p_dk=p[3],
+            omega0=omega[0], omega1=omega[1], e_x=e_x, e_x_sq=e_x_sq,
+        )  # fmt: skip
+        assert rate_improved(b, spec) == max(rate_alice(b, spec), rate_bob(b, spec))
+
+    @given(
+        spec=st.sampled_from(protocol_catalog()),
         mu=st.none() | st.floats(0.01, 3.0),
         attenuation=st.floats(0.0, 1.0),
         length=st.floats(0.0, 500.0),

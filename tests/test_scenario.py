@@ -334,26 +334,26 @@ class TestWorstCaseNoDecoy:
 
 class TestDistanceSweep:
     def test_single_row(self):
-        rows = distance_sweep(make_scenario(), 25.0, 25.0, 5.0)
-        assert len(rows) == 1
-        assert rows[0].length_km == 25.0
+        sweep = distance_sweep(make_scenario(), 25.0, 25.0, 5.0)
+        assert sweep.length_km.tolist() == [25.0]
 
     def test_grid_and_clamping(self):
-        rows = distance_sweep(make_scenario(e_x_sq=0.05), 0.0, 500.0, 50.0)
-        assert len(rows) == 11
-        assert [r.length_km for r in rows] == [50.0 * i for i in range(11)]
-        assert all(r.rate_old >= 0.0 and r.rate_new >= 0.0 for r in rows)
+        sweep = distance_sweep(make_scenario(e_x_sq=0.05), 0.0, 500.0, 50.0)
+        assert sweep.length_km.tolist() == [50.0 * i for i in range(11)]
+        for column in (sweep.eta, sweep.breakdown.p_c, sweep.rate_old, sweep.rate_new):
+            assert column.shape == (11,)
+        assert all(sweep.rate_old >= 0.0) and all(sweep.rate_new >= 0.0)
 
     def test_improved_survives_longer(self):
-        rows = distance_sweep(make_scenario(), 0.0, 400.0, 10.0)
-        last_old = max(r.length_km for r in rows if r.rate_old > 0.0)
-        last_new = max(r.length_km for r in rows if r.rate_new > 0.0)
+        sweep = distance_sweep(make_scenario(), 0.0, 400.0, 10.0)
+        last_old = max(sweep.length_km[sweep.rate_old > 0.0])
+        last_new = max(sweep.length_km[sweep.rate_new > 0.0])
         assert last_new > last_old
 
     def test_poisson_improved_dominates_everywhere(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5))
-        rows = distance_sweep(scn, 0.0, 200.0, 20.0)
-        assert all(r.rate_new >= r.rate_old for r in rows)
+        sweep = distance_sweep(scn, 0.0, 200.0, 20.0)
+        assert all(sweep.rate_new >= sweep.rate_old)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -363,7 +363,7 @@ class TestDistanceSweep:
 
     def test_row_limit(self, monkeypatch):
         monkeypatch.setattr(scenario, "MAX_SWEEP_ROWS", 5)
-        assert len(distance_sweep(make_scenario(), 0.0, 4.0, 1.0)) == 5
+        assert len(distance_sweep(make_scenario(), 0.0, 4.0, 1.0).length_km) == 5
         with pytest.raises(ValueError, match="more than 5 rows"):
             distance_sweep(make_scenario(), 0.0, 5.0, 1.0)
 

@@ -211,7 +211,16 @@ def threshold_bit_error(spec: ProtocolSpec, e_x_sq: float) -> float | None:
         return (1.0 - f) * e_x_sq + f / 2.0
 
     def margin(f: float) -> float:
-        return 1.0 - binary_entropy(mixed_error(f)) - (1.0 - f) * h_worst
+        # 1 - H(e) at e = (1 - x)/2, in log1p form: no cancellation as
+        # e -> 1/2, where 1 - binary_entropy(e) would lose its digits
+        x = (1.0 - f) * (1.0 - 2.0 * e_x_sq)
+        if x == 1.0:
+            capacity = 1.0  # (1 - x) * log1p(-x) is 0 * -inf
+        else:
+            capacity = ((1.0 + x) * math.log1p(x) + (1.0 - x) * math.log1p(-x)) / (
+                2.0 * math.log(2.0)
+            )
+        return capacity - (1.0 - f) * h_worst
 
     if margin(0.0) < 0.0:
         return None

@@ -16,11 +16,13 @@ as two Binomial counts.  Photon numbers, fire counts, sifting and bit flips
 are then drawn per event from the exact conditional distributions
 (zero-truncated Poisson and Binomial, sampled by inverse CDF), so the cost
 follows the number of events rather than pulses, and nothing is drawn from
-the analytic breakdown it checks.  Each batch is tallied in one pass over
-its events.
+the analytic breakdown it checks.  A Bernoulli draw whose rarer outcome is
+unlikely places only those outcomes, as Geometric gaps between them, so each
+event still gets its own exact outcome.  Arrivals are tallied by counting
+and dark events by a bincount over their categories.
 
-Pulses are processed in fixed-size batches, each driven by its own
-counter-based Philox stream derived from ``(seed, batch_index)``, so
+Pulses are processed in fixed-size batches, each driven by its own PCG64
+stream spawned from ``(seed, batch_index)`` by a ``SeedSequence``, so
 results are bit-identical whether batches run serially or in parallel.
 """
 
@@ -67,6 +69,10 @@ MIN_CATEGORY_COUNT = 100
 MAX_MEAN_PHOTON_NUMBER = 1e18
 # Above this mean a Poisson count is zero with probability below 1e-13.
 _ZTP_TABLE_MAX_LAM = 30.0
+# Below this probability of the rarer outcome, Geometric gaps between the
+# rare outcomes cost less than one uniform per trial (at a million trials
+# the two break even near 0.15-0.2).
+_GAP_MAX_P = 0.1
 
 
 class Category(IntEnum):
@@ -184,23 +190,58 @@ class _Events:
     """Per-pulse photon numbers, dark fires, category and bit error.
 
     :func:`_sample_events` fills one with only the pulses of a batch that
-    carry an event, arrivals first.  Arrival events have ``arrived >= 1``
-    and click one detector; dark events have ``arrived == 0`` and ``fired
-    >= 1`` dark fires (``fired`` is 0 for arrivals).  Every other pulse is
-    silent (nothing arrived, no detector fired, not conclusive) and is not
-    stored.  A fresh instance holds one emitted photon, no arrival, no fire
-    and no conclusive result per entry.  A plain class, not a dataclass,
-    because it is built per batch and not compared.
+    carry an event: ``n_arrivals`` arrival events first, then the dark
+    events.  Arrival events have ``arrived >= 1`` and click one detector;
+    dark events have ``arrived == 0`` and ``fired >= 1`` dark fires
+    (``fired`` is 0 for arrivals).  Every other pulse is silent (nothing
+    arrived, no detector fired, not conclusive) and is not stored.  A fresh
+    instance holds one emitted photon, no arrival, no fire and no conclusive
+    result per entry.  A plain class, not a dataclass, because it is built
+    per batch and not compared.
     """
 
-    __slots__ = ("emitted", "arrived", "fired", "category", "bit_error")
+    __slots__ = ("n_arrivals", "emitted", "arrived", "fired", "category", "bit_error")
 
-    def __init__(self, n: int) -> None:
+    def __init__(self, n_arrivals: int, n_dark: int) -> None:
+        self.n_arrivals = n_arrivals
+        n = n_arrivals + n_dark
         self.emitted = np.ones(n, dtype=np.int64)
         self.arrived = np.zeros(n, dtype=np.int64)
         self.fired = np.zeros(n, dtype=np.int8)
         self.category = np.zeros(n, dtype=np.int8)
         self.bit_error = np.zeros(n, dtype=bool)
+
+
+def _bernoulli(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
+    """Mask of ``n`` independent Bernoulli(``p``) trials.
+
+    When the rarer outcome has probability below ``_GAP_MAX_P``, only its
+    positions are drawn: the gaps between successive rare outcomes of iid
+    trials are iid Geometric, so the positions are cumulative sums of
+    Geometric gaps, drawn in chunks until they pass ``n``.  Otherwise one
+    uniform is drawn per trial.  ``p`` of 0 or 1, or ``n = 0``, draws
+    nothing.
+    """
+    rare = min(p, 1.0 - p)
+    if rare >= _GAP_MAX_P:
+        return rng.random(n) < p
+    mask = np.zeros(n, dtype=bool)
+    if rare > 0.0 and n > 0:
+        chunk = int(n * rare + 5.0 * math.sqrt(n * rare)) + 1
+        last = -1  # the position before the first trial
+        while last < n:
+            # numpy's Geometric saturates at 2**63 - 1 for tiny p, so gaps
+            # are capped before the sum; a gap of n + 1 (not n) from the
+            # start still lands past the last trial
+            positions = rng.geometric(rare, chunk)
+            np.minimum(positions, n + 1, out=positions)
+            np.cumsum(positions, out=positions)
+            positions += last
+            mask[positions[: np.searchsorted(positions, n)]] = True
+            last = int(positions[-1])
+    if p > 0.5:
+        np.logical_not(mask, out=mask)
+    return mask
 
 
 def _inverse_cdf(rng: np.random.Generator, pmf: np.ndarray, size: int) -> np.ndarray:
@@ -270,11 +311,13 @@ def _sample_events(
     3. per arrival (Poisson source), a zero-truncated Poisson(``mu*eta``)
        arrived count and an independent Poisson(``mu*(1-eta)``) lost count
        (Poisson thinning);
-    4. per arrival, sifting, then eavesdropper flips and intrinsic flips of
-       the kept ones, one uniform each;
+    4. per arrival, sifting, an eavesdropper flip and an intrinsic flip,
+       each by :func:`_bernoulli`; the flips are independent of sifting
+       and count only on kept arrivals;
     5. per dark event, a zero-truncated Binomial(``n_det``, ``C``) fire
        count and, for a Poisson source, the lost count;
-    6. per single fire, dark sifting, then the random bit of the kept ones.
+    6. per single fire, dark sifting, then the random bit of the kept ones,
+       each by :func:`_bernoulli`.
 
     Draws with probability 0 or 1 are skipped, so the stream depends on the
     scenario but not on how batches are scheduled.
@@ -288,15 +331,12 @@ def _sample_events(
     poisson = scn.source.kind is SourceKind.POISSONIAN
     mu = scn.source.mean_photon_number
 
-    def keep(count: int, p: float) -> np.ndarray:
-        return rng.random(count) < p if p < 1.0 else np.ones(count, dtype=bool)
-
     n_arr = int(rng.binomial(size, -math.expm1(-mu * eta) if poisson else eta))
     n_dark = 0
     if c > 0.0:
         p_fire = -math.expm1(n_det * math.log1p(-c))
         n_dark = int(rng.binomial(size - n_arr, p_fire))
-    ev = _Events(n_arr + n_dark)
+    ev = _Events(n_arr, n_dark)
     arr, dark = slice(0, n_arr), slice(n_arr, None)
 
     if poisson:
@@ -306,34 +346,50 @@ def _sample_events(
             ev.emitted[arr] += rng.poisson(mu * (1.0 - eta), n_arr)
     else:
         ev.arrived[arr] = 1
-    kept = keep(n_arr, cf)
+    kept = _bernoulli(rng, n_arr, cf)
     # a kept qubit is SINGLE_QUBIT (1), or MULTI_QUBIT (2) if more was emitted
     ev.category[arr] = kept
-    ev.category[arr] += kept & (ev.emitted[arr] > 1)
-    flips = np.zeros(int(np.count_nonzero(kept)), dtype=bool)
-    if eve_flip_p > 0.0:
-        flips ^= rng.random(flips.size) < eve_flip_p
-    if scn.e_x_sq > 0.0:
-        flips ^= rng.random(flips.size) < scn.e_x_sq
-    # arrivals come first, so kept arrivals sit at their own indices
-    ev.bit_error[np.flatnonzero(kept) if cf < 1.0 else arr] = flips
+    if poisson:
+        ev.category[arr] += kept & (ev.emitted[arr] > 1)
+    flips = ev.bit_error[arr]  # a view, filled in place
+    np.logical_xor(
+        _bernoulli(rng, n_arr, eve_flip_p), _bernoulli(rng, n_arr, scn.e_x_sq), out=flips
+    )
+    flips &= kept
 
     ev.fired[dark] = _zero_truncated_binomial(rng, n_det, c, n_dark)
     if poisson:
         # an empty pulse emitted only photons that were lost
         ev.emitted[dark] = rng.poisson(mu * (1.0 - eta), n_dark) if eta < 1.0 else 0
     single = n_arr + np.flatnonzero(ev.fired[dark] == 1)
-    dark_kept = single[keep(single.size, dark_keep)]
+    dark_kept = single[_bernoulli(rng, single.size, dark_keep)]
     ev.category[dark_kept] = Category.DARK_COUNT
-    ev.bit_error[dark_kept] = rng.random(dark_kept.size) < 0.5
+    ev.bit_error[dark_kept] = _bernoulli(rng, dark_kept.size, 0.5)
     return ev
 
 
 def _tally(n_pulses: int, events: _Events) -> EmpiricalStats:
-    """Tally one batch in a single pass over its events."""
-    # bins indexed by (category, bit error, emitted photons capped at 2)
-    key = (events.category * 2 + events.bit_error) * 3 + np.minimum(events.emitted, 2)
+    """Tally one batch of events.
+
+    Counts sit in bins indexed by (category, bit error, emitted photons
+    capped at 2).  A conclusive arrival is SINGLE_QUBIT exactly when it
+    emitted one photon and MULTI_QUBIT otherwise, and only conclusive
+    events carry a bit error, so arrivals are counted into their bins; dark
+    events are binned by a full key.
+    """
+    arr, dark = slice(0, events.n_arrivals), slice(events.n_arrivals, None)
+    category, bit_error = events.category[dark], events.bit_error[dark]
+    key = (category * 2 + bit_error) * 3 + np.minimum(events.emitted[dark], 2)
     counts = np.bincount(key, minlength=len(Category) * 6).reshape(len(Category), 2, 3)
+    category, bit_error = events.category[arr], events.bit_error[arr]
+    # a plain int: numpy compares an IntEnum about ten times slower
+    multi = category == Category.MULTI_QUBIT.value
+    n_multi = int(np.count_nonzero(multi))
+    multi_errors = int(np.count_nonzero(bit_error & multi))
+    n_single = int(np.count_nonzero(category)) - n_multi
+    single_errors = int(np.count_nonzero(bit_error)) - multi_errors
+    counts[Category.SINGLE_QUBIT, :, 1] += (n_single - single_errors, single_errors)
+    counts[Category.MULTI_QUBIT, :, 2] += (n_multi - multi_errors, multi_errors)
     values: dict[str, int] = {"n_pulses": n_pulses}
     for cat in list(Category)[1:]:
         values[f"cat{int(cat)}_count"] = int(counts[cat].sum())
@@ -347,10 +403,13 @@ def _tally(n_pulses: int, events: _Events) -> EmpiricalStats:
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+    """The generator of one batch: PCG64 seeded by a ``SeedSequence`` spawned
+    at ``(seed, batch_index)``, so every batch has its own independent
+    stream, whichever thread draws it."""
     if seed < 0:
         raise ValueError("seed must be >= 0")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))
-    return np.random.Generator(np.random.Philox(seq))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 def run_simulation(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 
+from qkdrates.simulator import Category, EmpiricalStats
+
 _acceptance_lines: list[str] = []
 
 
@@ -48,3 +50,24 @@ def brute_force_worst_case(spec, e_x, n_grid=10_000):
             hx = -e_x * math.log2(e_x) - (1 - e_x) * math.log2(1 - e_x)
         best = max(best, h4 - hx)
     return best
+
+
+def full_key_tally(n_pulses, events):
+    """Reference tally of one batch of simulator events.
+
+    Bins every event by the full key (category, bit error, emitted photons
+    capped at 2) in one ``bincount``, independent of the counting shortcuts
+    the simulator's own tally takes for arrivals.
+    """
+    key = (events.category * 2 + events.bit_error) * 3 + np.minimum(events.emitted, 2)
+    counts = np.bincount(key, minlength=len(Category) * 6).reshape(len(Category), 2, 3)
+    values = {"n_pulses": n_pulses}
+    for cat in list(Category)[1:]:
+        values[f"cat{int(cat)}_count"] = int(counts[cat].sum())
+        values[f"cat{int(cat)}_errors"] = int(counts[cat, 1].sum())
+    conclusive = counts[1:]
+    values["single_pulse_conclusive"] = int(conclusive[:, :, 1].sum())
+    values["single_pulse_errors"] = int(conclusive[:, 1, 1].sum())
+    values["empty_pulse_conclusive"] = int(conclusive[:, :, 0].sum())
+    values["empty_pulse_errors"] = int(conclusive[:, 1, 0].sum())
+    return EmpiricalStats(**values)

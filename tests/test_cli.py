@@ -584,6 +584,8 @@ def cli_calls(draw):
           "--dark-count-prob=0"])  # fmt: skip
 # a subnormal analytic dark-count rate, whose binomial variance underflows
 @example(["simulate", "--dark-count-prob=5e-324", "--n-pulses=4"])
+# a flip probability so small that numpy's Geometric gap saturates
+@example(["simulate", "--e-x-sq=1e-300", "--n-pulses=1000"])
 def test_fuzzed_flags_exit_cleanly(argv):
     # a small sweep limit keeps every example fast; the limit path is
     # exercised all the same

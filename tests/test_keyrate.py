@@ -302,12 +302,15 @@ class TestThresholdBitError:
             threshold_bit_error(BB84, 0.5)
 
     # At e_x_sq = 1e-9 the margin dips below zero only within about 4e-8 of
-    # f = 1.  Want: the root of the same double-precision margin, bisected
-    # to 1e-15 (a 50-digit bisection puts the exact roots up to 1.3e-9
-    # away, because 1 - H(e) loses digits near e = 1/2).
+    # f = 1.  Want: the exact roots, from a 50-digit mpmath bisection of the
+    # margin with the worst-case entropy also evaluated in 50 digits.
     @pytest.mark.parametrize(
         ("spec", "want"),
-        [(BB84, 0.4999999776), (SIX_STATE, 0.4999999868), (PBC00, 0.4999999735)],
+        [
+            (BB84, 0.49999997827673),
+            (SIX_STATE, 0.49999998809865),
+            (PBC00, 0.49999997312485),
+        ],
     )
     def test_narrow_dip_below_half(self, spec, want):
         assert abs(threshold_bit_error(spec, 1e-9) - want) <= 1e-9

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from conftest import full_key_tally
 
 from qkdrates import simulator
 from qkdrates.cli import main
@@ -382,6 +383,84 @@ class TestZeroTruncatedSamplers:
         assert simulator._zero_truncated_poisson(rng, 0.0, 0).size == 0
         assert simulator._zero_truncated_binomial(rng, 2, 0.0, 0).size == 0
         assert rng.bit_generator.state == state
+
+
+class TestBernoulli:
+    """``_bernoulli`` on both routes: one uniform per trial, and Geometric
+    gaps between the rarer outcomes."""
+
+    N = 1_000_000
+    P_VALUES = [1e-4, 0.05, 0.3, 0.5, 0.95]
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_count(self, p):
+        mask = simulator._bernoulli(np.random.default_rng(41), self.N, p)
+        assert mask.dtype == bool and mask.size == self.N
+        se = math.sqrt(self.N * p * (1 - p))
+        assert abs(np.count_nonzero(mask) - self.N * p) <= 5 * se
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_gaps_are_geometric(self, p):
+        # gaps between successive successes are iid Geometric(p)
+        mask = simulator._bernoulli(np.random.default_rng(43), self.N, p)
+        gaps = np.diff(np.flatnonzero(mask))
+        m = gaps.size
+        assert abs(gaps.mean() - 1 / p) <= 5 * math.sqrt(1 - p) / p / math.sqrt(m)
+        # the count of unit gaps is Binomial(m, p); 1 more for tiny m * p
+        ones = np.count_nonzero(gaps == 1)
+        assert abs(ones - m * p) <= 5 * math.sqrt(m * p * (1 - p)) + 1
+
+    @pytest.mark.parametrize("p", [1e-4, 0.05, 0.3, 0.95])
+    def test_first_and_last_trial(self, p):
+        # short runs, where a gap from the start often passes the end
+        rng, n, runs = np.random.default_rng(47), 8, 4000
+        hits = np.zeros(n, dtype=np.int64)
+        for _ in range(runs):
+            hits += simulator._bernoulli(rng, n, p)
+        bound = 5 * math.sqrt(runs * p * (1 - p)) + 1
+        assert abs(hits[0] - runs * p) <= bound
+        assert abs(hits[-1] - runs * p) <= bound
+
+    @pytest.mark.parametrize(
+        ("p", "want"), [(0.0, False), (1e-300, False), (1.0, True), (1 - 2**-53, True)]
+    )
+    def test_degenerate_probabilities(self, p, want):
+        mask = simulator._bernoulli(np.random.default_rng(53), self.N, p)
+        assert mask.size == self.N and (mask == want).all()
+
+    @pytest.mark.parametrize("p", [0.0, 1e-4, 0.5, 0.95, 1.0])
+    def test_empty_request_draws_nothing(self, p):
+        rng = np.random.default_rng(59)
+        state = rng.bit_generator.state
+        assert simulator._bernoulli(rng, 0, p).size == 0
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("p", P_VALUES)
+    def test_route(self, p):
+        # a common outcome takes one uniform per trial, a rare one the gaps
+        uniform = np.random.default_rng(61).random(self.N) < p
+        mask = simulator._bernoulli(np.random.default_rng(61), self.N, p)
+        assert np.array_equal(mask, uniform) == (min(p, 1 - p) >= simulator._GAP_MAX_P)
+
+
+class TestCountingTally:
+    """``_tally`` counts arrivals without a full key; the reference
+    ``full_key_tally`` bins every event."""
+
+    @pytest.mark.parametrize("spec", [BB84, SIX_STATE, PBC00])
+    @pytest.mark.parametrize(
+        "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
+    )
+    def test_equals_full_key_tally(self, spec, source):
+        n, seed = 20_000, 67
+        for length in (0.0, 50.0, 200.0):
+            for c in (0.0, 1e-5, 0.3):
+                for eve in (EveModel.none(), EveModel.intercept_resend()):
+                    scn = make_scenario(spec, source=source, length=length, c=c)
+                    events = sample_events(scn, eve, n, seed)
+                    want = full_key_tally(n, events)
+                    assert simulator._tally(n, events) == want, (length, c, eve)
+                    seed += 1
 
 
 class TestHighDarkRate:

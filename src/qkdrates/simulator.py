@@ -17,20 +17,24 @@ are then drawn per event from the exact conditional distributions
 (zero-truncated Poisson and Binomial, sampled by inverse CDF), so the cost
 follows the number of events rather than pulses, and nothing is drawn from
 the analytic breakdown it checks.  A Bernoulli draw whose rarer outcome is
-unlikely places only those outcomes, as Geometric gaps between them, so each
-event still gets its own exact outcome.  Arrivals are tallied by counting
-and dark events by a bincount over their categories.
+unlikely places only those outcomes, as Geometric gaps between them; any
+other takes one random byte per trial, with the byte equal to the
+threshold settled by a uniform, so each event still gets its own exact
+outcome.  Arrivals are tallied by counting and dark events by a bincount
+over their categories.
 
 Pulses are processed in fixed-size batches, each driven by its own PCG64
 stream spawned from ``(seed, batch_index)`` by a ``SeedSequence``, so
 results are bit-identical whether batches run serially or in parallel.
+Each thread of a run draws its batches into one workspace whose arrays grow
+to the largest batch it has seen and are refilled, not reallocated, batch
+after batch; a single-photon source stores its photon counts in one byte.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from enum import Enum, IntEnum
 
@@ -70,9 +74,9 @@ MAX_MEAN_PHOTON_NUMBER = 1e18
 # Above this mean a Poisson count is zero with probability below 1e-13.
 _ZTP_TABLE_MAX_LAM = 30.0
 # Below this probability of the rarer outcome, Geometric gaps between the
-# rare outcomes cost less than one uniform per trial (at a million trials
-# the two break even near 0.15-0.2).
-_GAP_MAX_P = 0.1
+# rare outcomes cost less than one random byte per trial (at a million
+# trials the two break even near 0.03).
+_GAP_MAX_P = 0.03
 
 
 class Category(IntEnum):
@@ -187,45 +191,110 @@ class EmpiricalStats:
 
 
 class _Events:
-    """Per-pulse photon numbers, dark fires, category and bit error.
+    """Workspace of one thread: the events of a batch and the scratch arrays
+    that draw them.
 
-    :func:`_sample_events` fills one with only the pulses of a batch that
-    carry an event: ``n_arrivals`` arrival events first, then the dark
-    events.  Arrival events have ``arrived >= 1`` and click one detector;
-    dark events have ``arrived == 0`` and ``fired >= 1`` dark fires
-    (``fired`` is 0 for arrivals).  Every other pulse is silent (nothing
-    arrived, no detector fired, not conclusive) and is not stored.  A fresh
-    instance holds one emitted photon, no arrival, no fire and no conclusive
-    result per entry.  A plain class, not a dataclass, because it is built
-    per batch and not compared.
+    :func:`_sample_events` refills it batch after batch with only the pulses
+    of a batch that carry an event: ``n_arrivals`` arrival events first, then
+    the dark events.  ``emitted``, ``arrived``, ``fired``, ``category`` and
+    ``bit_error`` are views of exactly those entries.  Arrival events have
+    ``arrived >= 1`` and click one detector; dark events have ``arrived ==
+    0`` and ``fired >= 1`` dark fires (``fired`` is 0 for arrivals).  Every
+    other pulse is silent (nothing arrived, no detector fired, not
+    conclusive) and is not stored.  Photon counts are one byte each for a
+    single-photon source, which emits exactly one photon per pulse, and
+    int64 for a Poissonian one.
+
+    Each buffer grows to the largest count it has held, so a thread maps
+    and faults its memory in once per run rather than once per batch; the
+    buffers go when the workspace does, at the end of the run.
     """
 
-    __slots__ = ("n_arrivals", "emitted", "arrived", "fired", "category", "bit_error")
+    __slots__ = (
+        "n_arrivals", "emitted", "arrived", "fired", "category", "bit_error", "_buffers"
+    )  # fmt: skip
 
-    def __init__(self, n_arrivals: int, n_dark: int) -> None:
-        self.n_arrivals = n_arrivals
+    def __init__(self) -> None:
+        self._buffers: dict[str, np.ndarray] = {}
+        self.reset(0, 0, np.int8)
+
+    def buffer(self, name: str, n: int, dtype: type) -> np.ndarray:
+        """The first ``n`` entries of buffer ``name``, holding whatever an
+        earlier batch left there."""
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < n or buf.dtype != dtype:
+            buf = self._buffers[name] = np.empty(n, dtype)
+        return buf[:n]
+
+    def reset(self, n_arrivals: int, n_dark: int, photon_dtype: type) -> None:
+        """Hold ``n_arrivals + n_dark`` entries.  Each dark entry is reset to
+        one emitted photon, no arrival, no fire and no conclusive result, and
+        each arrival entry to no fire; :func:`_sample_events` writes the
+        other fields of the arrival entries whole, so they are not reset."""
         n = n_arrivals + n_dark
-        self.emitted = np.ones(n, dtype=np.int64)
-        self.arrived = np.zeros(n, dtype=np.int64)
-        self.fired = np.zeros(n, dtype=np.int8)
-        self.category = np.zeros(n, dtype=np.int8)
-        self.bit_error = np.zeros(n, dtype=bool)
+        self.n_arrivals = n_arrivals
+        arr, dark = slice(0, n_arrivals), slice(n_arrivals, None)
+        self.emitted = self.buffer("emitted", n, photon_dtype)
+        self.emitted[dark] = 1
+        self.arrived = self.buffer("arrived", n, photon_dtype)
+        self.arrived[dark] = 0
+        self.fired = self.buffer("fired", n, np.int8)
+        self.fired[arr] = 0
+        self.category = self.buffer("category", n, np.int8)
+        self.category[dark] = 0
+        self.bit_error = self.buffer("bit_error", n, np.bool_)
+        self.bit_error[dark] = False
 
 
-def _bernoulli(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
-    """Mask of ``n`` independent Bernoulli(``p``) trials.
+def _bernoulli(
+    rng: np.random.Generator, n: int, p: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Mask of ``n`` independent Bernoulli(``p``) trials, written into the
+    bool array ``out`` of ``n`` entries when one is given.
 
-    When the rarer outcome has probability below ``_GAP_MAX_P``, only its
-    positions are drawn: the gaps between successive rare outcomes of iid
-    trials are iid Geometric, so the positions are cumulative sums of
-    Geometric gaps, drawn in chunks until they pass ``n``.  Otherwise one
-    uniform is drawn per trial.  ``p`` of 0 or 1, or ``n = 0``, draws
-    nothing.
+    When the rarer outcome has probability below ``_GAP_MAX_P`` only its
+    positions are drawn (:func:`_bernoulli_gaps`); otherwise each trial takes
+    one random byte (:func:`_bernoulli_bytes`).  ``p`` of 0 or 1, or ``n =
+    0``, draws nothing.
     """
+    if out is None:
+        out = np.empty(n, dtype=bool)
+    if min(p, 1.0 - p) >= _GAP_MAX_P:
+        return _bernoulli_bytes(rng, p, out)
+    return _bernoulli_gaps(rng, p, out)
+
+
+def _bernoulli_bytes(rng: np.random.Generator, p: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with Bernoulli(``p``) trials, one random byte ``b`` each.
+
+    The bytes are the generator's raw 64-bit words, eight trials to a word.
+    With ``k = floor(256 p)``, a trial succeeds when ``b < k``; a tie ``b ==
+    k`` (probability 1/256) succeeds when one uniform falls below ``256 p -
+    k``.  So a trial succeeds with probability ``k/256 + (256 p - k)/256 =
+    p``, exact to the 2**-53 grain of the uniform divided by 256.
+    """
+    n = out.size
+    b = rng.bit_generator.random_raw(-(-n // 8)).view(np.uint8)[:n]
+    scaled = 256.0 * p  # exact: a power-of-two scale
+    k = int(scaled)
+    # out marks the ties first, then is overwritten by the comparison
+    ties = np.flatnonzero(np.equal(b, k, out=out))
+    np.less(b, k, out=out)
+    out[ties] = rng.random(ties.size) < scaled - k
+    return out
+
+
+def _bernoulli_gaps(rng: np.random.Generator, p: float, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` with Bernoulli(``p``) trials by placing only the rarer
+    outcomes.
+
+    The gaps between successive rare outcomes of iid trials are iid
+    Geometric, so their positions are cumulative sums of Geometric gaps,
+    drawn in chunks until they pass the last trial.
+    """
+    n = out.size
     rare = min(p, 1.0 - p)
-    if rare >= _GAP_MAX_P:
-        return rng.random(n) < p
-    mask = np.zeros(n, dtype=bool)
+    out.fill(False)
     if rare > 0.0 and n > 0:
         chunk = int(n * rare + 5.0 * math.sqrt(n * rare)) + 1
         last = -1  # the position before the first trial
@@ -237,69 +306,94 @@ def _bernoulli(rng: np.random.Generator, n: int, p: float) -> np.ndarray:
             np.minimum(positions, n + 1, out=positions)
             np.cumsum(positions, out=positions)
             positions += last
-            mask[positions[: np.searchsorted(positions, n)]] = True
+            out[positions[: np.searchsorted(positions, n)]] = True
             last = int(positions[-1])
     if p > 0.5:
-        np.logical_not(mask, out=mask)
-    return mask
+        np.logical_not(out, out=out)
+    return out
 
 
-def _inverse_cdf(rng: np.random.Generator, pmf: np.ndarray, size: int) -> np.ndarray:
-    """Draw ``size`` values ``k`` in ``1..len(pmf)`` with ``P(k) = pmf[k-1]``.
+def _inverse_cdf(
+    rng: np.random.Generator, pmf: np.ndarray, out: np.ndarray, u: np.ndarray | None
+) -> np.ndarray:
+    """Fill ``out`` with values ``k`` in ``1..len(pmf)``, ``P(k) = pmf[k-1]``.
 
-    One uniform per draw, compared against the cumulative bounds in turn
-    (a chop-down search: each step only revisits the draws still above the
-    last bound, so mass concentrated at ``k = 1`` costs one pass).  A
-    single-valued pmf draws nothing.
+    One uniform per draw, written into ``u`` (of ``out``'s size) when given,
+    compared against the cumulative bounds in turn (a chop-down search: each
+    step only revisits the draws still above the last bound, so mass
+    concentrated at ``k = 1`` costs one pass).  A single-valued pmf draws
+    nothing.
     """
-    values = np.ones(size, dtype=np.int64)
+    out.fill(1)
     if pmf.size == 1:
-        return values
-    u = rng.random(size)
+        return out
+    u = rng.random(out.size) if u is None else rng.random(out=u)
     cdf = np.cumsum(pmf[:-1])
     live = np.flatnonzero(u >= cdf[0])
     for bound in cdf[1:]:
         if not live.size:
             break
-        values[live] += 1
+        out[live] += 1
         live = live[u[live] >= bound]
-    values[live] += 1
-    return values
+    out[live] += 1
+    return out
 
 
 def _zero_truncated_poisson(
-    rng: np.random.Generator, lam: float, size: int
+    rng: np.random.Generator,
+    lam: float,
+    size: int,
+    out: np.ndarray | None = None,
+    u: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Poisson(``lam``) counts conditioned on being at least 1."""
+    """Poisson(``lam``) counts conditioned on being at least 1, written into
+    ``out`` when given; ``u`` takes the uniforms of :func:`_inverse_cdf`."""
+    if out is None:
+        out = np.empty(size, dtype=np.int64)
     if size == 0:
-        return np.zeros(0, dtype=np.int64)
+        return out
     if lam > _ZTP_TABLE_MAX_LAM:
         # the table would be long and zeros are rare: redraw them instead
         counts = rng.poisson(lam, size)
         while (zeros := np.flatnonzero(counts == 0)).size:
             counts[zeros] = rng.poisson(lam, zeros.size)
-        return counts
+        out[:] = counts
+        return out
     # the table ends where the Poisson tail is far below double precision
     k = np.arange(1, int(lam + 12.0 * math.sqrt(lam)) + 25)
     # lam^k / k! / (e^lam - 1), exact for tiny lam
-    return _inverse_cdf(rng, np.cumprod(lam / k) / math.expm1(lam), size)
+    return _inverse_cdf(rng, np.cumprod(lam / k) / math.expm1(lam), out, u)
 
 
 def _zero_truncated_binomial(
-    rng: np.random.Generator, n: int, p: float, size: int
+    rng: np.random.Generator,
+    n: int,
+    p: float,
+    size: int,
+    out: np.ndarray | None = None,
+    u: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Binomial(``n``, ``p``) counts conditioned on being at least 1."""
+    """Binomial(``n``, ``p``) counts conditioned on being at least 1, written
+    into ``out`` when given; ``u`` takes the uniforms of
+    :func:`_inverse_cdf`."""
+    if out is None:
+        out = np.empty(size, dtype=np.int64)
     if size == 0:
-        return np.zeros(0, dtype=np.int64)
+        return out
     k = np.arange(1, n + 1)
     pmf = np.array([math.comb(n, int(j)) for j in k]) * p**k * (1.0 - p) ** (n - k)
-    return _inverse_cdf(rng, pmf / -math.expm1(n * math.log1p(-p)), size)
+    return _inverse_cdf(rng, pmf / -math.expm1(n * math.log1p(-p)), out, u)
 
 
 def _sample_events(
-    scn: Scenario, eve: EveModel, size: int, rng: np.random.Generator
+    scn: Scenario,
+    eve: EveModel,
+    size: int,
+    rng: np.random.Generator,
+    events: _Events | None = None,
 ) -> _Events:
-    """Sample the events of one batch of ``size`` pulses.
+    """Sample the events of one batch of ``size`` pulses into ``events`` (a
+    fresh workspace when none is given) and return it.
 
     Pulses are independent, so only the number of pulses with an event is
     drawn per batch; everything else is drawn per event.  Draw order:
@@ -320,7 +414,8 @@ def _sample_events(
        each by :func:`_bernoulli`.
 
     Draws with probability 0 or 1 are skipped, so the stream depends on the
-    scenario but not on how batches are scheduled.
+    scenario but not on how batches are scheduled or on what a reused
+    workspace held before.
     """
     eta = transmittance(scn.link)
     cf = scn.protocol.conclusive_factor(scn.e_x_sq)
@@ -336,32 +431,43 @@ def _sample_events(
     if c > 0.0:
         p_fire = -math.expm1(n_det * math.log1p(-c))
         n_dark = int(rng.binomial(size - n_arr, p_fire))
-    ev = _Events(n_arr, n_dark)
+    ev = _Events() if events is None else events
+    ev.reset(n_arr, n_dark, np.int64 if poisson else np.int8)
     arr, dark = slice(0, n_arr), slice(n_arr, None)
+    # holds emitted > 1, then the eavesdropper's flips
+    mask = ev.buffer("mask", n_arr, np.bool_)
 
     if poisson:
-        ev.arrived[arr] = _zero_truncated_poisson(rng, mu * eta, n_arr)
-        ev.emitted[arr] = ev.arrived[arr]
+        arrived, emitted = ev.arrived[arr], ev.emitted[arr]
+        uniforms = ev.buffer("uniforms", n_arr, np.float64)
+        _zero_truncated_poisson(rng, mu * eta, n_arr, arrived, uniforms)
         if eta < 1.0:
-            ev.emitted[arr] += rng.poisson(mu * (1.0 - eta), n_arr)
+            np.add(arrived, rng.poisson(mu * (1.0 - eta), n_arr), out=emitted)
+        else:
+            emitted[:] = arrived
     else:
+        ev.emitted[arr] = 1
         ev.arrived[arr] = 1
-    kept = _bernoulli(rng, n_arr, cf)
+    kept = _bernoulli(rng, n_arr, cf, ev.buffer("kept", n_arr, np.bool_))
     # a kept qubit is SINGLE_QUBIT (1), or MULTI_QUBIT (2) if more was emitted
-    ev.category[arr] = kept
+    category = ev.category[arr]
+    category[:] = kept
     if poisson:
-        ev.category[arr] += kept & (ev.emitted[arr] > 1)
-    flips = ev.bit_error[arr]  # a view, filled in place
-    np.logical_xor(
-        _bernoulli(rng, n_arr, eve_flip_p), _bernoulli(rng, n_arr, scn.e_x_sq), out=flips
-    )
+        np.greater(emitted, 1, out=mask)
+        mask &= kept
+        category += mask
+    _bernoulli(rng, n_arr, eve_flip_p, mask)
+    flips = _bernoulli(rng, n_arr, scn.e_x_sq, ev.bit_error[arr])
+    flips ^= mask
     flips &= kept
 
-    ev.fired[dark] = _zero_truncated_binomial(rng, n_det, c, n_dark)
+    fired = ev.fired[dark]
+    uniforms = ev.buffer("uniforms", n_dark, np.float64)
+    _zero_truncated_binomial(rng, n_det, c, n_dark, fired, uniforms)
     if poisson:
         # an empty pulse emitted only photons that were lost
         ev.emitted[dark] = rng.poisson(mu * (1.0 - eta), n_dark) if eta < 1.0 else 0
-    single = n_arr + np.flatnonzero(ev.fired[dark] == 1)
+    single = n_arr + np.flatnonzero(fired == 1)
     dark_kept = single[_bernoulli(rng, single.size, dark_keep)]
     ev.category[dark_kept] = Category.DARK_COUNT
     ev.bit_error[dark_kept] = _bernoulli(rng, dark_kept.size, 0.5)
@@ -438,23 +544,27 @@ def run_simulation(
     sizes = [
         min(batch_size, n_pulses - start) for start in range(0, n_pulses, batch_size)
     ]
-
-    def one_batch(index_size: tuple[int, int]) -> EmpiricalStats:
-        index, size = index_size
-        return _tally(size, _sample_events(scn, eve, size, _batch_rng(seed, index)))
-
     jobs = list(enumerate(sizes))
     threads = min(workers, os.cpu_count() or 1, len(jobs))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(one_batch, jobs))
-    else:
-        parts = [one_batch(job) for job in jobs]
 
-    total = parts[0]
-    for part in parts[1:]:
-        total = total + part
-    return total
+    def run_share(share: list[tuple[int, int]]) -> EmpiricalStats:
+        # one workspace per thread, refilled by each of its batches
+        events = _Events()
+        total = EmpiricalStats(n_pulses=0)
+        for index, size in share:
+            rng = _batch_rng(seed, index)
+            total += _tally(size, _sample_events(scn, eve, size, rng, events))
+        return total
+
+    if threads <= 1:
+        return run_share(jobs)
+    # imported only here, so that importing the package (and so every CLI
+    # command) does not pay for concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        parts = list(pool.map(run_share, [jobs[t::threads] for t in range(threads)]))
+    return sum(parts[1:], parts[0])
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 """Tests for the Monte Carlo pulse simulator against analytic predictions."""
 
 import dataclasses
+import itertools
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -100,7 +102,7 @@ class TestDeterminism:
                 seen.append(max_workers)
                 super().__init__(max_workers=max_workers)
 
-        monkeypatch.setattr(simulator, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recording)
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
         scn = make_scenario()
         serial = run_simulation(scn, EveModel.none(), 50_000, seed=3, batch_size=10_000)
@@ -119,6 +121,70 @@ class TestDeterminism:
             scn, EveModel.none(), 50_000, seed=3, batch_size=10_000, workers=8
         ) == serial
         assert seen == []
+
+
+# (source, dark count probability, length in km): C = 0 at 0 km makes every
+# pulse an arrival, C = 0.3 at 50 km makes most events dark
+WORKSPACE_SCENARIOS = [
+    (source, c, length)
+    for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5))
+    for c, length in ((0.0, 0.0), (0.3, 50.0))
+]
+EVENT_FIELDS = ("emitted", "arrived", "fired", "category", "bit_error")
+
+
+class TestWorkspace:
+    """A reused ``_Events`` workspace must draw what a fresh one draws."""
+
+    @pytest.mark.parametrize(
+        ("warm", "drawn"), itertools.permutations(WORKSPACE_SCENARIOS, 2)
+    )
+    def test_warmed_equals_fresh(self, warm, drawn):
+        eve = EveModel.intercept_resend()
+        events = simulator._Events()
+        source, c, length = warm
+        warm_scn = make_scenario(source=source, c=c, length=length)
+        simulator._sample_events(warm_scn, eve, 40_000, np.random.default_rng(5), events)
+        source, c, length = drawn
+        scn = make_scenario(source=source, c=c, length=length)
+        fresh = sample_events(scn, eve, 20_000, seed=6)
+        reused = simulator._sample_events(scn, eve, 20_000, np.random.default_rng(6), events)
+        assert reused is events and reused.n_arrivals == fresh.n_arrivals
+        for name in EVENT_FIELDS:
+            want, got = getattr(fresh, name), getattr(reused, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize(
+        "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
+    )
+    def test_reuse_changes_no_tally(self, source):
+        # fresh buffers per batch, one workspace serially, and two threads
+        scn, eve = make_scenario(source=source, length=0.0, c=1e-3), EveModel.none()
+        n, seed, batch = 500_000, 12, 100_000
+        fresh = EmpiricalStats(n_pulses=0)
+        for index in range(n // batch):
+            rng = simulator._batch_rng(seed, index)
+            fresh += simulator._tally(batch, simulator._sample_events(scn, eve, batch, rng))
+        serial = run_simulation(scn, eve, n, seed=seed, batch_size=batch)
+        threaded = run_simulation(scn, eve, n, seed=seed, batch_size=batch, workers=2)
+        assert fresh == serial == threaded
+
+    def test_warm_batch_allocation_bounded(self):
+        # a warmed workspace draws a 1e6-pulse single-photon batch at 0 km
+        # with only the raw bytes of one Bernoulli draw fresh at a time:
+        # tracemalloc's peak is 1.07 MB (numpy 2.4.6), against 28.0 MB when
+        # every array of a batch was allocated afresh
+        scn = make_scenario(PBC00, length=0.0)
+        events, eve, n = simulator._Events(), EveModel.none(), 1_000_000
+        simulator._sample_events(scn, eve, n, np.random.default_rng(1), events)
+        rng = np.random.default_rng(2)
+        tracemalloc.start()
+        try:
+            simulator._sample_events(scn, eve, n, rng, events)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1_500_000
 
 
 class TestPulseInvariants:
@@ -437,10 +503,35 @@ class TestBernoulli:
 
     @pytest.mark.parametrize("p", P_VALUES)
     def test_route(self, p):
-        # a common outcome takes one uniform per trial, a rare one the gaps
-        uniform = np.random.default_rng(61).random(self.N) < p
-        mask = simulator._bernoulli(np.random.default_rng(61), self.N, p)
-        assert np.array_equal(mask, uniform) == (min(p, 1 - p) >= simulator._GAP_MAX_P)
+        # a common outcome takes one raw byte per trial, ties resolved by a
+        # uniform; a rare one the gaps
+        rng = np.random.default_rng(61)
+        raw = rng.bit_generator.random_raw(-(-self.N // 8)).view(np.uint8)[: self.N]
+        k = math.floor(256 * p)
+        by_bytes = raw < k
+        ties = np.flatnonzero(raw == k)
+        by_bytes[ties] = rng.random(ties.size) < 256 * p - k
+        drawn = np.random.default_rng(61)
+        mask = simulator._bernoulli(drawn, self.N, p)
+        on_bytes = min(p, 1 - p) >= simulator._GAP_MAX_P
+        assert np.array_equal(mask, by_bytes) == on_bytes
+        assert (drawn.bit_generator.state == rng.bit_generator.state) == on_bytes
+
+
+    @pytest.mark.parametrize("p", [0.5, 1 / 256, 255.5 / 256])
+    def test_byte_ties(self, p):
+        # with k = floor(256 p), a byte below k succeeds and one equal to k
+        # succeeds with probability 256 p - k: never when 256 p is whole
+        raw = np.random.default_rng(71).bit_generator.random_raw(-(-self.N // 8))
+        raw = raw.view(np.uint8)[: self.N]
+        k = math.floor(256 * p)
+        out = np.empty(self.N, dtype=bool)
+        mask = simulator._bernoulli_bytes(np.random.default_rng(71), p, out)
+        assert mask is out
+        tie = raw == k
+        assert np.array_equal(mask[~tie], raw[~tie] < k)
+        ties, hits, frac = tie.sum(), mask[tie].sum(), 256 * p - k
+        assert abs(hits - ties * frac) <= 5 * math.sqrt(ties * frac * (1 - frac))
 
 
 class TestCountingTally:

@@ -14,21 +14,22 @@ silent (no photon arrives and no detector fires), so a batch draws only how
 many of its pulses carry an arrival and how many of the rest a dark fire,
 as two Binomial counts.  Photon numbers, fire counts, sifting and bit flips
 are then drawn per event from the exact conditional distributions
-(zero-truncated Poisson and Binomial, sampled by inverse CDF), so the cost
-follows the number of events rather than pulses, and nothing is drawn from
-the analytic breakdown it checks.  A Bernoulli draw whose rarer outcome is
-unlikely places only those outcomes, as Geometric gaps between them; any
-other takes one random byte per trial, with the byte equal to the
-threshold settled by a uniform, so each event still gets its own exact
-outcome.  Arrivals are tallied by counting and dark events by a bincount
-over their categories.
+(zero-truncated Poisson and Binomial), so the cost follows the number of
+events rather than pulses, and nothing is drawn from the analytic breakdown
+it checks.  A Bernoulli draw whose rarer outcome is unlikely places only
+those outcomes, as Geometric gaps between them; any other takes one random
+byte per trial, with the byte equal to the threshold settled by a uniform,
+so each event still gets its own exact outcome.  A count is a chain of such
+draws, each asking whether it goes past its current value; only a Poisson
+count of a large mean is left to numpy's sampler.  Arrivals are tallied by
+counting and dark events by a bincount over their categories.
 
 Pulses are processed in fixed-size batches, each driven by its own PCG64
 stream spawned from ``(seed, batch_index)`` by a ``SeedSequence``, so
 results are bit-identical whether batches run serially or in parallel.
-Each thread of a run draws its batches into one workspace whose arrays grow
-to the largest batch it has seen and are refilled, not reallocated, batch
-after batch; a single-photon source stores its photon counts in one byte.
+Each thread of a run draws its batches into one workspace whose arrays are
+allocated once, with headroom, and refilled batch after batch; a
+single-photon source stores its photon counts in one byte.
 """
 
 from __future__ import annotations
@@ -71,8 +72,9 @@ DEFAULT_BATCH_SIZE = 1_000_000
 MIN_CATEGORY_COUNT = 100
 # numpy draws no Poisson count with a mean above about 9.2e18
 MAX_MEAN_PHOTON_NUMBER = 1e18
-# Above this mean a Poisson count is zero with probability below 1e-13.
-_ZTP_TABLE_MAX_LAM = 30.0
+# Up to this mean a Poisson count is drawn by a chain of Bernoulli trials;
+# above it numpy's sampler is faster (200k draws, 2 cores, numpy 2.4.6)
+_CHAIN_MAX_MEAN = 12.0
 # Below this probability of the rarer outcome, Geometric gaps between the
 # rare outcomes cost less than one random byte per trial (at a million
 # trials the two break even near 0.03).
@@ -205,9 +207,11 @@ class _Events:
     single-photon source, which emits exactly one photon per pulse, and
     int64 for a Poissonian one.
 
-    Each buffer grows to the largest count it has held, so a thread maps
-    and faults its memory in once per run rather than once per batch; the
-    buffers go when the workspace does, at the end of the run.
+    A buffer is allocated when it is first asked for, with headroom for the
+    spread of its count between batches, so a thread maps and faults its
+    memory in once per run rather than once per batch; the buffers go when
+    the workspace does, at the end of the run.  Until the first
+    :meth:`reset` the workspace holds no events.
     """
 
     __slots__ = (
@@ -216,14 +220,16 @@ class _Events:
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
-        self.reset(0, 0, np.int8)
 
     def buffer(self, name: str, n: int, dtype: type) -> np.ndarray:
         """The first ``n`` entries of buffer ``name``, holding whatever an
         earlier batch left there."""
         buf = self._buffers.get(name)
         if buf is None or buf.size < n or buf.dtype != dtype:
-            buf = self._buffers[name] = np.empty(n, dtype)
+            # a batch's event counts are Binomial, with a standard deviation
+            # below sqrt(n): 8 sqrt(n) of headroom holds the run's later
+            # batches, and as only touched pages are resident, costs little
+            buf = self._buffers[name] = np.empty(n + 8 * math.isqrt(n), dtype)
         return buf[:n]
 
     def reset(self, n_arrivals: int, n_dark: int, photon_dtype: type) -> None:
@@ -313,56 +319,72 @@ def _bernoulli_gaps(rng: np.random.Generator, p: float, out: np.ndarray) -> np.n
     return out
 
 
-def _inverse_cdf(
-    rng: np.random.Generator, pmf: np.ndarray, out: np.ndarray, u: np.ndarray | None
+def _chop_down(
+    rng: np.random.Generator,
+    pmf: np.ndarray,
+    out: np.ndarray,
+    first: int,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Fill ``out`` with values ``k`` in ``1..len(pmf)``, ``P(k) = pmf[k-1]``.
+    """Fill ``out`` with values ``k >= first``, ``P(k)`` proportional to
+    ``pmf[k - first]``; ``scratch``, a bool array of ``out``'s size when
+    given, holds the steps' trials.
 
-    One uniform per draw, written into ``u`` (of ``out``'s size) when given,
-    compared against the cumulative bounds in turn (a chop-down search: each
-    step only revisits the draws still above the last bound, so mass
-    concentrated at ``k = 1`` costs one pass).  A single-valued pmf draws
-    nothing.
+    Every draw starts at ``first``; one step moves the draws still live at
+    ``k`` past it by a :func:`_bernoulli` trial with the continuation
+    probability ``P(K > k | K >= k) = tail[k+1] / tail[k]``.  The tails are
+    summed from the small end, so they keep the digits that ``1 - cdf``
+    loses, and a tail that underflowed to 0 ends the table.  A single-valued
+    pmf draws nothing.
     """
-    out.fill(1)
-    if pmf.size == 1:
+    tail = np.cumsum(pmf[::-1])[::-1]
+    tail = tail[: np.count_nonzero(tail)]
+    steps = tail[1:] / tail[:-1]
+    if not steps.size:
+        out.fill(first)
         return out
-    u = rng.random(out.size) if u is None else rng.random(out=u)
-    cdf = np.cumsum(pmf[:-1])
-    live = np.flatnonzero(u >= cdf[0])
-    for bound in cdf[1:]:
+    if scratch is None:
+        scratch = np.empty(out.size, dtype=bool)
+    moved = _bernoulli(rng, out.size, float(steps[0]), scratch)
+    np.add(moved, first, out=out)
+    live = np.flatnonzero(moved)
+    for k, p in enumerate(steps[1:], first + 2):
         if not live.size:
             break
-        out[live] += 1
-        live = live[u[live] >= bound]
-    out[live] += 1
+        live = live[_bernoulli(rng, live.size, float(p), scratch[: live.size])]
+        out[live] = k
     return out
 
 
-def _zero_truncated_poisson(
+def _poisson(
     rng: np.random.Generator,
     lam: float,
     size: int,
     out: np.ndarray | None = None,
-    u: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
+    zero_truncated: bool = False,
 ) -> np.ndarray:
-    """Poisson(``lam``) counts conditioned on being at least 1, written into
-    ``out`` when given; ``u`` takes the uniforms of :func:`_inverse_cdf`."""
+    """Poisson(``lam``) counts, conditioned on being at least 1 when
+    ``zero_truncated``, written into ``out`` when given.
+
+    Up to ``_CHAIN_MAX_MEAN`` they are drawn by :func:`_chop_down` (with
+    its ``scratch``); above it by numpy, redrawing zeros when truncated.  A
+    mean of 0 draws nothing.
+    """
     if out is None:
         out = np.empty(size, dtype=np.int64)
     if size == 0:
         return out
-    if lam > _ZTP_TABLE_MAX_LAM:
-        # the table would be long and zeros are rare: redraw them instead
+    if lam > _CHAIN_MAX_MEAN:
         counts = rng.poisson(lam, size)
-        while (zeros := np.flatnonzero(counts == 0)).size:
+        while zero_truncated and (zeros := np.flatnonzero(counts == 0)).size:
             counts[zeros] = rng.poisson(lam, zeros.size)
         out[:] = counts
         return out
-    # the table ends where the Poisson tail is far below double precision
+    # lam^k / k! up to where the tail is far below double precision
     k = np.arange(1, int(lam + 12.0 * math.sqrt(lam)) + 25)
-    # lam^k / k! / (e^lam - 1), exact for tiny lam
-    return _inverse_cdf(rng, np.cumprod(lam / k) / math.expm1(lam), out, u)
+    weights = np.concatenate(([1.0], np.cumprod(lam / k)))
+    return _chop_down(rng, weights[zero_truncated:], out, int(zero_truncated), scratch)
 
 
 def _zero_truncated_binomial(
@@ -371,18 +393,15 @@ def _zero_truncated_binomial(
     p: float,
     size: int,
     out: np.ndarray | None = None,
-    u: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> np.ndarray:
     """Binomial(``n``, ``p``) counts conditioned on being at least 1, written
-    into ``out`` when given; ``u`` takes the uniforms of
-    :func:`_inverse_cdf`."""
+    into ``out`` when given, by :func:`_chop_down` (with its ``scratch``)."""
     if out is None:
         out = np.empty(size, dtype=np.int64)
-    if size == 0:
-        return out
     k = np.arange(1, n + 1)
     pmf = np.array([math.comb(n, int(j)) for j in k]) * p**k * (1.0 - p) ** (n - k)
-    return _inverse_cdf(rng, pmf / -math.expm1(n * math.log1p(-p)), out, u)
+    return _chop_down(rng, pmf, out, 1, scratch)
 
 
 def _sample_events(
@@ -404,12 +423,13 @@ def _sample_events(
        Binomial(``size - arrivals``, ``1 - (1-C)^n_det``);
     3. per arrival (Poisson source), a zero-truncated Poisson(``mu*eta``)
        arrived count and an independent Poisson(``mu*(1-eta)``) lost count
-       (Poisson thinning);
+       (Poisson thinning), each by :func:`_poisson`;
     4. per arrival, sifting, an eavesdropper flip and an intrinsic flip,
        each by :func:`_bernoulli`; the flips are independent of sifting
        and count only on kept arrivals;
     5. per dark event, a zero-truncated Binomial(``n_det``, ``C``) fire
-       count and, for a Poisson source, the lost count;
+       count by :func:`_chop_down` and, for a Poisson source, the lost
+       count;
     6. per single fire, dark sifting, then the random bit of the kept ones,
        each by :func:`_bernoulli`.
 
@@ -434,17 +454,17 @@ def _sample_events(
     ev = _Events() if events is None else events
     ev.reset(n_arr, n_dark, np.int64 if poisson else np.int8)
     arr, dark = slice(0, n_arr), slice(n_arr, None)
-    # holds emitted > 1, then the eavesdropper's flips
-    mask = ev.buffer("mask", n_arr, np.bool_)
+    # holds the trials of the count chains, then for arrivals emitted > 1
+    # and the eavesdropper's flips
+    scratch = ev.buffer("mask", n_arr + n_dark, np.bool_)
+    mask = scratch[arr]
 
     if poisson:
+        # Poisson thinning: the arrived and the lost photons are independent
         arrived, emitted = ev.arrived[arr], ev.emitted[arr]
-        uniforms = ev.buffer("uniforms", n_arr, np.float64)
-        _zero_truncated_poisson(rng, mu * eta, n_arr, arrived, uniforms)
-        if eta < 1.0:
-            np.add(arrived, rng.poisson(mu * (1.0 - eta), n_arr), out=emitted)
-        else:
-            emitted[:] = arrived
+        _poisson(rng, mu * eta, n_arr, arrived, mask, zero_truncated=True)
+        _poisson(rng, mu * (1.0 - eta), n_arr, emitted, mask)
+        emitted += arrived
     else:
         ev.emitted[arr] = 1
         ev.arrived[arr] = 1
@@ -462,11 +482,10 @@ def _sample_events(
     flips &= kept
 
     fired = ev.fired[dark]
-    uniforms = ev.buffer("uniforms", n_dark, np.float64)
-    _zero_truncated_binomial(rng, n_det, c, n_dark, fired, uniforms)
+    _zero_truncated_binomial(rng, n_det, c, n_dark, fired, scratch[dark])
     if poisson:
         # an empty pulse emitted only photons that were lost
-        ev.emitted[dark] = rng.poisson(mu * (1.0 - eta), n_dark) if eta < 1.0 else 0
+        _poisson(rng, mu * (1.0 - eta), n_dark, ev.emitted[dark], scratch[dark])
     single = n_arr + np.flatnonzero(fired == 1)
     dark_kept = single[_bernoulli(rng, single.size, dark_keep)]
     ev.category[dark_kept] = Category.DARK_COUNT

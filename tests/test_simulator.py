@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -170,21 +171,31 @@ class TestWorkspace:
         assert fresh == serial == threaded
 
     def test_warm_batch_allocation_bounded(self):
-        # a warmed workspace draws a 1e6-pulse single-photon batch at 0 km
-        # with only the raw bytes of one Bernoulli draw fresh at a time:
-        # tracemalloc's peak is 1.07 MB (numpy 2.4.6), against 28.0 MB when
-        # every array of a batch was allocated afresh
-        scn = make_scenario(PBC00, length=0.0)
-        events, eve, n = simulator._Events(), EveModel.none(), 1_000_000
-        simulator._sample_events(scn, eve, n, np.random.default_rng(1), events)
-        rng = np.random.default_rng(2)
-        tracemalloc.start()
-        try:
-            simulator._sample_events(scn, eve, n, rng, events)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1_500_000
+        # a warmed workspace draws a 1e6-pulse batch at 0 km with only the
+        # scratch of one Bernoulli draw or chain step fresh at a time, and
+        # keeps its buffers although the Poissonian batch has more arrivals
+        # (393 520) than its warm-up (393 177): tracemalloc's peak is 1.07 MB
+        # single-photon and 0.84 MB Poissonian (numpy 2.4.6), against 28.0
+        # and 12.5 MB when buffers were allocated afresh
+        eve, n = EveModel.none(), 1_000_000
+        for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5)):
+            scn = make_scenario(PBC00, source=source, length=0.0)
+            events = simulator._Events()
+            simulator._sample_events(scn, eve, n, np.random.default_rng(1), events)
+            warm_arrivals, buffers = events.n_arrivals, dict(events._buffers)
+            rng = np.random.default_rng(2)
+            tracemalloc.start()
+            try:
+                simulator._sample_events(scn, eve, n, rng, events)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1_500_000, source
+            # every single-photon pulse arrives at 0 km; Poissonian ones grow
+            grown = events.n_arrivals > warm_arrivals
+            assert grown or events.n_arrivals == n
+            assert events._buffers.keys() == buffers.keys()
+            assert all(events._buffers[k] is buf for k, buf in buffers.items())
 
 
 class TestPulseInvariants:
@@ -411,6 +422,21 @@ def assert_matches_pmf(draws, pmf):
     assert chi2 <= crit, (chi2, crit, bins)
 
 
+def poisson_pmf(lam):
+    """Poisson(``lam``) probabilities of ``k = 0, 1, ...`` out to where the
+    tail is negligible."""
+    k = np.arange(0, int(lam + 20 * math.sqrt(lam)) + 40)
+    log_pmf = k * math.log(lam) - np.array([math.lgamma(j + 1) for j in k]) - lam
+    return np.exp(log_pmf)
+
+
+# the means just either side of the switch from the chain to numpy's sampler
+CROSSOVER_MEANS = [
+    simulator._CHAIN_MAX_MEAN,
+    math.nextafter(simulator._CHAIN_MAX_MEAN, math.inf),
+]
+
+
 def assert_mean_matches(draws, pmf):
     k = np.arange(1, len(pmf) + 1)
     mean = float(np.dot(k, pmf))
@@ -421,15 +447,24 @@ def assert_mean_matches(draws, pmf):
 class TestZeroTruncatedSamplers:
     N = 400_000
 
-    @pytest.mark.parametrize("lam", [1e-4, 1e-3, 0.05, 0.5, 1.0, 5.0, 40.0])
+    @pytest.mark.parametrize(
+        "lam", [1e-4, 1e-3, 0.05, 0.5, 1.0, 5.0, *CROSSOVER_MEANS, 40.0]
+    )
     def test_poisson(self, lam):
         rng = np.random.default_rng(int(lam * 1e4) + 1)
-        draws = simulator._zero_truncated_poisson(rng, lam, self.N)
-        k = np.arange(1, int(lam + 20 * math.sqrt(lam)) + 40)
-        log_pmf = k * math.log(lam) - np.array([math.lgamma(j + 1) for j in k])
-        pmf = np.exp(log_pmf - math.log(math.expm1(lam)))
+        draws = simulator._poisson(rng, lam, self.N, zero_truncated=True)
+        pmf = poisson_pmf(lam)[1:] / -math.expm1(-lam)
         assert_matches_pmf(draws, pmf)
         assert_mean_matches(draws, pmf)
+
+    @pytest.mark.parametrize("lam", [1e-4, 0.05, 0.45, 5.0, *CROSSOVER_MEANS])
+    def test_lost_count_poisson(self, lam):
+        # counts from 0: shifted by one onto the helpers' support 1..len(pmf)
+        rng = np.random.default_rng(int(lam * 1e4) + 7)
+        draws = simulator._poisson(rng, lam, self.N)
+        pmf = poisson_pmf(lam)
+        assert_matches_pmf(draws + 1, pmf)
+        assert_mean_matches(draws + 1, pmf)
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("p", [1e-6, 1e-5, 1e-3, 0.05, 0.3])
@@ -446,14 +481,28 @@ class TestZeroTruncatedSamplers:
     def test_empty_request_draws_nothing(self):
         rng = np.random.default_rng(1)
         state = rng.bit_generator.state
-        assert simulator._zero_truncated_poisson(rng, 0.0, 0).size == 0
+        assert simulator._poisson(rng, 0.0, 0, zero_truncated=True).size == 0
         assert simulator._zero_truncated_binomial(rng, 2, 0.0, 0).size == 0
+        for lam in (0.5, 40.0):
+            assert simulator._poisson(rng, lam, 0).size == 0
+        # a mean of 0 has only one value to draw
+        assert (simulator._poisson(rng, 0.0, 1000) == 0).all()
         assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_underflowed_tail_ends_table(self, first):
+        # lam^2 / 2 underflows to 0: every draw stays at first, with no 0/0
+        rng = np.random.default_rng(3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = simulator._poisson(rng, 1e-300, 1000, zero_truncated=bool(first))
+            fires = simulator._zero_truncated_binomial(rng, 3, 1e-300, 1000)
+        assert (draws == first).all() and (fires == 1).all()
 
 
 class TestBernoulli:
-    """``_bernoulli`` on both routes: one uniform per trial, and Geometric
-    gaps between the rarer outcomes."""
+    """``_bernoulli`` on both routes: one random byte per trial, and
+    Geometric gaps between the rarer outcomes."""
 
     N = 1_000_000
     P_VALUES = [1e-4, 0.05, 0.3, 0.5, 0.95]

@@ -16,7 +16,6 @@ from .entropy import (
 from .keyrate import (
     RateBreakdown,
     max_distance,
-    nonuniform_dark_bound,
     rate_alice,
     rate_bob,
     rate_gllp,
@@ -52,7 +51,6 @@ from .simulator import (
     EmpiricalStats,
     EveKind,
     EveModel,
-    empirical_breakdown,
     run_simulation,
     simulate_decoy_run,
 )
@@ -81,11 +79,9 @@ __all__ = [
     "decoy_invert",
     "distance_sweep",
     "distribution_from_rates",
-    "empirical_breakdown",
     "get_protocol",
     "joint_bit_phase_entropy",
     "max_distance",
-    "nonuniform_dark_bound",
     "poisson_breakdown",
     "protocol_catalog",
     "rate_alice",

@@ -184,11 +184,7 @@ def load_config(source: str, from_path: bool = True) -> RunConfig:
     return dataclasses.replace(RunConfig(), **overrides)
 
 
-def config_scenario(
-    cfg: RunConfig,
-    length_km: float | None = None,
-    dark_count_prob: float | None = None,
-) -> Scenario:
+def config_scenario(cfg: RunConfig, dark_count_prob: float | None = None) -> Scenario:
     """Build and validate the Scenario described by a config."""
     try:
         protocol = get_protocol(cfg.protocol)
@@ -212,7 +208,7 @@ def config_scenario(
     try:
         link = LinkModel(
             attenuation_db_per_km=cfg.attenuation_db_per_km,
-            length_km=cfg.length_km if length_km is None else length_km,
+            length_km=cfg.length_km,
         )
         detector = DetectorModel(
             dark_count_prob=cfg.dark_count_prob

@@ -42,7 +42,6 @@ __all__ = [
     "rate_bob",
     "rate_alice",
     "rate_improved",
-    "nonuniform_dark_bound",
     "threshold_bit_error",
     "max_distance",
 ]
@@ -59,10 +58,9 @@ class RateBreakdown:
     qubits received on empty pulses, and dark counts.  ``omega0`` and
     ``omega1`` are the fractions of conclusive results originating from
     empty and single-photon pulses.  ``e_x`` is the bit error rate over all
-    conclusive results, ``e_x_sq`` the rate restricted to single-photon
-    qubit results, and ``e_x_dk`` the dark-count error rate (1/2 for
-    uniform detectors).  Fields may be numpy arrays (or floats) that
-    broadcast together; each check then applies to every element.
+    conclusive results and ``e_x_sq`` the rate restricted to single-photon
+    qubit results.  Fields may be numpy arrays (or floats) that broadcast
+    together; each check then applies to every element.
     """
 
     p_emp: float
@@ -73,7 +71,6 @@ class RateBreakdown:
     omega1: float
     e_x: float
     e_x_sq: float
-    e_x_dk: float = 0.5
 
     def __post_init__(self) -> None:
         for field in ("p_emp", "p_sq", "p_mq", "p_dk"):
@@ -85,7 +82,7 @@ class RateBreakdown:
             raise ValueError("omega fractions must be non-negative")
         if any_(self.omega0 + self.omega1 > 1.0 + 1e-9):
             raise ValueError("omega0 + omega1 exceeds 1")
-        for field in ("e_x", "e_x_sq", "e_x_dk"):
+        for field in ("e_x", "e_x_sq"):
             value = getattr(self, field)
             ok = (-_TOL <= value) & (value <= 1.0 + _TOL)
             if not all_(ok):
@@ -102,8 +99,9 @@ def single_photon_class_error(b: RateBreakdown) -> float:
     """Bit error rate over conclusive results from single-photon pulses.
 
     Mixes single-photon qubit results (rate ``e_x_sq``) with dark counts on
-    pulses whose photon was lost (rate ``e_x_dk``), in the proportions
-    implied by ``omega1``.
+    pulses whose photon was lost, in the proportions implied by ``omega1``.
+    A dark count's bit is uniform, independent of the sender's, so it errs
+    with probability 1/2.
     """
     w1pc = b.omega1 * b.p_c
     if any_(w1pc <= 0.0):
@@ -114,7 +112,7 @@ def single_photon_class_error(b: RateBreakdown) -> float:
             "omega1 inconsistent with single-photon qubit rate"
         )
     dark_single = maximum(dark_single, 0.0)
-    return (b.p_sq * b.e_x_sq + dark_single * b.e_x_dk) / w1pc
+    return (b.p_sq * b.e_x_sq + dark_single * 0.5) / w1pc
 
 
 def rate_shor_preskill(p_c: float, e_x: float, spec: ProtocolSpec) -> float:
@@ -175,16 +173,6 @@ def _credited_rate(b: RateBreakdown, spec: ProtocolSpec, credited):
     """``p_sq + credited - p_c*H(e_x) - p_sq*H(e_z^sq | e_x^sq)``."""
     h_worst = worst_case_conditional_phase_entropy(spec, b.e_x_sq)
     return b.p_sq + credited - b.p_c * binary_entropy(b.e_x) - b.p_sq * h_worst
-
-
-def nonuniform_dark_bound(q: float) -> float:
-    """Eavesdropper information per dark-count bit with biased detectors.
-
-    With two detectors where one fires with probability ``q`` on a dark
-    count, the leaked fraction is ``1 - H(q)``: zero for uniform detectors,
-    one full bit for a deterministic detector.
-    """
-    return 1.0 - binary_entropy(q)
 
 
 def threshold_bit_error(spec: ProtocolSpec, e_x_sq: float) -> float | None:

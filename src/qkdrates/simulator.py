@@ -41,7 +41,6 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-from .keyrate import RateBreakdown
 from .scenario import (
     Scenario,
     SourceKind,
@@ -57,11 +56,9 @@ __all__ = [
     "EveKind",
     "EveModel",
     "EmpiricalStats",
-    "EmpiricalBreakdown",
     "FieldComparison",
     "DecoyRecovery",
     "run_simulation",
-    "empirical_breakdown",
     "compare_to_analytic",
     "simulate_decoy_run",
     "recover_single_photon_rates",
@@ -69,7 +66,6 @@ __all__ = [
 ]
 
 DEFAULT_BATCH_SIZE = 1_000_000
-MIN_CATEGORY_COUNT = 100
 # numpy draws no Poisson count with a mean above about 9.2e18
 MAX_MEAN_PHOTON_NUMBER = 1e18
 # Up to this mean a Poisson count is drawn by a chain of Bernoulli trials;
@@ -87,14 +83,6 @@ class Category(IntEnum):
     MULTI_QUBIT = 2
     EMPTY_QUBIT = 3
     DARK_COUNT = 4
-
-
-_CSV_NAMES = {
-    Category.SINGLE_QUBIT: "single_qubit",
-    Category.MULTI_QUBIT: "multi_qubit",
-    Category.EMPTY_QUBIT: "empty_qubit",
-    Category.DARK_COUNT: "dark_count",
-}
 
 
 class EveKind(Enum):
@@ -172,24 +160,11 @@ class EmpiricalStats:
         """Per-pulse conclusive rate of one category."""
         return self.category_count(cat) / self.n_pulses
 
-    def rate_se(self, cat: Category) -> float:
-        """Binomial standard error of :meth:`rate`."""
-        p = self.rate(cat)
-        return math.sqrt(p * (1.0 - p) / self.n_pulses)
-
     @property
     def e_x_hat(self) -> float:
         """Bit error rate over all conclusive results."""
         n = self.conclusive_count
         return self.error_count / n if n else 0.0
-
-    @property
-    def e_x_se(self) -> float:
-        n = self.conclusive_count
-        if n == 0:
-            return 0.0
-        p = self.e_x_hat
-        return math.sqrt(p * (1.0 - p) / n)
 
 
 class _Events:
@@ -560,6 +535,8 @@ def run_simulation(
         )
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
+    if batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
     sizes = [
         min(batch_size, n_pulses - start) for start in range(0, n_pulses, batch_size)
     ]
@@ -584,62 +561,6 @@ def run_simulation(
     with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = list(pool.map(run_share, [jobs[t::threads] for t in range(threads)]))
     return sum(parts[1:], parts[0])
-
-
-@dataclass(frozen=True)
-class EmpiricalBreakdown:
-    """Rate breakdown estimated from tallies, with standard errors.
-
-    ``breakdown`` is ``None`` when no pulse was conclusive.  ``insufficient``
-    flags runs where some populated category has fewer than 100 counts (or
-    nothing was conclusive at all).
-    """
-
-    breakdown: RateBreakdown | None
-    stderr: dict[str, float]
-    insufficient: bool
-
-
-def empirical_breakdown(stats: EmpiricalStats) -> EmpiricalBreakdown:
-    """Convert tallies to per-pulse rates with binomial standard errors."""
-    n = stats.n_pulses
-    n_c = stats.conclusive_count
-    counts = [
-        stats.category_count(cat)
-        for cat in (
-            Category.SINGLE_QUBIT,
-            Category.MULTI_QUBIT,
-            Category.EMPTY_QUBIT,
-            Category.DARK_COUNT,
-        )
-    ]
-    insufficient = n_c == 0 or any(0 < cnt < MIN_CATEGORY_COUNT for cnt in counts)
-    if n_c == 0:
-        return EmpiricalBreakdown(breakdown=None, stderr={}, insufficient=True)
-
-    e_x_sq = stats.cat1_errors / stats.cat1_count if stats.cat1_count else 0.0
-    b = RateBreakdown(
-        p_emp=stats.cat3_count / n,
-        p_sq=stats.cat1_count / n,
-        p_mq=stats.cat2_count / n,
-        p_dk=stats.cat4_count / n,
-        omega0=stats.empty_pulse_conclusive / n_c,
-        omega1=stats.single_pulse_conclusive / n_c,
-        e_x=stats.e_x_hat,
-        e_x_sq=e_x_sq,
-    )
-
-    stderr = {
-        "p_sq": stats.rate_se(Category.SINGLE_QUBIT),
-        "p_mq": stats.rate_se(Category.MULTI_QUBIT),
-        "p_emp": stats.rate_se(Category.EMPTY_QUBIT),
-        "p_dk": stats.rate_se(Category.DARK_COUNT),
-        "e_x": stats.e_x_se,
-        "e_x_sq": math.sqrt(e_x_sq * (1.0 - e_x_sq) / stats.cat1_count)
-        if stats.cat1_count
-        else 0.0,
-    }
-    return EmpiricalBreakdown(breakdown=b, stderr=stderr, insufficient=insufficient)
 
 
 @dataclass(frozen=True)
@@ -766,8 +687,7 @@ def recover_single_photon_rates(stats: EmpiricalStats, scn: Scenario) -> DecoyRe
 def tally_csv(stats: EmpiricalStats) -> str:
     """Raw per-category tallies as CSV (columns: category,count,bit_errors)."""
     lines = ["category,count,bit_errors"]
-    for cat, name in _CSV_NAMES.items():
-        lines.append(
-            f"{name},{stats.category_count(cat)},{stats.category_errors(cat)}"
-        )
+    for cat in list(Category)[1:]:
+        name = cat.name.lower()
+        lines.append(f"{name},{stats.category_count(cat)},{stats.category_errors(cat)}")
     return "\n".join(lines) + "\n"

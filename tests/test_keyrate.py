@@ -11,7 +11,6 @@ from qkdrates.entropy import binary_entropy, worst_case_conditional_phase_entrop
 from qkdrates.keyrate import (
     RateBreakdown,
     max_distance,
-    nonuniform_dark_bound,
     rate_alice,
     rate_bob,
     rate_gllp,
@@ -256,17 +255,6 @@ class TestImprovedRate:
         assert rate_improved(b, spec) >= rate_gllp(b, spec) - 1e-12
 
 
-class TestNonuniformDarkBound:
-    def test_uniform_detectors_leak_nothing(self):
-        assert nonuniform_dark_bound(0.5) == pytest.approx(0.0, abs=1e-15)
-
-    def test_deterministic_detector_leaks_everything(self):
-        assert nonuniform_dark_bound(1.0) == pytest.approx(1.0)
-
-    def test_known_value(self):
-        assert nonuniform_dark_bound(0.25) == pytest.approx(0.1887, abs=1e-4)
-
-
 class TestThresholdBitError:
     def test_zero_intrinsic_error_reaches_half(self):
         for spec in protocol_catalog():
@@ -396,6 +384,3 @@ class TestBreakdownValidation:
                 p_emp=0.0, p_sq=1.0, p_mq=0.0, p_dk=0.0,
                 omega0=0.7, omega1=0.7, e_x=0.0, e_x_sq=0.0,
             )
-
-    def test_dark_error_rate_default(self):
-        assert pure_single_photon().e_x_dk == 0.5

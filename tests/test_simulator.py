@@ -27,7 +27,6 @@ from qkdrates.simulator import (
     EmpiricalStats,
     EveModel,
     compare_to_analytic,
-    empirical_breakdown,
     recover_single_photon_rates,
     run_simulation,
     simulate_decoy_run,
@@ -94,6 +93,11 @@ class TestDeterminism:
         assert last["n_pulses"] == 50_001
         assert all(value >= 0 for value in last.values())
         assert 0 < sum(last[f"cat{i}_count"] for i in range(1, 5)) < 50_001
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_nonpositive_batch_size(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            run_simulation(make_scenario(), EveModel.none(), 1_000, 0, batch_size)
 
     def test_thread_count_capped(self, monkeypatch):
         seen = []
@@ -227,6 +231,12 @@ class TestPulseInvariants:
         stats = run_simulation(scn, EveModel.none(), 200_000, seed=3)
         assert stats.cat3_count == 0
 
+    def test_opaque_channel_not_conclusive(self):
+        # essentially opaque channel with no dark counts
+        scn = make_scenario(length=2000.0, c=0.0)
+        stats = run_simulation(scn, EveModel.none(), 2_000, seed=1)
+        assert stats.conclusive_count == 0
+
     def test_perfect_channel_all_single_qubit(self):
         scn = make_scenario(length=0.0, c=0.0, e_x_sq=0.0)
         stats = run_simulation(scn, EveModel.none(), 100_000, seed=21)
@@ -319,36 +329,6 @@ class TestInterceptResend:
         expected = 0.25 * 0.9 + 0.1 * 0.75
         se = math.sqrt(expected * (1 - expected) / stats.conclusive_count)
         assert abs(stats.e_x_hat - expected) <= 3 * se
-
-
-class TestEmpiricalBreakdown:
-    def test_fields_match_tallies(self):
-        scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
-        stats = run_simulation(scn, EveModel.none(), 500_000, seed=4)
-        result = empirical_breakdown(stats)
-        b = result.breakdown
-        assert b is not None
-        assert b.p_sq == stats.cat1_count / stats.n_pulses
-        assert b.p_mq == stats.cat2_count / stats.n_pulses
-        assert b.p_dk == stats.cat4_count / stats.n_pulses
-        assert b.e_x == pytest.approx(stats.e_x_hat)
-        assert not result.insufficient
-        assert result.stderr["p_sq"] > 0.0
-
-    def test_all_not_conclusive(self):
-        # essentially opaque channel with no dark counts
-        scn = make_scenario(length=2000.0, c=0.0)
-        stats = run_simulation(scn, EveModel.none(), 2_000, seed=1)
-        assert stats.conclusive_count == 0
-        result = empirical_breakdown(stats)
-        assert result.breakdown is None
-        assert result.insufficient
-
-    def test_sparse_category_flagged(self):
-        scn = make_scenario(c=1e-5)
-        stats = run_simulation(scn, EveModel.none(), 200_000, seed=2)
-        assert 0 < stats.cat4_count < 100
-        assert empirical_breakdown(stats).insufficient
 
 
 class TestDecoySimulation:

@@ -34,6 +34,8 @@ from .protocols import (
 from .scenario import (
     DecoyInversionError,
     DetectorModel,
+    EveKind,
+    EveModel,
     LinkModel,
     Scenario,
     SourceKind,
@@ -46,14 +48,21 @@ from .scenario import (
     transmittance,
     worst_case_no_decoy,
 )
-from .simulator import (
-    Category,
-    EmpiricalStats,
-    EveKind,
-    EveModel,
-    run_simulation,
-    simulate_decoy_run,
+
+# The simulator needs numpy, so it is imported on first use of one of these
+# names: the rate commands never load either.
+_SIMULATOR_NAMES = frozenset(
+    ("Category", "EmpiricalStats", "run_simulation", "simulate_decoy_run")
 )
+
+
+def __getattr__(name: str):
+    if name in _SIMULATOR_NAMES:
+        from . import simulator
+
+        return getattr(simulator, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BB84",

@@ -22,8 +22,6 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
 from .keyrate import (
     rate_alice,
     rate_bob,
@@ -36,6 +34,8 @@ from .protocols import get_protocol, protocol_catalog
 from .scenario import (
     DecoyInversionError,
     DetectorModel,
+    EveKind,
+    EveModel,
     LinkModel,
     Scenario,
     SourceKind,
@@ -43,15 +43,6 @@ from .scenario import (
     breakdown,
     distance_sweep,
     transmittance,
-)
-from .simulator import (
-    EveKind,
-    EveModel,
-    compare_to_analytic,
-    recover_single_photon_rates,
-    run_simulation,
-    simulate_decoy_run,
-    tally_csv,
 )
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
@@ -78,7 +69,16 @@ def _parse_mu_values(text: str) -> tuple[float, ...]:
     values = tuple(float(part) for part in text.split(",") if part.strip())
     if not values:
         raise ValueError("empty list")
+    if len(set(values)) < len(values):
+        raise ValueError("repeated value")
     return values
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be >= 1")
+    return value
 
 
 def _option(default, section, key, parse, commands=_SCENARIO, help=None):
@@ -120,6 +120,10 @@ class RunConfig:
     )
     n_pulses: int = _option(
         1_000_000, "simulation", "n_pulses", int, ("simulate", "decoy")
+    )
+    workers: int = _option(
+        1, "simulation", "workers", _positive_int, ("simulate", "decoy"),
+        "threads that run simulation batches; the result does not depend on it",
     )
     seed: int = _option(1, "simulation", "seed", int, _ALL, "simulation seed")
     eve: str = _option("none", "simulation", "eve", str, ("simulate",), "{eves}")
@@ -303,6 +307,8 @@ def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"length range: {exc}") from exc
+    import numpy as np
+
     b = sweep.breakdown
     columns = np.broadcast_arrays(
         sweep.length_km, sweep.eta, b.p_c, b.p_sq, b.p_mq, b.p_dk,
@@ -316,17 +322,14 @@ def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def cmd_simulate(
-    cfg: RunConfig,
-    out_path: str | None,
-    workers: int = 1,
-    tally_out: str | None = None,
-) -> int:
+def cmd_simulate(cfg: RunConfig, out_path: str | None, tally_out: str | None) -> int:
+    from .simulator import compare_to_analytic, run_simulation, tally_csv
+
     scn = config_scenario(cfg)
     analytic_scn = config_scenario(cfg, dark_count_prob=cfg.analytic_dark_count_prob)
     eve = config_eve(cfg)
     stats = run_simulation(
-        scn, eve, n_pulses=cfg.n_pulses, seed=cfg.seed, workers=workers
+        scn, eve, n_pulses=cfg.n_pulses, seed=cfg.seed, workers=cfg.workers
     )
     if tally_out is not None:
         _emit(tally_csv(stats), tally_out)
@@ -346,14 +349,16 @@ def cmd_simulate(
     return 0 if ok else 1
 
 
-def cmd_decoy(cfg: RunConfig, out_path: str | None, workers: int = 1) -> int:
+def cmd_decoy(cfg: RunConfig, out_path: str | None) -> int:
+    from .simulator import recover_single_photon_rates, simulate_decoy_run
+
     cfg = dataclasses.replace(cfg, source_kind=SourceKind.POISSONIAN.value)
     scn = config_scenario(cfg)
     mu_values = list(cfg.mu_values)
     if cfg.mean_photon_number not in mu_values:
         mu_values.append(cfg.mean_photon_number)
     runs = simulate_decoy_run(
-        scn, mu_values, n_pulses=cfg.n_pulses, seed=cfg.seed, workers=workers
+        scn, mu_values, n_pulses=cfg.n_pulses, seed=cfg.seed, workers=cfg.workers
     )
     signal_stats = runs[cfg.mean_photon_number]
     try:
@@ -406,8 +411,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[0.0, 0.01, 0.1],
         help="intrinsic bit error rates (default: 0 0.01 0.1)",
     )
-    for name in ("simulate", "decoy"):
-        commands[name].add_argument("--workers", type=int, default=1)
     commands["simulate"].add_argument(
         "--tally-out", help="also write raw per-category tallies as CSV"
     )
@@ -435,11 +438,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "sweep":
             return cmd_sweep(cfg, args.out)
         if args.command == "simulate":
-            return cmd_simulate(
-                cfg, args.out, workers=args.workers, tally_out=args.tally_out
-            )
+            return cmd_simulate(cfg, args.out, args.tally_out)
         if args.command == "decoy":
-            return cmd_decoy(cfg, args.out, workers=args.workers)
+            return cmd_decoy(cfg, args.out)
         raise AssertionError(f"unhandled command {args.command}")
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

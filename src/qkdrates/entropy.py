@@ -16,7 +16,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ._elementwise import any_, entropy_term, first_failing, maximum, minimum, ndarray
+from ._elementwise import (
+    any_,
+    entropy_term,
+    first_failing,
+    is_array,
+    maximum,
+    minimum,
+)
 from .protocols import ProtocolSpec
 
 __all__ = [
@@ -66,7 +73,7 @@ def binary_entropy(p):
     >>> binary_entropy(0.0)
     0.0
     """
-    if p.__class__ is ndarray:
+    if p.__class__ is not float and is_array(p):
         bad = (p < -NEG_TOL) | (p > 1.0 + NEG_TOL)
         if bad.any():
             raise ValueError(f"probability {first_failing(p, bad)} outside [0, 1]")

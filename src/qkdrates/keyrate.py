@@ -24,8 +24,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from ._elementwise import all_, any_, first_failing, maximum
 from .entropy import (
     InfeasibleRatesError,
@@ -86,7 +84,7 @@ class RateBreakdown:
             value = getattr(self, field)
             ok = (-_TOL <= value) & (value <= 1.0 + _TOL)
             if not all_(ok):
-                value = first_failing(value, np.logical_not(ok))
+                value = first_failing(value, ~ok)
                 raise ValueError(f"{field}={value} outside [0, 1]")
 
     @property

@@ -5,7 +5,8 @@ parameters and fully determines a :class:`~qkdrates.keyrate.RateBreakdown`
 for an honest (eavesdropper-free) channel.  Dark counts use the linearized
 conclusive rate ``m*C`` per pulse with no arriving photon, ``m`` the
 protocol's dark conclusive multiplier; simultaneous fires of two detectors
-are discarded.
+are discarded.  :class:`EveModel` is the eavesdropper the simulator can
+put on the channel.
 
 A scenario's channel length may be a numpy array: ``transmittance`` and the
 breakdowns then evaluate every length at once, through the same formulas
@@ -18,13 +19,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import keyrate
 from ._elementwise import all_, any_, exp, first_failing, maximum
 from .keyrate import RateBreakdown
 from .protocols import ProtocolSpec
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LinkModel",
@@ -32,6 +35,8 @@ __all__ = [
     "SourceKind",
     "SourceModel",
     "Scenario",
+    "EveKind",
+    "EveModel",
     "DecoyInversionError",
     "NoConclusiveResultsError",
     "NoDecoyEstimate",
@@ -156,6 +161,37 @@ class Scenario:
         array of lengths."""
         link = LinkModel(self.link.attenuation_db_per_km, length_km)
         return Scenario(self.protocol, self.source, link, self.detector, self.e_x_sq)
+
+
+class EveKind(Enum):
+    NONE = "none"
+    INTERCEPT_RESEND = "intercept-resend"
+
+
+@dataclass(frozen=True)
+class EveModel:
+    """Eavesdropping strategy applied to arriving qubits.
+
+    Intercept-resend measures each qubit in a uniformly random protocol
+    basis and forwards the outcome: a mismatched basis (probability
+    ``1 - 1/basis_count``) randomizes the receiver's bit, flipping it with
+    probability 1/2.
+    """
+
+    kind: EveKind = EveKind.NONE
+
+    @classmethod
+    def none(cls) -> "EveModel":
+        return cls(kind=EveKind.NONE)
+
+    @classmethod
+    def intercept_resend(cls) -> "EveModel":
+        return cls(kind=EveKind.INTERCEPT_RESEND)
+
+    def flip_probability(self, basis_count: int) -> float:
+        if self.kind is EveKind.NONE:
+            return 0.0
+        return (1.0 - 1.0 / basis_count) / 2.0
 
 
 def transmittance(link: LinkModel):
@@ -367,6 +403,8 @@ def distance_sweep(scn: Scenario, l_min: float, l_max: float, step: float) -> Sw
     over the array of lengths.  A grid of more than ``MAX_SWEEP_ROWS`` rows
     is refused before any is evaluated.
     """
+    import numpy as np
+
     if not all(math.isfinite(v) for v in (l_min, l_max, step)):
         raise ValueError("l_min, l_max and step must be finite")
     if not 0.0 <= l_min <= l_max:

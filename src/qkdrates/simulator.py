@@ -37,11 +37,14 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, fields, replace
-from enum import Enum, IntEnum
+from enum import IntEnum
+from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import (
+from .scenario import (  # EveKind and EveModel re-exported
+    EveKind,
+    EveModel,
     Scenario,
     SourceKind,
     SourceModel,
@@ -83,37 +86,6 @@ class Category(IntEnum):
     MULTI_QUBIT = 2
     EMPTY_QUBIT = 3
     DARK_COUNT = 4
-
-
-class EveKind(Enum):
-    NONE = "none"
-    INTERCEPT_RESEND = "intercept-resend"
-
-
-@dataclass(frozen=True)
-class EveModel:
-    """Eavesdropping strategy applied to arriving qubits.
-
-    Intercept-resend measures each qubit in a uniformly random protocol
-    basis and forwards the outcome: a mismatched basis (probability
-    ``1 - 1/basis_count``) randomizes the receiver's bit, flipping it with
-    probability 1/2.
-    """
-
-    kind: EveKind = EveKind.NONE
-
-    @classmethod
-    def none(cls) -> "EveModel":
-        return cls(kind=EveKind.NONE)
-
-    @classmethod
-    def intercept_resend(cls) -> "EveModel":
-        return cls(kind=EveKind.INTERCEPT_RESEND)
-
-    def flip_probability(self, basis_count: int) -> float:
-        if self.kind is EveKind.NONE:
-            return 0.0
-        return (1.0 - 1.0 / basis_count) / 2.0
 
 
 @dataclass(frozen=True)
@@ -563,8 +535,10 @@ def run_simulation(
     return sum(parts[1:], parts[0])
 
 
-@dataclass(frozen=True)
-class FieldComparison:
+# FieldComparison and DecoyRecovery are named tuples, not frozen dataclasses:
+# the CLI imports this module inside the command, and a frozen dataclass
+# costs about 1 ms there to generate and compile its methods.
+class FieldComparison(NamedTuple):
     """Empirical vs analytic value of one breakdown field."""
 
     name: str
@@ -640,8 +614,7 @@ def simulate_decoy_run(
     return results
 
 
-@dataclass(frozen=True)
-class DecoyRecovery:
+class DecoyRecovery(NamedTuple):
     """Single-photon qubit rate and intrinsic error rate recovered from a
     simulated run, with propagated binomial standard errors."""
 

@@ -6,12 +6,14 @@ path.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkdrates import _elementwise as ew
 from qkdrates.entropy import (
     binary_entropy,
     distribution_from_rates,
@@ -151,3 +153,78 @@ def test_infeasible_element_raises_like_scalar(case):
     assert type(array.value) is type(scalar.value)
     assert str(array.value) == str(scalar.value)
 
+
+# The math formula each helper must follow on a scalar, whatever its class.
+SCALAR_FORMULAS = {
+    ew.exp: math.exp,
+    ew.entropy_term: lambda p: -p * math.log2(p) if p > 0.0 else 0.0,
+    ew.maximum: lambda a, b: b if b > a else a,
+    ew.minimum: lambda a, b: b if b < a else a,
+    ew.any_: lambda mask: mask,
+    ew.all_: lambda mask: mask,
+    ew.first_failing: lambda value, bad: value,
+}
+ARITY = {ew.maximum: 2, ew.minimum: 2, ew.first_failing: 2}
+
+
+def reference_binary_entropy(p):
+    if p == 0.0 or p == 1.0:
+        return 0.0
+    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def outcome(fn, *args):
+    """Class and repr of the result (which tells -0.0 and NaN apart), or the
+    class of the exception raised."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # noqa: BLE001 - compared, not swallowed
+        return "raises", type(exc)
+    return type(value), repr(value)
+
+
+python_scalars = st.floats() | st.integers(-2000, 2000) | st.booleans()
+unit_scalars = st.floats(0.0, 1.0) | st.integers(0, 1) | st.booleans()
+
+
+# numpy warns where float arithmetic on a numpy scalar overflows; the
+# helper and the formula do the same arithmetic, so both warn alike
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=300, deadline=None)
+@given(fn=st.sampled_from(list(SCALAR_FORMULAS)), data=st.data())
+def test_scalars_take_the_math_route(fn, data):
+    args = [data.draw(python_scalars) for _ in range(ARITY.get(fn, 1))]
+    assert outcome(fn, *args) == outcome(SCALAR_FORMULAS[fn], *args)
+    # a numpy scalar is not an array and keeps the same route
+    args = [np.float64(a) for a in args]
+    assert outcome(fn, *args) == outcome(SCALAR_FORMULAS[fn], *args)
+
+
+@given(p=unit_scalars)
+def test_binary_entropy_takes_the_math_route(p):
+    assert outcome(binary_entropy, p) == outcome(reference_binary_entropy, p)
+    p = np.float64(p)
+    assert outcome(binary_entropy, p) == outcome(reference_binary_entropy, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    a=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8),
+    b=st.floats(-50.0, 50.0),
+)
+def test_arrays_match_the_scalar_route_elementwise(a, b):
+    x = np.array(a)
+    assert ew.exp(x).tolist() == [math.exp(v) for v in a]
+    assert ew.maximum(x, b).tolist() == [ew.maximum(v, b) for v in a]
+    assert ew.minimum(b, x).tolist() == [ew.minimum(b, v) for v in a]
+    assert ew.any_(x > b) == any(v > b for v in a)
+    assert ew.all_(x > b) == all(v > b for v in a)
+    if any(v > b for v in a):
+        assert ew.first_failing(x, x > b) == next(v for v in a if v > b)
+    np.testing.assert_allclose(
+        ew.entropy_term(x), [ew.entropy_term(v) for v in a], rtol=1e-15
+    )
+    p = np.clip(x / 100.0 + 0.5, 0.0, 1.0)
+    np.testing.assert_allclose(
+        binary_entropy(p), [binary_entropy(v) for v in p.tolist()], rtol=1e-15
+    )

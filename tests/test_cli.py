@@ -429,6 +429,27 @@ class TestDecoyCommand:
         assert code == 1
         assert "decoy inversion failed" in out
 
+    @pytest.mark.parametrize("mu_values", ["0.5,0.5", "0.1,0.5,0.10"])
+    def test_repeated_mu_exits_2(self, capsys, mu_values):
+        code, out, err = run_cli(capsys, "decoy", "--mu-values", mu_values)
+        assert code == 2
+        assert out == ""
+        assert "--mu-values" in err
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command", ["simulate", "decoy"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_below_one_exits_2(self, capsys, tmp_path, command, value):
+        code, out, err = run_cli(capsys, command, "--workers", value)
+        assert (code, out) == (2, "")
+        assert "--workers" in err
+        path = tmp_path / "workers.ini"
+        path.write_text(f"[simulation]\nworkers = {value}\n")
+        code, out, err = run_cli(capsys, command, "--config", str(path))
+        assert (code, out) == (2, "")
+        assert "[simulation] workers" in err
+
 
 class TestFlagPrecedence:
     def test_flags_override_config(self, capsys, tmp_path):
@@ -464,6 +485,7 @@ SAMPLES = {
     "dark_count_prob": 2e-7,
     "analytic_dark_count_prob": 3e-5,
     "n_pulses": 12345,
+    "workers": 2,
     "seed": 99,
     "eve": "intercept-resend",
 }

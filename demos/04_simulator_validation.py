@@ -8,7 +8,7 @@ independent sanity check with a known error rate.
 
 from qkdrates import (
     DetectorModel,
-    EveModel,
+    EveKind,
     LinkModel,
     Scenario,
     SourceModel,
@@ -37,7 +37,7 @@ for name in ("bb84", "six-state", "pbc00"):
         (SourceModel.poissonian(0.5), "poissonian 0.5"),
     ):
         scn = scenario(name, source)
-        stats = run_simulation(scn, EveModel.none(), N_PULSES, seed=7)
+        stats = run_simulation(scn, EveKind.NONE, N_PULSES, seed=7)
         print(f"{name} / {label}:")
         for row in compare_to_analytic(stats, scn):
             print(
@@ -56,5 +56,5 @@ for name, expected in (("bb84", 0.25), ("six-state", 1 / 3)):
         detector=DetectorModel(0.0, spec.detector_count),
         e_x_sq=0.0,
     )
-    stats = run_simulation(scn, EveModel.intercept_resend(), N_PULSES, seed=7)
+    stats = run_simulation(scn, EveKind.INTERCEPT_RESEND, N_PULSES, seed=7)
     print(f"  {name:10} observed error rate {stats.e_x_hat:.4f} (expected {expected:.4f})")

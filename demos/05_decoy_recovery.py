@@ -12,6 +12,7 @@ multi-photon fraction rather than dark counts dominates the loss.
 
 from qkdrates import (
     DetectorModel,
+    EveKind,
     LinkModel,
     Scenario,
     SourceModel,
@@ -21,7 +22,6 @@ from qkdrates import (
     worst_case_no_decoy,
 )
 from qkdrates.simulator import (
-    EveModel,
     recover_single_photon_rates,
     run_simulation,
 )
@@ -35,7 +35,7 @@ scn = Scenario(
 )
 
 truth = breakdown(scn)
-stats = run_simulation(scn, EveModel.none(), 5_000_000, seed=41)
+stats = run_simulation(scn, EveKind.NONE, 5_000_000, seed=41)
 recovery = recover_single_photon_rates(stats, scn)
 
 print(f"channel: eta = {transmittance(scn.link):.4f}, true e_x_sq = {scn.e_x_sq}")

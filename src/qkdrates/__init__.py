@@ -35,7 +35,6 @@ from .scenario import (
     DecoyInversionError,
     DetectorModel,
     EveKind,
-    EveModel,
     LinkModel,
     Scenario,
     SourceKind,
@@ -71,7 +70,6 @@ __all__ = [
     "DetectorModel",
     "EmpiricalStats",
     "EveKind",
-    "EveModel",
     "InfeasibleRatesError",
     "LinkModel",
     "PBC00",

@@ -7,9 +7,12 @@ vs analytic comparison), ``decoy`` (decoy-state recovery check).
 Configuration is an INI file with sections ``[protocol]``, ``[source]``,
 ``[link]``, ``[detector]``, ``[simulation]``; every key is optional and CLI
 flags override file values.  Each :class:`RunConfig` field declares its INI
-key, parser and flag once; the file reader, the writer and the flags all
-follow from that table.  Exit codes: 0 success, 1 check or inversion
-failure, 2 invalid input.
+key, parser and flag once; the file reader and the flags follow from that
+table.  The parser turns the text into the value the library uses (a
+protocol name into its :class:`~qkdrates.protocols.ProtocolSpec`, a choice
+into its enum member) and rejects anything else, naming the field and the
+reason.  Exit codes: 0 success, 1 check or inversion failure, 2 invalid
+input.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import dataclasses
-import io
 import math
 import sys
 from dataclasses import dataclass
@@ -30,12 +32,11 @@ from .keyrate import (
     rate_shor_preskill,
     threshold_bit_error,
 )
-from .protocols import get_protocol, protocol_catalog
+from .protocols import BB84, ProtocolSpec, get_protocol, protocol_catalog
 from .scenario import (
     DecoyInversionError,
     DetectorModel,
     EveKind,
-    EveModel,
     LinkModel,
     Scenario,
     SourceKind,
@@ -81,6 +82,19 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _choice(enum):
+    """Parser for a field that holds one member of ``enum``, named by value."""
+
+    def parse(text: str):
+        try:
+            return enum(text)
+        except ValueError:
+            values = " or ".join(repr(member.value) for member in enum)
+            raise ValueError(f"must be {values}") from None
+
+    return parse
+
+
 def _option(default, section, key, parse, commands=_SCENARIO, help=None):
     """A RunConfig field with its INI ``[section] key``, the parser for its
     INI and ``--flag`` text, and the subcommands that take the flag.  The
@@ -96,11 +110,16 @@ class RunConfig:
     """Validated run parameters with figure-reproducing defaults.
 
     Each field declares its INI location, parser and ``--flag``; the config
-    file reader and writer and the command-line flags all come from here.
+    file reader and the command-line flags both come from here.
     """
 
-    protocol: str = _option("bb84", "protocol", "name", str, _ALL, "{protocols}")
-    source_kind: str = _option("single-photon", "source", "kind", str, help="{sources}")
+    protocol: ProtocolSpec = _option(
+        BB84, "protocol", "name", get_protocol, _ALL, "{protocols}"
+    )
+    source_kind: SourceKind = _option(
+        SourceKind.SINGLE_PHOTON, "source", "kind", _choice(SourceKind),
+        help="{sources}",
+    )
     mean_photon_number: float = _option(0.5, "source", "mean_photon_number", float)
     mu_values: tuple[float, ...] = _option(
         (0.1, 0.5), "source", "mu_values", _parse_mu_values, ("decoy",),
@@ -126,49 +145,28 @@ class RunConfig:
         "threads that run simulation batches; the result does not depend on it",
     )
     seed: int = _option(1, "simulation", "seed", int, _ALL, "simulation seed")
-    eve: str = _option("none", "simulation", "eve", str, ("simulate",), "{eves}")
-
-    def to_ini(self) -> str:
-        sections: dict[str, dict[str, str]] = {}
-        for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            if value is not None:
-                section = sections.setdefault(f.metadata["section"], {})
-                section[f.metadata["key"]] = _format(value)
-        parser = configparser.ConfigParser()
-        parser.read_dict(sections)
-        buffer = io.StringIO()
-        parser.write(buffer)
-        return buffer.getvalue()
-
-
-def _format(value) -> str:
-    """Config text that a field's parser reads back as ``value``."""
-    if isinstance(value, tuple):
-        return ", ".join(repr(v) for v in value)
-    return value if isinstance(value, str) else repr(value)
+    eve: EveKind = _option(
+        EveKind.NONE, "simulation", "eve", _choice(EveKind), ("simulate",), "{eves}"
+    )
 
 
 def _parse(f: dataclasses.Field, raw: str, where: str):
     try:
         return f.metadata["parse"](raw)
     except ValueError as exc:
-        raise ConfigError(f"{f.name}: bad value for {where}: {raw!r}") from exc
+        raise ConfigError(f"{f.name}: bad value for {where}: {raw!r} ({exc})") from exc
 
 
 def _flag(f: dataclasses.Field) -> str:
     return "--" + f.name.replace("_", "-")
 
 
-def load_config(source: str, from_path: bool = True) -> RunConfig:
-    """Parse an INI config file (or literal text) into a RunConfig."""
+def load_config(path: str) -> RunConfig:
+    """Parse an INI config file into a RunConfig."""
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
-        if from_path:
-            with open(source, encoding="utf-8") as handle:
-                parser.read_file(handle)
-        else:
-            parser.read_string(source)
+        with open(path, encoding="utf-8") as handle:
+            parser.read_file(handle)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
     except configparser.Error as exc:
@@ -188,58 +186,18 @@ def load_config(source: str, from_path: bool = True) -> RunConfig:
     return dataclasses.replace(RunConfig(), **overrides)
 
 
-def config_scenario(cfg: RunConfig, dark_count_prob: float | None = None) -> Scenario:
-    """Build and validate the Scenario described by a config."""
-    try:
-        protocol = get_protocol(cfg.protocol)
-    except ValueError as exc:
-        raise ConfigError(f"protocol: {exc}") from exc
-    try:
-        kind = SourceKind(cfg.source_kind)
-    except ValueError:
-        raise ConfigError(
-            "source_kind must be "
-            + " or ".join(repr(kind.value) for kind in SourceKind)
-            + f", got {cfg.source_kind!r}"
-        ) from None
-    if kind is SourceKind.SINGLE_PHOTON:
-        source = SourceModel.single_photon()
-    else:
-        try:
-            source = SourceModel.poissonian(cfg.mean_photon_number)
-        except ValueError as exc:
-            raise ConfigError(f"mean_photon_number: {exc}") from exc
-    try:
-        link = LinkModel(
-            attenuation_db_per_km=cfg.attenuation_db_per_km,
-            length_km=cfg.length_km,
-        )
-        detector = DetectorModel(
-            dark_count_prob=cfg.dark_count_prob
-            if dark_count_prob is None
-            else dark_count_prob,
-            detector_count=protocol.detector_count,
-        )
-        return Scenario(
-            protocol=protocol,
-            source=source,
-            link=link,
-            detector=detector,
-            e_x_sq=cfg.e_x_sq,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def config_eve(cfg: RunConfig) -> EveModel:
-    try:
-        return EveModel(kind=EveKind(cfg.eve))
-    except ValueError:
-        raise ConfigError(
-            "eve must be "
-            + " or ".join(repr(kind.value) for kind in EveKind)
-            + f", got {cfg.eve!r}"
-        ) from None
+def config_scenario(cfg: RunConfig) -> Scenario:
+    """The Scenario a config describes; the models check the values."""
+    poissonian = cfg.source_kind is SourceKind.POISSONIAN
+    return Scenario(
+        protocol=cfg.protocol,
+        source=SourceModel(
+            cfg.source_kind, cfg.mean_photon_number if poissonian else None
+        ),
+        link=LinkModel(cfg.attenuation_db_per_km, cfg.length_km),
+        detector=DetectorModel(cfg.dark_count_prob, cfg.protocol.detector_count),
+        e_x_sq=cfg.e_x_sq,
+    )
 
 
 def _fmt(value: float) -> str:
@@ -261,7 +219,7 @@ def cmd_rate(cfg: RunConfig, out_path: str | None) -> int:
     spec = scn.protocol
     lines = [
         f"protocol        {spec.name}",
-        f"source          {cfg.source_kind}",
+        f"source          {cfg.source_kind.value}",
         f"length_km       {cfg.length_km:.4g}",
         f"eta             {transmittance(scn.link):.4g}",
         f"p_c             {b.p_c:.4g}",
@@ -283,18 +241,11 @@ def cmd_rate(cfg: RunConfig, out_path: str | None) -> int:
 
 
 def cmd_threshold(cfg: RunConfig, values: list[float], out_path: str | None) -> int:
-    try:
-        spec = get_protocol(cfg.protocol)
-    except ValueError as exc:
-        raise ConfigError(f"protocol: {exc}") from exc
     lines = ["protocol,e_x_sq,threshold"]
     for e_x_sq in values:
-        try:
-            threshold = threshold_bit_error(spec, e_x_sq)
-        except ValueError as exc:
-            raise ConfigError(f"e_x_sq: {exc}") from exc
+        threshold = threshold_bit_error(cfg.protocol, e_x_sq)
         rendered = "none" if threshold is None else _fmt(threshold)
-        lines.append(f"{spec.name},{_fmt(e_x_sq)},{rendered}")
+        lines.append(f"{cfg.protocol.name},{_fmt(e_x_sq)},{rendered}")
     _emit("\n".join(lines) + "\n", out_path)
     return 0
 
@@ -325,11 +276,13 @@ def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
 def cmd_simulate(cfg: RunConfig, out_path: str | None, tally_out: str | None) -> int:
     from .simulator import compare_to_analytic, run_simulation, tally_csv
 
-    scn = config_scenario(cfg)
-    analytic_scn = config_scenario(cfg, dark_count_prob=cfg.analytic_dark_count_prob)
-    eve = config_eve(cfg)
+    scn = analytic_scn = config_scenario(cfg)
+    if cfg.analytic_dark_count_prob is not None:
+        analytic_scn = config_scenario(
+            dataclasses.replace(cfg, dark_count_prob=cfg.analytic_dark_count_prob)
+        )
     stats = run_simulation(
-        scn, eve, n_pulses=cfg.n_pulses, seed=cfg.seed, workers=cfg.workers
+        scn, cfg.eve, n_pulses=cfg.n_pulses, seed=cfg.seed, workers=cfg.workers
     )
     if tally_out is not None:
         _emit(tally_csv(stats), tally_out)
@@ -352,7 +305,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, tally_out: str | None) ->
 def cmd_decoy(cfg: RunConfig, out_path: str | None) -> int:
     from .simulator import recover_single_photon_rates, simulate_decoy_run
 
-    cfg = dataclasses.replace(cfg, source_kind=SourceKind.POISSONIAN.value)
+    cfg = dataclasses.replace(cfg, source_kind=SourceKind.POISSONIAN)
     scn = config_scenario(cfg)
     mu_values = list(cfg.mu_values)
     if cfg.mean_photon_number not in mu_values:
@@ -442,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "decoy":
             return cmd_decoy(cfg, args.out)
         raise AssertionError(f"unhandled command {args.command}")
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -13,14 +13,12 @@ Every function here takes Python floats or, elementwise, numpy arrays.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from ._elementwise import (
     any_,
     entropy_term,
     first_failing,
-    is_array,
     maximum,
     minimum,
 )
@@ -59,7 +57,7 @@ def binary_entropy(p):
     ----------
     p : float or ndarray
         Probability in [0, 1].  Values within 1e-12 outside the interval
-        are clamped; anything further raises ``ValueError``.
+        are clamped; anything further, and NaN, raises ``ValueError``.
 
     Returns
     -------
@@ -73,21 +71,14 @@ def binary_entropy(p):
     >>> binary_entropy(0.0)
     0.0
     """
-    if p.__class__ is not float and is_array(p):
-        bad = (p < -NEG_TOL) | (p > 1.0 + NEG_TOL)
-        if bad.any():
-            raise ValueError(f"probability {first_failing(p, bad)} outside [0, 1]")
-        p = minimum(maximum(p, 0.0), 1.0)
-        return entropy_term(p) + entropy_term(1.0 - p)
-    # The threshold solver makes tens of thousands of scalar calls, so the
-    # float route is spelled out instead of going through the helpers.
-    if p < 0.0 or p > 1.0:
-        if p < -NEG_TOL or p > 1.0 + NEG_TOL:
-            raise ValueError(f"probability {p} outside [0, 1]")
-        p = min(max(p, 0.0), 1.0)
-    if p == 0.0 or p == 1.0:
-        return 0.0
-    return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+    # p != p flags NaN, which the clamps below would turn into 0
+    bad = (p < -NEG_TOL) | (p > 1.0 + NEG_TOL) | (p != p)
+    if any_(bad):
+        raise ValueError(f"probability {first_failing(p, bad)} outside [0, 1]")
+    # a bound goes first: on a tie the helpers return their first argument,
+    # so a numpy scalar at 0 or 1 becomes the float bound, as max and min do
+    p = minimum(1.0, maximum(0.0, p))
+    return entropy_term(p) + entropy_term(1.0 - p)
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,6 @@ class ProtocolSpec:
     max_bit_error: float
     k: float
 
-    @property
-    def y_pinned(self) -> bool:
-        return self.y_lo_ratio == self.y_hi_ratio
-
     def y_interval(self, e_x: float) -> tuple[float, float]:
         """Admissible Y error rate interval for bit error rate ``e_x``."""
         return (self.y_lo_ratio * e_x, self.y_hi_ratio * e_x)

@@ -5,7 +5,7 @@ parameters and fully determines a :class:`~qkdrates.keyrate.RateBreakdown`
 for an honest (eavesdropper-free) channel.  Dark counts use the linearized
 conclusive rate ``m*C`` per pulse with no arriving photon, ``m`` the
 protocol's dark conclusive multiplier; simultaneous fires of two detectors
-are discarded.  :class:`EveModel` is the eavesdropper the simulator can
+are discarded.  :class:`EveKind` is the eavesdropper the simulator can
 put on the channel.
 
 A scenario's channel length may be a numpy array: ``transmittance`` and the
@@ -36,7 +36,6 @@ __all__ = [
     "SourceModel",
     "Scenario",
     "EveKind",
-    "EveModel",
     "DecoyInversionError",
     "NoConclusiveResultsError",
     "NoDecoyEstimate",
@@ -164,12 +163,6 @@ class Scenario:
 
 
 class EveKind(Enum):
-    NONE = "none"
-    INTERCEPT_RESEND = "intercept-resend"
-
-
-@dataclass(frozen=True)
-class EveModel:
     """Eavesdropping strategy applied to arriving qubits.
 
     Intercept-resend measures each qubit in a uniformly random protocol
@@ -178,18 +171,11 @@ class EveModel:
     probability 1/2.
     """
 
-    kind: EveKind = EveKind.NONE
-
-    @classmethod
-    def none(cls) -> "EveModel":
-        return cls(kind=EveKind.NONE)
-
-    @classmethod
-    def intercept_resend(cls) -> "EveModel":
-        return cls(kind=EveKind.INTERCEPT_RESEND)
+    NONE = "none"
+    INTERCEPT_RESEND = "intercept-resend"
 
     def flip_probability(self, basis_count: int) -> float:
-        if self.kind is EveKind.NONE:
+        if self is EveKind.NONE:
             return 0.0
         return (1.0 - 1.0 / basis_count) / 2.0
 

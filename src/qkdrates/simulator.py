@@ -42,9 +42,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .scenario import (  # EveKind and EveModel re-exported
+from .scenario import (
     EveKind,
-    EveModel,
     Scenario,
     SourceKind,
     SourceModel,
@@ -56,8 +55,6 @@ from .scenario import (  # EveKind and EveModel re-exported
 
 __all__ = [
     "Category",
-    "EveKind",
-    "EveModel",
     "EmpiricalStats",
     "FieldComparison",
     "DecoyRecovery",
@@ -353,7 +350,7 @@ def _zero_truncated_binomial(
 
 def _sample_events(
     scn: Scenario,
-    eve: EveModel,
+    eve: EveKind,
     size: int,
     rng: np.random.Generator,
     events: _Events | None = None,
@@ -486,7 +483,7 @@ def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
 
 def run_simulation(
     scn: Scenario,
-    eve: EveModel = EveModel.none(),
+    eve: EveKind = EveKind.NONE,
     n_pulses: int = 1_000_000,
     seed: int = 0,
     batch_size: int = DEFAULT_BATCH_SIZE,
@@ -605,7 +602,7 @@ def simulate_decoy_run(
         varied = replace(scn, source=SourceModel.poissonian(mu))
         results[mu] = run_simulation(
             varied,
-            EveModel.none(),
+            EveKind.NONE,
             n_pulses,
             seed,
             batch_size=batch_size,

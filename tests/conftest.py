@@ -29,7 +29,7 @@ def brute_force_worst_case(spec, e_x, n_grid=10_000):
     the package's closed form.
     """
     e_z = spec.phase_ratio * e_x
-    if spec.y_pinned:
+    if spec.y_lo_ratio == spec.y_hi_ratio:
         ys = [spec.y_lo_ratio * e_x]
     else:
         lo, hi = spec.y_interval(e_x)

@@ -20,6 +20,7 @@ from qkdrates.keyrate import (
 from qkdrates.protocols import BB84, SIX_STATE, protocol_catalog
 from qkdrates.scenario import (
     DetectorModel,
+    EveKind,
     LinkModel,
     Scenario,
     SourceModel,
@@ -29,7 +30,6 @@ from qkdrates.scenario import (
     transmittance,
 )
 from qkdrates.simulator import (
-    EveModel,
     compare_to_analytic,
     recover_single_photon_rates,
     run_simulation,
@@ -200,7 +200,7 @@ def test_criterion_6_simulator_analytics_agreement():
             passes = {name: 0 for name in fields}
             for seed in seeds:
                 stats = run_simulation(
-                    scn, EveModel.none(), n_pulses, seed=seed, workers=SIM_WORKERS
+                    scn, EveKind.NONE, n_pulses, seed=seed, workers=SIM_WORKERS
                 )
                 zs = {row.name: row.z for row in compare_to_analytic(stats, scn)}
                 for name in fields:
@@ -222,7 +222,7 @@ def test_criterion_7_intercept_resend_oracle():
     for spec, attack_rate in ((BB84, 0.25), (SIX_STATE, 1.0 / 3.0)):
         scn = scenario(spec, SourceModel.single_photon(), 0.0, 0.0, 0.0)
         stats = run_simulation(
-            scn, EveModel.intercept_resend(), 1_200_000, seed=77, workers=SIM_WORKERS
+            scn, EveKind.INTERCEPT_RESEND, 1_200_000, seed=77, workers=SIM_WORKERS
         )
         se = math.sqrt(attack_rate * (1 - attack_rate) / stats.conclusive_count)
         results.append(
@@ -267,7 +267,7 @@ def test_criterion_8_decoy_round_trip():
     # statistical recovery at 1e7 pulses
     scn = scenario(BB84, SourceModel.poissonian(0.5), 50.0, 1e-6, 0.01)
     stats = run_simulation(
-        scn, EveModel.none(), 10_000_000, seed=88, workers=SIM_WORKERS
+        scn, EveKind.NONE, 10_000_000, seed=88, workers=SIM_WORKERS
     )
     recovery = recover_single_photon_rates(stats, scn)
     truth = poisson_breakdown(scn)

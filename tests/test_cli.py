@@ -19,14 +19,14 @@ from qkdrates.cli import (
     RunConfig,
     _build_parser,
     _flag,
-    _format,
     _resolve_config,
     config_scenario,
     load_config,
     main,
 )
 from qkdrates.keyrate import rate_gllp, rate_improved
-from qkdrates.scenario import breakdown, transmittance
+from qkdrates.protocols import BB84, PBC00
+from qkdrates.scenario import EveKind, SourceKind, breakdown, transmittance
 
 FIELDS = dataclasses.fields(RunConfig)
 
@@ -47,6 +47,12 @@ dark_count_prob = 1e-6
 """
 
 
+def write_config(tmp_path, text):
+    path = tmp_path / "run.ini"
+    path.write_text(text)
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -56,60 +62,50 @@ def run_cli(capsys, *argv):
 class TestConfig:
     def test_defaults(self):
         cfg = RunConfig()
-        assert cfg.protocol == "bb84"
+        assert cfg.protocol == BB84
         assert cfg.attenuation_db_per_km == 0.2
         assert cfg.dark_count_prob == 1e-6
         assert cfg.e_x_sq == 0.01
         assert cfg.mean_photon_number == 0.5
 
-    def test_round_trip(self):
-        cfg = RunConfig(
-            protocol="pbc00",
-            source_kind="poissonian",
-            mean_photon_number=0.7,
-            mu_values=(0.05, 0.2, 0.7),
-            length_km=123.5,
-            e_x_sq=0.02,
-            dark_count_prob=2e-7,
-            n_pulses=12345,
-            seed=99,
-            eve="intercept-resend",
-        )
-        assert load_config(cfg.to_ini(), from_path=False) == cfg
-
-    def test_round_trip_with_analytic_override(self):
-        cfg = RunConfig(analytic_dark_count_prob=3e-5)
-        assert load_config(cfg.to_ini(), from_path=False) == cfg
+    def test_round_trip(self, tmp_path):
+        # every field in one file
+        lines = []
+        for section in dict.fromkeys(f.metadata["section"] for f in FIELDS):
+            lines.append(f"[{section}]")
+            for f in FIELDS:
+                if f.metadata["section"] == section:
+                    lines.append(f"{f.metadata['key']} = {SAMPLES[f.name][0]}")
+        cfg = load_config(write_config(tmp_path, "\n".join(lines) + "\n"))
+        assert cfg == RunConfig(**{name: value for name, (_, value) in SAMPLES.items()})
 
     def test_file_parsing(self, tmp_path):
-        path = tmp_path / "run.ini"
-        path.write_text(FIG1_CONFIG)
-        cfg = load_config(str(path))
-        assert cfg.protocol == "bb84"
+        cfg = load_config(write_config(tmp_path, FIG1_CONFIG))
+        assert cfg.protocol == BB84
         assert cfg.length_km == 100.0
 
-    def test_unknown_key_rejected(self):
+    def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown config key"):
-            load_config("[link]\nwavelength_nm = 1550\n", from_path=False)
+            load_config(write_config(tmp_path, "[link]\nwavelength_nm = 1550\n"))
 
-    def test_bad_value_rejected(self):
+    def test_bad_value_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="bad value"):
-            load_config("[detector]\ndark_count_prob = tiny\n", from_path=False)
+            load_config(write_config(tmp_path, "[detector]\ndark_count_prob = tiny\n"))
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="cannot read"):
             load_config("/nonexistent/run.ini")
 
-    def test_readme_example_loads(self):
+    def test_readme_example_loads(self, tmp_path):
         readme = (Path(__file__).parents[1] / "README.md").read_text()
         block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
         assert ";" in block
-        assert load_config(block, from_path=False) == RunConfig()
+        assert load_config(write_config(tmp_path, block)) == RunConfig()
 
-    def test_scenario_validation(self):
-        cfg = RunConfig(protocol="b92")
-        with pytest.raises(ConfigError, match="protocol"):
-            config_scenario(cfg)
+    def test_scenario_validation(self, tmp_path):
+        # a protocol name is checked once, when the config is read
+        with pytest.raises(ConfigError, match="protocol: .*unknown protocol 'b92'"):
+            load_config(write_config(tmp_path, "[protocol]\nname = b92\n"))
 
 
 class TestRateCommand:
@@ -465,29 +461,45 @@ class TestFlagPrecedence:
         }
         assert float(values["eta"]) == 1.0
 
-    def test_config_replaces_defaults(self):
-        cfg = load_config("[link]\nlength_km = 7\n", from_path=False)
+    def test_config_replaces_defaults(self, tmp_path):
+        cfg = load_config(write_config(tmp_path, "[link]\nlength_km = 7\n"))
         assert cfg == dataclasses.replace(RunConfig(), length_km=7.0)
 
 
-# A value for every RunConfig field, each different from its default.
+# Config text for every RunConfig field and the value it parses to, each
+# different from the field's default.
 SAMPLES = {
-    "protocol": "pbc00",
-    "source_kind": "poissonian",
-    "mean_photon_number": 0.7,
-    "mu_values": (0.05, 0.2),
-    "attenuation_db_per_km": 0.25,
-    "length_km": 123.5,
-    "length_min_km": 5.0,
-    "length_max_km": 250.0,
-    "length_step_km": 0.5,
-    "e_x_sq": 0.02,
-    "dark_count_prob": 2e-7,
-    "analytic_dark_count_prob": 3e-5,
-    "n_pulses": 12345,
-    "workers": 2,
-    "seed": 99,
-    "eve": "intercept-resend",
+    "protocol": ("pbc00", PBC00),
+    "source_kind": ("poissonian", SourceKind.POISSONIAN),
+    "mean_photon_number": ("0.7", 0.7),
+    "mu_values": ("0.05, 0.2", (0.05, 0.2)),
+    "attenuation_db_per_km": ("0.25", 0.25),
+    "length_km": ("123.5", 123.5),
+    "length_min_km": ("5", 5.0),
+    "length_max_km": ("250", 250.0),
+    "length_step_km": ("0.5", 0.5),
+    "e_x_sq": ("0.02", 0.02),
+    "dark_count_prob": ("2e-7", 2e-7),
+    "analytic_dark_count_prob": ("3e-5", 3e-5),
+    "n_pulses": ("12345", 12345),
+    "workers": ("2", 2),
+    "seed": ("99", 99),
+    "eve": ("intercept-resend", EveKind.INTERCEPT_RESEND),
+}
+
+# A bad value for every field whose parser does not take a float, and the
+# reason that parser gives; any other field gets BAD_FLOAT.
+BAD_FLOAT = ("tiny", "could not convert string to float: 'tiny'")
+BAD_VALUES = {
+    "protocol": (
+        "b92", "unknown protocol 'b92'; expected one of: bb84, six-state, pbc00"
+    ),
+    "source_kind": ("laser", "must be 'single-photon' or 'poissonian'"),
+    "mu_values": ("0.5,0.5", "repeated value"),
+    "n_pulses": ("tiny", "invalid literal for int() with base 10: 'tiny'"),
+    "workers": ("0", "must be >= 1"),
+    "seed": ("tiny", "invalid literal for int() with base 10: 'tiny'"),
+    "eve": ("alice", "must be 'none' or 'intercept-resend'"),
 }
 
 # Each subcommand's flags, frozen so that an edit to the field table cannot
@@ -515,7 +527,7 @@ COMMAND_FLAGS = {
 class TestFieldTable:
     def test_samples_cover_every_field(self):
         assert set(SAMPLES) == {f.name for f in FIELDS}
-        assert all(SAMPLES[f.name] != f.default for f in FIELDS)
+        assert all(SAMPLES[f.name][1] != f.default for f in FIELDS)
 
     def test_flag_sets_per_subcommand(self):
         sub = next(
@@ -528,9 +540,11 @@ class TestFieldTable:
         assert got == COMMAND_FLAGS
 
     @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
-    def test_ini_round_trip(self, f):
-        cfg = dataclasses.replace(RunConfig(), **{f.name: SAMPLES[f.name]})
-        assert load_config(cfg.to_ini(), from_path=False) == cfg
+    def test_ini_round_trip(self, tmp_path, f):
+        text, value = SAMPLES[f.name]
+        section, key = f.metadata["section"], f.metadata["key"]
+        cfg = load_config(write_config(tmp_path, f"[{section}]\n{key} = {text}\n"))
+        assert cfg == dataclasses.replace(RunConfig(), **{f.name: value})
 
     @pytest.mark.parametrize(
         "f, command",
@@ -538,28 +552,26 @@ class TestFieldTable:
         ids=lambda v: getattr(v, "name", v),
     )
     def test_flag_round_trip(self, f, command):
-        value = SAMPLES[f.name]
-        args = _build_parser().parse_args([command, f"{_flag(f)}={_format(value)}"])
+        text, value = SAMPLES[f.name]
+        args = _build_parser().parse_args([command, f"{_flag(f)}={text}"])
         cfg = _resolve_config(args)
         assert cfg == dataclasses.replace(RunConfig(), **{f.name: value})
 
     @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
     def test_bad_value_exits_2_from_flag_and_file(self, capsys, tmp_path, f):
-        # str fields parse anything and are checked when the run is set up
-        bad = {"protocol": "b92", "source_kind": "laser", "eve": "alice"}.get(
-            f.name, "tiny"
-        )
-        command = "simulate" if f.name == "eve" else f.metadata["commands"][0]
-        path = tmp_path / "bad.ini"
-        path.write_text(f"[{f.metadata['section']}]\n{f.metadata['key']} = {bad}\n")
-        for argv in (
-            [command, f"{_flag(f)}={bad}"],
-            [command, "--config", str(path)],
+        bad, reason = BAD_VALUES.get(f.name, BAD_FLOAT)
+        command = f.metadata["commands"][0]
+        section, key = f.metadata["section"], f.metadata["key"]
+        path = write_config(tmp_path, f"[{section}]\n{key} = {bad}\n")
+        for argv, where in (
+            ([command, f"{_flag(f)}={bad}"], _flag(f)),
+            ([command, "--config", path], f"[{section}] {key}"),
         ):
             code, out, err = run_cli(capsys, *argv)
             assert code == 2, argv
             assert out == ""
-            assert f.name in err, err
+            want = f"error: {f.name}: bad value for {where}: {bad!r} ({reason})\n"
+            assert err == want
 
     @pytest.mark.parametrize("command", ["simulate", "decoy"])
     def test_negative_seed(self, capsys, command):

@@ -51,10 +51,12 @@ class TestBinaryEntropy:
         for p in np.linspace(0.0, 1.0, 101):
             assert binary_entropy(p) <= 1.0
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.2, 2.0])
+    @pytest.mark.parametrize("bad", [-0.1, 1.2, 2.0, float("nan")])
     def test_domain_error(self, bad):
         with pytest.raises(ValueError):
             binary_entropy(bad)
+        with pytest.raises(ValueError):
+            binary_entropy(np.array([0.5, bad]))
 
     def test_rounding_dust_clamped(self):
         assert binary_entropy(-1e-13) == 0.0

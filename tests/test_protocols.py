@@ -31,11 +31,11 @@ class TestCatalog:
         assert BB84.detector_count == 2
         assert BB84.dark_conclusive_multiplier == 2.0
         assert BB84.k == 0.0
-        assert not BB84.y_pinned
+        assert BB84.y_lo_ratio != BB84.y_hi_ratio
 
     def test_six_state_constants(self):
         assert SIX_STATE.phase_ratio == 1.0
-        assert SIX_STATE.y_pinned
+        assert SIX_STATE.y_lo_ratio == SIX_STATE.y_hi_ratio
         assert SIX_STATE.y_interval(0.2) == (0.2, 0.2)
         assert SIX_STATE.detector_count == 2
         assert SIX_STATE.k == 0.0

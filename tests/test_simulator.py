@@ -16,6 +16,7 @@ from qkdrates.cli import main
 from qkdrates.protocols import BB84, PBC00, SIX_STATE
 from qkdrates.scenario import (
     DetectorModel,
+    EveKind,
     LinkModel,
     Scenario,
     SourceModel,
@@ -25,7 +26,6 @@ from qkdrates.scenario import (
 from qkdrates.simulator import (
     Category,
     EmpiricalStats,
-    EveModel,
     compare_to_analytic,
     recover_single_photon_rates,
     run_simulation,
@@ -57,28 +57,28 @@ def multi_fires(events):
 class TestDeterminism:
     def test_identical_runs(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5))
-        a = run_simulation(scn, EveModel.none(), 200_000, seed=42)
-        b = run_simulation(scn, EveModel.none(), 200_000, seed=42)
+        a = run_simulation(scn, EveKind.NONE, 200_000, seed=42)
+        b = run_simulation(scn, EveKind.NONE, 200_000, seed=42)
         assert a == b
 
     def test_seed_changes_stream(self):
         scn = make_scenario()
-        a = run_simulation(scn, EveModel.none(), 200_000, seed=1)
-        b = run_simulation(scn, EveModel.none(), 200_000, seed=2)
+        a = run_simulation(scn, EveKind.NONE, 200_000, seed=1)
+        b = run_simulation(scn, EveKind.NONE, 200_000, seed=2)
         assert a != b
 
     def test_workers_bit_identical(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5))
-        serial = run_simulation(scn, EveModel.none(), 500_000, seed=9, batch_size=100_000)
+        serial = run_simulation(scn, EveKind.NONE, 500_000, seed=9, batch_size=100_000)
         threaded = run_simulation(
-            scn, EveModel.none(), 500_000, seed=9, batch_size=100_000, workers=4
+            scn, EveKind.NONE, 500_000, seed=9, batch_size=100_000, workers=4
         )
         assert serial == threaded
 
     def test_partial_last_batch(self):
         # 250_001 pulses in batches of 100_000: two full batches and 50_001
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
-        eve = EveModel.none()
+        eve = EveKind.NONE
         whole = run_simulation(scn, eve, 250_001, seed=4, batch_size=100_000)
         prefix = run_simulation(scn, eve, 200_000, seed=4, batch_size=100_000)
         threaded = run_simulation(
@@ -97,7 +97,7 @@ class TestDeterminism:
     @pytest.mark.parametrize("batch_size", [0, -1])
     def test_rejects_nonpositive_batch_size(self, batch_size):
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            run_simulation(make_scenario(), EveModel.none(), 1_000, 0, batch_size)
+            run_simulation(make_scenario(), EveKind.NONE, 1_000, 0, batch_size)
 
     def test_thread_count_capped(self, monkeypatch):
         seen = []
@@ -110,11 +110,11 @@ class TestDeterminism:
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recording)
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
         scn = make_scenario()
-        serial = run_simulation(scn, EveModel.none(), 50_000, seed=3, batch_size=10_000)
+        serial = run_simulation(scn, EveKind.NONE, 50_000, seed=3, batch_size=10_000)
         for workers, batches, want in ((10_000, 5, [3]), (10_000, 2, [2]), (2, 5, [2])):
             seen.clear()
             stats = run_simulation(
-                scn, EveModel.none(), batches * 10_000, seed=3,
+                scn, EveKind.NONE, batches * 10_000, seed=3,
                 batch_size=10_000, workers=workers,
             )  # fmt: skip
             assert seen == want
@@ -123,7 +123,7 @@ class TestDeterminism:
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
         seen.clear()
         assert run_simulation(
-            scn, EveModel.none(), 50_000, seed=3, batch_size=10_000, workers=8
+            scn, EveKind.NONE, 50_000, seed=3, batch_size=10_000, workers=8
         ) == serial
         assert seen == []
 
@@ -145,7 +145,7 @@ class TestWorkspace:
         ("warm", "drawn"), itertools.permutations(WORKSPACE_SCENARIOS, 2)
     )
     def test_warmed_equals_fresh(self, warm, drawn):
-        eve = EveModel.intercept_resend()
+        eve = EveKind.INTERCEPT_RESEND
         events = simulator._Events()
         source, c, length = warm
         warm_scn = make_scenario(source=source, c=c, length=length)
@@ -164,7 +164,7 @@ class TestWorkspace:
     )
     def test_reuse_changes_no_tally(self, source):
         # fresh buffers per batch, one workspace serially, and two threads
-        scn, eve = make_scenario(source=source, length=0.0, c=1e-3), EveModel.none()
+        scn, eve = make_scenario(source=source, length=0.0, c=1e-3), EveKind.NONE
         n, seed, batch = 500_000, 12, 100_000
         fresh = EmpiricalStats(n_pulses=0)
         for index in range(n // batch):
@@ -181,7 +181,7 @@ class TestWorkspace:
         # (393 520) than its warm-up (393 177): tracemalloc's peak is 1.07 MB
         # single-photon and 0.84 MB Poissonian (numpy 2.4.6), against 28.0
         # and 12.5 MB when buffers were allocated afresh
-        eve, n = EveModel.none(), 1_000_000
+        eve, n = EveKind.NONE, 1_000_000
         for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5)):
             scn = make_scenario(PBC00, source=source, length=0.0)
             events = simulator._Events()
@@ -205,7 +205,7 @@ class TestWorkspace:
 class TestPulseInvariants:
     def test_category_rules(self):
         scn = make_scenario(source=SourceModel.poissonian(0.8), length=30.0, c=0.3)
-        ev = sample_events(scn, EveModel.none(), 30_000, seed=13)
+        ev = sample_events(scn, EveKind.NONE, 30_000, seed=13)
         cat = ev.category
         single = cat == Category.SINGLE_QUBIT
         assert (ev.emitted[single] == 1).all()
@@ -222,31 +222,31 @@ class TestPulseInvariants:
     def test_every_tally_populated(self, spec):
         source = SourceModel.poissonian(0.5)
         scn = make_scenario(spec, source=source, length=30.0, c=1e-3)
-        stats = run_simulation(scn, EveModel.intercept_resend(), 40_000, seed=17)
+        stats = run_simulation(scn, EveKind.INTERCEPT_RESEND, 40_000, seed=17)
         assert stats.cat1_errors > 0 and stats.cat4_count > 0
         assert stats.empty_pulse_conclusive > 0
 
     def test_no_category3_without_eve(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
-        stats = run_simulation(scn, EveModel.none(), 200_000, seed=3)
+        stats = run_simulation(scn, EveKind.NONE, 200_000, seed=3)
         assert stats.cat3_count == 0
 
     def test_opaque_channel_not_conclusive(self):
         # essentially opaque channel with no dark counts
         scn = make_scenario(length=2000.0, c=0.0)
-        stats = run_simulation(scn, EveModel.none(), 2_000, seed=1)
+        stats = run_simulation(scn, EveKind.NONE, 2_000, seed=1)
         assert stats.conclusive_count == 0
 
     def test_perfect_channel_all_single_qubit(self):
         scn = make_scenario(length=0.0, c=0.0, e_x_sq=0.0)
-        stats = run_simulation(scn, EveModel.none(), 100_000, seed=21)
+        stats = run_simulation(scn, EveKind.NONE, 100_000, seed=21)
         assert stats.cat1_count == 100_000
         assert stats.error_count == 0
 
     def test_double_fires_discarded(self):
         # huge dark count probability so double fires actually occur
         scn = make_scenario(length=1000.0, c=0.3, e_x_sq=0.0)
-        ev = sample_events(scn, EveModel.none(), 20_000, seed=8)
+        ev = sample_events(scn, EveKind.NONE, 20_000, seed=8)
         doubles = multi_fires(ev)
         assert doubles.any()
         assert (ev.category[doubles] == Category.NOT_CONCLUSIVE).all()
@@ -257,14 +257,14 @@ class TestAnalyticsAgreement:
     @pytest.mark.parametrize("spec", [BB84, SIX_STATE, PBC00])
     def test_single_photon_three_sigma(self, spec):
         scn = make_scenario(spec)
-        stats = run_simulation(scn, EveModel.none(), 1_000_000, seed=101)
+        stats = run_simulation(scn, EveKind.NONE, 1_000_000, seed=101)
         for row in compare_to_analytic(stats, scn):
             assert abs(row.z) <= 3.0, row
 
     @pytest.mark.parametrize("spec", [BB84, SIX_STATE, PBC00])
     def test_poisson_three_sigma(self, spec):
         scn = make_scenario(spec, source=SourceModel.poissonian(0.5))
-        stats = run_simulation(scn, EveModel.none(), 1_000_000, seed=103)
+        stats = run_simulation(scn, EveKind.NONE, 1_000_000, seed=103)
         for row in compare_to_analytic(stats, scn):
             assert abs(row.z) <= 3.0, row
 
@@ -285,21 +285,21 @@ class TestAnalyticsAgreement:
         assert float(rows["p_sq"][2]) == 0.0
 
     def test_analytic_rate_one_mismatch_is_inf(self):
-        stats = run_simulation(make_scenario(length=10.0), EveModel.none(), 20_000, seed=5)
+        stats = run_simulation(make_scenario(length=10.0), EveKind.NONE, 20_000, seed=5)
         zs = {row.name: row.z for row in compare_to_analytic(stats, make_scenario(length=0.0))}
         assert zs["p_sq"] == math.inf
 
     def test_mismatched_model_detected(self):
         scn = make_scenario(c=1e-3)
         wrong = make_scenario(c=1e-6)
-        stats = run_simulation(scn, EveModel.none(), 1_000_000, seed=7)
+        stats = run_simulation(scn, EveKind.NONE, 1_000_000, seed=7)
         zs = {row.name: row.z for row in compare_to_analytic(stats, wrong)}
         assert abs(zs["p_dk"]) > 3.0
 
     def test_single_photon_pulse_conclusive_rate(self):
         # empirical omega1 * p_c against p_sq + 2C P_1 (1 - eta)
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-5)
-        stats = run_simulation(scn, EveModel.none(), 1_000_000, seed=31)
+        stats = run_simulation(scn, EveKind.NONE, 1_000_000, seed=31)
         b = breakdown(scn)
         want = b.omega1 * b.p_c
         got = stats.single_pulse_conclusive / stats.n_pulses
@@ -310,21 +310,21 @@ class TestAnalyticsAgreement:
 class TestInterceptResend:
     def test_bb84_quarter(self):
         scn = make_scenario(length=0.0, c=0.0, e_x_sq=0.0)
-        stats = run_simulation(scn, EveModel.intercept_resend(), 1_200_000, seed=11)
+        stats = run_simulation(scn, EveKind.INTERCEPT_RESEND, 1_200_000, seed=11)
         assert stats.conclusive_count >= 1_000_000
         se = math.sqrt(0.25 * 0.75 / stats.conclusive_count)
         assert abs(stats.e_x_hat - 0.25) <= 3 * se
 
     def test_six_state_third(self):
         scn = make_scenario(SIX_STATE, length=0.0, c=0.0, e_x_sq=0.0)
-        stats = run_simulation(scn, EveModel.intercept_resend(), 1_200_000, seed=11)
+        stats = run_simulation(scn, EveKind.INTERCEPT_RESEND, 1_200_000, seed=11)
         expected = 1.0 / 3.0
         se = math.sqrt(expected * (1 - expected) / stats.conclusive_count)
         assert abs(stats.e_x_hat - expected) <= 3 * se
 
     def test_composes_with_intrinsic_errors(self):
         scn = make_scenario(length=0.0, c=0.0, e_x_sq=0.1)
-        stats = run_simulation(scn, EveModel.intercept_resend(), 1_200_000, seed=15)
+        stats = run_simulation(scn, EveKind.INTERCEPT_RESEND, 1_200_000, seed=15)
         # independent flips: 0.25 (attack) + 0.1 (channel) - 2 * product
         expected = 0.25 * 0.9 + 0.1 * 0.75
         se = math.sqrt(expected * (1 - expected) / stats.conclusive_count)
@@ -335,7 +335,7 @@ class TestDecoySimulation:
     def test_single_mu_equals_plain_run(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5))
         runs = simulate_decoy_run(scn, [0.5], 100_000, seed=6)
-        assert runs[0.5] == run_simulation(scn, EveModel.none(), 100_000, seed=6)
+        assert runs[0.5] == run_simulation(scn, EveKind.NONE, 100_000, seed=6)
 
     def test_recovers_intrinsic_error(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-6, e_x_sq=0.01)
@@ -363,7 +363,7 @@ class TestDecoySimulation:
 class TestTallyCsv:
     def test_format(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
-        stats = run_simulation(scn, EveModel.none(), 50_000, seed=2)
+        stats = run_simulation(scn, EveKind.NONE, 50_000, seed=2)
         text = tally_csv(stats)
         lines = text.splitlines()
         assert lines[0] == "category,count,bit_errors"
@@ -575,7 +575,7 @@ class TestCountingTally:
         n, seed = 20_000, 67
         for length in (0.0, 50.0, 200.0):
             for c in (0.0, 1e-5, 0.3):
-                for eve in (EveModel.none(), EveModel.intercept_resend()):
+                for eve in (EveKind.NONE, EveKind.INTERCEPT_RESEND):
                     scn = make_scenario(spec, source=source, length=length, c=c)
                     events = sample_events(scn, eve, n, seed)
                     want = full_key_tally(n, events)
@@ -593,7 +593,7 @@ class TestHighDarkRate:
     def test_three_sigma(self, spec, c):
         mu, n = 0.5, 1_000_000
         scn = make_scenario(spec, source=SourceModel.poissonian(mu), c=c)
-        stats = run_simulation(scn, EveModel.none(), n, seed=2026)
+        stats = run_simulation(scn, EveKind.NONE, n, seed=2026)
         eta = transmittance(scn.link)
         cf = spec.conclusive_factor(scn.e_x_sq)
         d = spec.detector_count
@@ -621,7 +621,7 @@ class TestHighDarkRate:
         # single-photon pulses: a lost photon, then two or more dark fires
         c, n = 0.3, 50_000
         scn = make_scenario(PBC00, c=c)
-        events = sample_events(scn, EveModel.none(), n, seed=2026)
+        events = sample_events(scn, EveKind.NONE, n, seed=2026)
         doubles = int(multi_fires(events).sum())
         d = PBC00.detector_count
         multi_fire = 1 - (1 - c) ** d - d * c * (1 - c) ** (d - 1)

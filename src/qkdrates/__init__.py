@@ -6,11 +6,7 @@ __version__ = "0.1.0"
 
 from .entropy import (
     InfeasibleRatesError,
-    PauliDistribution,
     binary_entropy,
-    conditional_phase_entropy,
-    distribution_from_rates,
-    joint_bit_phase_entropy,
     worst_case_conditional_phase_entropy,
 )
 from .keyrate import (
@@ -42,8 +38,6 @@ from .scenario import (
     breakdown,
     decoy_invert,
     distance_sweep,
-    poisson_breakdown,
-    single_photon_breakdown,
     transmittance,
     worst_case_no_decoy,
 )
@@ -73,7 +67,6 @@ __all__ = [
     "InfeasibleRatesError",
     "LinkModel",
     "PBC00",
-    "PauliDistribution",
     "ProtocolSpec",
     "RateBreakdown",
     "SIX_STATE",
@@ -82,14 +75,10 @@ __all__ = [
     "SourceModel",
     "binary_entropy",
     "breakdown",
-    "conditional_phase_entropy",
     "decoy_invert",
     "distance_sweep",
-    "distribution_from_rates",
     "get_protocol",
-    "joint_bit_phase_entropy",
     "max_distance",
-    "poisson_breakdown",
     "protocol_catalog",
     "rate_alice",
     "rate_bob",
@@ -98,7 +87,6 @@ __all__ = [
     "rate_shor_preskill",
     "run_simulation",
     "simulate_decoy_run",
-    "single_photon_breakdown",
     "threshold_bit_error",
     "transmittance",
     "worst_case_conditional_phase_entropy",

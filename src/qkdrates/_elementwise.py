@@ -15,9 +15,10 @@ and a function call on each costs a noticeable share of the float route.
 
 The array route matches the float route element by element up to the last
 bit of a logarithm (numpy's ``log2`` and libm's differ there).  ``exp`` is
-evaluated with libm per element instead: ``poisson_breakdown`` subtracts
-``exp(-eta*mu)`` from 1 and loses about eight digits at long range, so a
-last-bit difference would move the multi-photon rate by about 1e-8.
+evaluated with libm per element instead: a Poissonian ``breakdown``
+subtracts ``exp(-eta*mu)`` from 1 and loses about eight digits at long
+range, so a last-bit difference would move the multi-photon rate by about
+1e-8.
 ``maximum`` and ``minimum`` follow the builtins' rule for ties, signed
 zeros and NaN.
 """

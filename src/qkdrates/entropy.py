@@ -7,32 +7,22 @@ amplification cost is the conditional entropy of the phase error given the
 bit error, maximized over the Y error rate interval the protocol leaves
 unconstrained.  That maximum has a closed form: the Y rate that makes the
 phase error independent of the bit error, clipped to the interval.
+:func:`conditional_phase_entropy` is that objective, written on the four
+outcome probabilities the three error rates determine.
 
 Every function here takes Python floats or, elementwise, numpy arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from ._elementwise import (
-    any_,
-    entropy_term,
-    first_failing,
-    maximum,
-    minimum,
-)
+from ._elementwise import any_, entropy_term, first_failing, maximum, minimum
 from .protocols import ProtocolSpec
 
 __all__ = [
     "InfeasibleRatesError",
-    "PauliDistribution",
     "binary_entropy",
-    "distribution_from_rates",
-    "joint_bit_phase_entropy",
     "conditional_phase_entropy",
     "worst_case_conditional_phase_entropy",
-    "feasible_y_interval",
 ]
 
 # Probabilities this far below zero are treated as rounding noise.
@@ -40,14 +30,9 @@ NEG_TOL = 1e-12
 
 
 class InfeasibleRatesError(ValueError):
-    """Raised when error rates imply a negative Bell-outcome probability."""
-
-
-def _clamp_probability(p, what: str):
-    bad = p < -NEG_TOL
-    if any_(bad):
-        raise InfeasibleRatesError(f"{what} is negative: {first_failing(p, bad)}")
-    return maximum(p, 0.0)
+    """Raised when rates admit no physical solution: no admissible Y error
+    rate gives non-negative Bell-outcome probabilities, or a breakdown has no
+    consistent single-photon class."""
 
 
 def binary_entropy(p):
@@ -81,94 +66,25 @@ def binary_entropy(p):
     return entropy_term(p) + entropy_term(1.0 - p)
 
 
-@dataclass(frozen=True)
-class PauliDistribution:
-    """Probabilities of the four Bell-pair outcomes.
+def conditional_phase_entropy(e_x, e_y, e_z):
+    """Entropy of the phase error given the bit error, ``H(e_z | e_x)``.
 
-    ``p_identity`` is the error-free outcome (Phi+), ``p_psi_plus`` a pure
-    bit error, ``p_phi_minus`` a pure phase error, and ``p_psi_minus`` a
-    joint bit-and-phase error.  Fields must be non-negative and sum to 1
-    within 1e-12; negatives within 1e-12 of zero are clamped on
-    construction.
-    """
-
-    p_identity: float
-    p_psi_plus: float
-    p_psi_minus: float
-    p_phi_minus: float
-
-    def __post_init__(self) -> None:
-        for field in ("p_identity", "p_psi_plus", "p_psi_minus", "p_phi_minus"):
-            value = _clamp_probability(getattr(self, field), field)
-            object.__setattr__(self, field, value)
-        total = self.p_identity + self.p_psi_plus + self.p_psi_minus + self.p_phi_minus
-        bad = abs(total - 1.0) > 1e-12
-        if any_(bad):
-            raise InfeasibleRatesError(
-                f"outcome probabilities sum to {first_failing(total, bad)}, not 1"
-            )
-
-    @property
-    def e_x(self) -> float:
-        """Bit error rate."""
-        return self.p_psi_plus + self.p_psi_minus
-
-    @property
-    def e_z(self) -> float:
-        """Phase error rate."""
-        return self.p_phi_minus + self.p_psi_minus
-
-    @property
-    def e_y(self) -> float:
-        """Y error rate."""
-        return self.p_phi_minus + self.p_psi_plus
-
-
-def distribution_from_rates(e_x: float, e_y: float, e_z: float) -> PauliDistribution:
-    """Invert the three error-rate definitions to outcome probabilities.
-
-    Solves the linear system ``e_x = p_psi_plus + p_psi_minus``,
-    ``e_z = p_phi_minus + p_psi_minus``, ``e_y = p_phi_minus + p_psi_plus``.
-
-    Raises
-    ------
-    InfeasibleRatesError
-        If any implied probability is negative beyond rounding tolerance.
+    The Bell-outcome probabilities solve ``e_x = p_psi_plus + p_psi_minus``,
+    ``e_z = p_phi_minus + p_psi_minus`` and ``e_y = p_phi_minus + p_psi_plus``;
+    the rates must make all four non-negative.  The value is the entropy of
+    the four-outcome pattern minus that of the bit error; always in [0, 1].
     """
     p_psi_plus = (e_x + e_y - e_z) / 2.0
     p_psi_minus = (e_x + e_z - e_y) / 2.0
     p_phi_minus = (e_y + e_z - e_x) / 2.0
     p_identity = 1.0 - p_psi_plus - p_psi_minus - p_phi_minus
-    return PauliDistribution(
-        p_identity=p_identity,
-        p_psi_plus=p_psi_plus,
-        p_psi_minus=p_psi_minus,
-        p_phi_minus=p_phi_minus,
+    joint = (
+        entropy_term(p_identity)
+        + entropy_term(p_psi_plus)
+        + entropy_term(p_phi_minus)
+        + entropy_term(p_psi_minus)
     )
-
-
-def joint_bit_phase_entropy(d: PauliDistribution):
-    """Entropy in bits of the four-outcome bit/phase error pattern."""
-    total = 0.0
-    for p in (d.p_identity, d.p_psi_plus, d.p_phi_minus, d.p_psi_minus):
-        total = total + entropy_term(p)
-    return total
-
-
-def conditional_phase_entropy(d: PauliDistribution):
-    """Entropy of the phase error given the bit error, ``H(e_z | e_x)``.
-
-    Equals the joint pattern entropy minus ``H(e_x)``; always in [0, 1].
-    """
-    value = joint_bit_phase_entropy(d) - binary_entropy(d.e_x)
-    return maximum(value, 0.0)
-
-
-def feasible_y_interval(e_x, e_z):
-    """Y error rates for which all four outcome probabilities are >= 0."""
-    lo = abs(e_x - e_z)
-    hi = minimum(e_x + e_z, 2.0 - e_x - e_z)
-    return lo, hi
+    return maximum(joint - binary_entropy(p_psi_plus + p_psi_minus), 0.0)
 
 
 def worst_case_conditional_phase_entropy(spec: ProtocolSpec, e_x):
@@ -197,10 +113,10 @@ def worst_case_conditional_phase_entropy(spec: ProtocolSpec, e_x):
         )
     e_x = minimum(maximum(e_x, 0.0), spec.max_bit_error)
     e_z = spec.phase_ratio * e_x
+    # intersect with the rates whose outcome probabilities are all >= 0
     lo, hi = spec.y_interval(e_x)
-    feas_lo, feas_hi = feasible_y_interval(e_x, e_z)
-    lo = maximum(lo, feas_lo)
-    hi = minimum(hi, feas_hi)
+    lo = maximum(lo, abs(e_x - e_z))
+    hi = minimum(hi, minimum(e_x + e_z, 2.0 - e_x - e_z))
     bad = hi < lo - NEG_TOL
     if any_(bad):
         raise InfeasibleRatesError(
@@ -208,4 +124,4 @@ def worst_case_conditional_phase_entropy(spec: ProtocolSpec, e_x):
             f"at e_x={first_failing(e_x, bad)}"
         )
     e_y = maximum(lo, minimum(e_x + e_z - 2.0 * e_x * e_z, hi))
-    return conditional_phase_entropy(distribution_from_rates(e_x, e_y, e_z))
+    return conditional_phase_entropy(e_x, e_y, e_z)

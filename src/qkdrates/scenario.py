@@ -8,8 +8,10 @@ protocol's dark conclusive multiplier; simultaneous fires of two detectors
 are discarded.  :class:`EveKind` is the eavesdropper the simulator can
 put on the channel.
 
-A scenario's channel length may be a numpy array: ``transmittance`` and the
-breakdowns then evaluate every length at once, through the same formulas
+:func:`breakdown` is one formula for both sources: a single-photon source
+is the Poissonian one with every pulse carrying exactly one photon.  A
+scenario's channel length may be a numpy array: ``transmittance`` and
+``breakdown`` then evaluate every length at once, through the same formulas
 as for a single float, and :func:`distance_sweep` uses that to evaluate a
 whole grid in one pass.
 """
@@ -41,8 +43,6 @@ __all__ = [
     "NoDecoyEstimate",
     "Sweep",
     "transmittance",
-    "single_photon_breakdown",
-    "poisson_breakdown",
     "breakdown",
     "decoy_invert",
     "intrinsic_error_from_decoy_with_slope",
@@ -185,66 +185,48 @@ def transmittance(link: LinkModel):
     return exp(-link.attenuation_db_per_km * _DB_TO_NEPER * link.length_km)
 
 
-def single_photon_breakdown(scn: Scenario) -> RateBreakdown:
-    """Conclusive-rate decomposition for an ideal single-photon source.
+def breakdown(scn: Scenario) -> RateBreakdown:
+    """Conclusive-rate decomposition for the scenario's source.
 
-    Every pulse carries exactly one photon, so every conclusive result is
-    either a received qubit (``conclusive_factor * eta``) or a dark count
-    on a lost photon (``m*C * (1 - eta)``), and ``omega1 = 1``.
-    """
-    if scn.source.kind is not SourceKind.SINGLE_PHOTON:
-        raise ValueError("scenario does not use a single-photon source")
-    eta = transmittance(scn.link)
-    c = scn.detector.dark_count_prob
-    m = scn.protocol.dark_conclusive_multiplier
-    p_sq = scn.protocol.conclusive_factor(scn.e_x_sq) * eta
-    p_dk = m * c * (1.0 - eta)
-    p_c = _positive_conclusive_rate(p_sq + p_dk, eta, c)
-    e_x = (p_sq * scn.e_x_sq + p_dk * 0.5) / p_c
-    return RateBreakdown(
-        p_emp=0.0,
-        p_sq=p_sq,
-        p_mq=0.0,
-        p_dk=p_dk,
-        omega0=0.0,
-        omega1=1.0,
-        e_x=e_x,
-        e_x_sq=scn.e_x_sq,
-    )
-
-
-def poisson_breakdown(scn: Scenario) -> RateBreakdown:
-    """Conclusive-rate decomposition for a Poissonian source.
-
-    With emission probabilities ``P_k = exp(-mu) mu^k / k!``:
+    With emission probabilities ``P_k`` (``P_1 = 1`` for a single-photon
+    source, ``P_k = exp(-mu) mu^k / k!`` for a Poissonian one):
 
     * single-photon qubit results: ``cf * P_1 * eta``,
     * multi-photon qubit results: ``cf * sum_{k>=2} P_k (1 - (1-eta)^k)``,
-    * dark counts: ``m*C`` times the no-arrival probability ``exp(-eta*mu)``,
+    * dark counts: ``m*C`` times the no-arrival probability (``1 - eta``
+      or ``exp(-eta*mu)``),
     * empty-pulse qubit results: zero on an honest channel.
 
     Single-photon and empty-pulse conclusive fractions follow from splitting
     the dark counts by emitted photon number: ``omega1 * p_c = p_sq +
-    m*C * P_1 * (1 - eta)`` and ``omega0 * p_c = m*C * P_0``.  Multi-photon
-    qubit results carry the same intrinsic error rate as single-photon ones;
-    the rate formulas still grant the eavesdropper full information on them.
+    m*C * P_1 * (1 - eta)`` and ``omega0 * p_c = m*C * P_0``; for a
+    single-photon source that makes ``omega1 = 1`` and ``omega0 = 0``
+    exactly.  Multi-photon qubit results carry the same intrinsic error rate
+    as single-photon ones; the rate formulas still grant the eavesdropper
+    full information on them.
     """
-    if scn.source.kind is not SourceKind.POISSONIAN:
-        raise ValueError("scenario does not use a Poissonian source")
-    mu = scn.source.mean_photon_number
     eta = transmittance(scn.link)
     c = scn.detector.dark_count_prob
     m = scn.protocol.dark_conclusive_multiplier
     cf = scn.protocol.conclusive_factor(scn.e_x_sq)
-
-    p0 = math.exp(-mu)
-    p1 = mu * math.exp(-mu)
-    no_arrival = exp(-eta * mu)
+    if scn.source.kind is SourceKind.POISSONIAN:
+        mu = scn.source.mean_photon_number
+        p0 = math.exp(-mu)
+        p1 = mu * math.exp(-mu)
+        no_arrival = exp(-eta * mu)
+        p_mq = cf * maximum(1.0 - no_arrival - p1 * eta, 0.0)
+    else:
+        p0, p1, no_arrival, p_mq = 0.0, 1.0, 1.0 - eta, 0.0
 
     p_sq = cf * p1 * eta
-    p_mq = cf * maximum(1.0 - no_arrival - p1 * eta, 0.0)
     p_dk = m * c * no_arrival
-    p_c = _positive_conclusive_rate(p_sq + p_mq + p_dk, eta, c)
+    p_c = p_sq + p_mq + p_dk
+    bad = p_c <= 0.0
+    if any_(bad):
+        raise NoConclusiveResultsError(
+            f"no conclusive results: transmittance {first_failing(eta, bad):.3g} "
+            f"and dark count probability {c:.3g} give a conclusive rate of 0"
+        )
 
     omega1 = (p_sq + m * c * p1 * (1.0 - eta)) / p_c
     omega0 = m * c * p0 / p_c
@@ -259,23 +241,6 @@ def poisson_breakdown(scn: Scenario) -> RateBreakdown:
         e_x=e_x,
         e_x_sq=scn.e_x_sq,
     )
-
-
-def _positive_conclusive_rate(p_c, eta, c: float):
-    bad = p_c <= 0.0
-    if any_(bad):
-        raise NoConclusiveResultsError(
-            f"no conclusive results: transmittance {first_failing(eta, bad):.3g} "
-            f"and dark count probability {c:.3g} give a conclusive rate of 0"
-        )
-    return p_c
-
-
-def breakdown(scn: Scenario) -> RateBreakdown:
-    """Dispatch to the breakdown matching the scenario's source kind."""
-    if scn.source.kind is SourceKind.SINGLE_PHOTON:
-        return single_photon_breakdown(scn)
-    return poisson_breakdown(scn)
 
 
 def decoy_invert(
@@ -302,11 +267,17 @@ def decoy_invert(
     Raises
     ------
     DecoyInversionError
-        If the estimates fall below the dark-count floor or the recovered
-        error rate is outside [0, 1] beyond 1e-9.
+        If no photon arrives (``eta = 0``), the estimates fall below the
+        dark-count floor or the recovered error rate is outside [0, 1]
+        beyond 1e-9.
     """
-    if mu_bar <= 0.0 or not 0.0 < eta <= 1.0:
-        raise ValueError("mu_bar must be > 0 and eta in (0, 1]")
+    if mu_bar <= 0.0 or not 0.0 <= eta <= 1.0:
+        raise ValueError("mu_bar must be > 0 and eta in [0, 1]")
+    if eta == 0.0:
+        raise DecoyInversionError(
+            "transmittance is 0, so no photon arrives and the single-photon "
+            "error rate cannot be recovered"
+        )
     p1 = math.exp(-mu_bar) * mu_bar
     m = dark_conclusive_multiplier
     dark_single = m * c * p1 * (1.0 - eta)
@@ -370,7 +341,7 @@ class Sweep:
 
     ``breakdown`` holds the breakdown columns; a field that is constant
     over the grid (``p_emp``, ``e_x_sq``, and for a single-photon source
-    ``p_mq``, ``omega0``, ``omega1``) stays a float.  ``rate_old``
+    ``p_mq``) stays a float.  ``rate_old``
     (multi-photon discount only) and ``rate_new`` (dark counts credited)
     are clamped at zero for display.
     """

@@ -26,7 +26,6 @@ from qkdrates.scenario import (
     SourceModel,
     breakdown,
     decoy_invert,
-    poisson_breakdown,
     transmittance,
 )
 from qkdrates.simulator import (
@@ -167,7 +166,7 @@ def test_criterion_5_fig3_structure():
     # the rate inputs are the decoy-recovered quantities; verify the
     # recovery is exact before comparing reaches
     probe = scn.at_length(50.0)
-    b = poisson_breakdown(probe)
+    b = breakdown(probe)
     p_sq, e_sq = decoy_invert(
         b.omega1 * b.p_c,
         single_photon_class_error(b),
@@ -251,7 +250,7 @@ def test_criterion_8_decoy_round_trip():
             c=float(10.0 ** rng.uniform(-8, -4)),
             e_x_sq=float(rng.uniform(0.0, 0.4)),
         )
-        b = poisson_breakdown(scn)
+        b = breakdown(scn)
         p_sq, e_sq = decoy_invert(
             b.omega1 * b.p_c,
             single_photon_class_error(b),
@@ -270,7 +269,7 @@ def test_criterion_8_decoy_round_trip():
         scn, EveKind.NONE, 10_000_000, seed=88, workers=SIM_WORKERS
     )
     recovery = recover_single_photon_rates(stats, scn)
-    truth = poisson_breakdown(scn)
+    truth = breakdown(scn)
     sim_ok = (
         abs(recovery.p_sq - truth.p_sq) <= 3 * recovery.p_sq_se
         and abs(recovery.e_x_sq - scn.e_x_sq) <= 3 * recovery.e_x_sq_se

@@ -14,11 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdrates import _elementwise as ew
-from qkdrates.entropy import (
-    binary_entropy,
-    distribution_from_rates,
-    worst_case_conditional_phase_entropy,
-)
+from qkdrates.entropy import binary_entropy, worst_case_conditional_phase_entropy
 from qkdrates.keyrate import (
     RateBreakdown,
     rate_alice,
@@ -128,6 +124,9 @@ def breakdown_with_error_rate(e_x):
     )  # fmt: skip
 
 
+# A Y interval above e_x + e_z: every e_x > 0 leaves no admissible Y rate.
+EMPTY_Y_INTERVAL = dataclasses.replace(BB84, y_lo_ratio=3.0, y_hi_ratio=4.0)
+
 # (function, a feasible float, an infeasible float); the array holds both.
 INFEASIBLE = {
     "no-conclusive-results": (no_conclusive_breakdown, 10.0, 1e5),
@@ -135,7 +134,9 @@ INFEASIBLE = {
     "worst-case-domain": (
         lambda e: worst_case_conditional_phase_entropy(SIX_STATE, e), 0.1, 0.7
     ),
-    "negative-outcome": (lambda y: distribution_from_rates(0.1, y, 0.1), 0.1, 0.5),
+    "empty-y-interval": (
+        lambda e: worst_case_conditional_phase_entropy(EMPTY_Y_INTERVAL, e), 0.0, 0.1
+    ),
     "class-error": (inconsistent_breakdown, 0.05, 0.6),
     "breakdown-error-rate": (breakdown_with_error_rate, 0.1, 1.5),
     "shor-preskill-rate": (lambda p_c: rate_shor_preskill(p_c, 0.05, PBC00), 0.5, 0.0),

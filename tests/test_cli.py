@@ -425,6 +425,20 @@ class TestDecoyCommand:
         assert code == 1
         assert "decoy inversion failed" in out
 
+    @pytest.mark.parametrize("dark", ["1e-6", "0"])
+    def test_zero_transmittance_exits_1(self, capsys, dark):
+        # 1e5 km at 0.2 dB/km: the transmittance underflows to exactly 0
+        code, out, err = run_cli(
+            capsys,
+            "decoy",
+            "--length-km", "1e5",
+            "--dark-count-prob", dark,
+            "--n-pulses", "20000",
+        )  # fmt: skip
+        assert code == 1
+        assert err == ""
+        assert out.startswith("decoy inversion failed: transmittance is 0")
+
     @pytest.mark.parametrize("mu_values", ["0.5,0.5", "0.1,0.5,0.10"])
     def test_repeated_mu_exits_2(self, capsys, mu_values):
         code, out, err = run_cli(capsys, "decoy", "--mu-values", mu_values)

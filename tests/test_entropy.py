@@ -1,5 +1,7 @@
 """Tests for entropy primitives and the worst-case conditional entropy."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from conftest import brute_force_worst_case
@@ -8,12 +10,8 @@ from hypothesis import strategies as st
 
 from qkdrates.entropy import (
     InfeasibleRatesError,
-    PauliDistribution,
     binary_entropy,
     conditional_phase_entropy,
-    distribution_from_rates,
-    feasible_y_interval,
-    joint_bit_phase_entropy,
     worst_case_conditional_phase_entropy,
 )
 from qkdrates.protocols import BB84, PBC00, SIX_STATE, protocol_catalog
@@ -63,88 +61,48 @@ class TestBinaryEntropy:
         assert binary_entropy(1.0 + 1e-13) == 0.0
 
 
-class TestPauliDistribution:
-    def test_error_free_channel(self):
-        d = distribution_from_rates(0.0, 0.0, 0.0)
-        assert d == PauliDistribution(1.0, 0.0, 0.0, 0.0)
-
-    def test_symmetric_rates(self):
-        e = 0.12
-        d = distribution_from_rates(e, e, e)
-        assert d.p_psi_plus == pytest.approx(e / 2, abs=1e-15)
-        assert d.p_psi_minus == pytest.approx(e / 2, abs=1e-15)
-        assert d.p_phi_minus == pytest.approx(e / 2, abs=1e-15)
-
-    def test_independence_point_factorizes(self):
-        # e_y = e_x + e_z - 2 e_x e_z makes bit and phase errors independent;
-        # solved the 3x3 system by hand for the product distribution
-        e_x, e_z = 0.0981, 0.122625
-        e_y = e_x + e_z - 2 * e_x * e_z
-        assert e_y == pytest.approx(0.196665975, abs=1e-12)
-        d = distribution_from_rates(e_x, e_y, e_z)
-        assert d.p_identity == pytest.approx(0.7913045125, abs=1e-12)
-        assert d.p_psi_plus == pytest.approx(0.0860704875, abs=1e-12)
-        assert d.p_phi_minus == pytest.approx(0.1105954875, abs=1e-12)
-        assert d.p_psi_minus == pytest.approx(e_x * e_z, abs=1e-12)
-
-    def test_rate_round_trip(self):
-        rng = np.random.default_rng(11)
-        for _ in range(300):
-            raw = rng.dirichlet(np.ones(4))
-            d = PauliDistribution(*raw)
-            back = distribution_from_rates(d.e_x, d.e_y, d.e_z)
-            assert back.p_identity == pytest.approx(d.p_identity, abs=1e-12)
-            assert back.p_psi_plus == pytest.approx(d.p_psi_plus, abs=1e-12)
-            assert back.p_psi_minus == pytest.approx(d.p_psi_minus, abs=1e-12)
-            assert back.p_phi_minus == pytest.approx(d.p_phi_minus, abs=1e-12)
-
-    def test_infeasible_rates_raise(self):
-        with pytest.raises(InfeasibleRatesError):
-            distribution_from_rates(0.0, 0.5, 0.0)
-
-    def test_negative_dust_clamped(self):
-        d = distribution_from_rates(0.1, 0.2 + 5e-13, 0.1)
-        assert d.p_psi_minus == 0.0
-
-    def test_sum_must_be_one(self):
-        with pytest.raises(InfeasibleRatesError):
-            PauliDistribution(0.5, 0.2, 0.2, 0.2)
+def rates_of(outcomes):
+    """Bit, Y and phase error rates of Bell-outcome probabilities
+    ``(p_identity, p_psi_plus, p_psi_minus, p_phi_minus)``."""
+    _, p_psi_plus, p_psi_minus, p_phi_minus = outcomes
+    return (
+        p_psi_plus + p_psi_minus,
+        p_phi_minus + p_psi_plus,
+        p_phi_minus + p_psi_minus,
+    )
 
 
 class TestJointAndConditionalEntropy:
     def test_deterministic_outcome(self):
-        d = PauliDistribution(1.0, 0.0, 0.0, 0.0)
-        assert joint_bit_phase_entropy(d) == 0.0
-        assert conditional_phase_entropy(d) == 0.0
+        assert conditional_phase_entropy(0.0, 0.0, 0.0) == 0.0
 
     def test_uniform_four_outcomes(self):
-        d = PauliDistribution(0.25, 0.25, 0.25, 0.25)
-        assert joint_bit_phase_entropy(d) == pytest.approx(2.0, abs=1e-12)
+        # every outcome 1/4: the joint entropy is 2 bits, the bit error 1 bit
+        value = conditional_phase_entropy(*rates_of((0.25, 0.25, 0.25, 0.25)))
+        assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_six_state_pattern(self):
-        d = PauliDistribution(0.985, 0.005, 0.005, 0.005)
-        assert joint_bit_phase_entropy(d) == pytest.approx(0.13613514761, abs=1e-3)
-        assert conditional_phase_entropy(d) == pytest.approx(0.0553420117, abs=1e-3)
+        value = conditional_phase_entropy(*rates_of((0.985, 0.005, 0.005, 0.005)))
+        assert value == pytest.approx(0.0553420117, abs=1e-3)
 
     def test_independence_gives_marginal_entropy(self):
         # product distribution: H(e_z | e_x) = H(e_z)
         e_x, e_z = 0.07, 0.07
-        d = distribution_from_rates(e_x, e_x + e_z - 2 * e_x * e_z, e_z)
-        assert conditional_phase_entropy(d) == pytest.approx(
-            binary_entropy(e_z), abs=1e-12
-        )
+        value = conditional_phase_entropy(e_x, e_x + e_z - 2 * e_x * e_z, e_z)
+        assert value == pytest.approx(binary_entropy(e_z), abs=1e-12)
 
     def test_conditioning_cannot_increase_entropy(self):
         rng = np.random.default_rng(19)
         for _ in range(300):
-            d = PauliDistribution(*rng.dirichlet(np.ones(4)))
-            assert conditional_phase_entropy(d) <= binary_entropy(d.e_z) + 1e-12
+            e_x, e_y, e_z = rates_of(rng.dirichlet(np.ones(4)))
+            value = conditional_phase_entropy(e_x, e_y, e_z)
+            assert value <= binary_entropy(e_z) + 1e-12
 
     def test_bounded_by_one(self):
         rng = np.random.default_rng(23)
         for _ in range(200):
-            d = PauliDistribution(*rng.dirichlet(np.ones(4)))
-            assert 0.0 <= conditional_phase_entropy(d) <= 1.0
+            value = conditional_phase_entropy(*rates_of(rng.dirichlet(np.ones(4))))
+            assert 0.0 <= value <= 1.0
 
 
 class TestWorstCaseConditionalEntropy:
@@ -180,10 +138,13 @@ class TestWorstCaseConditionalEntropy:
         with pytest.raises(ValueError):
             worst_case_conditional_phase_entropy(SIX_STATE, 0.7)
 
-    def test_feasible_interval_consistency(self):
-        lo, hi = feasible_y_interval(0.2, 0.2)
-        assert lo == 0.0
-        assert hi == pytest.approx(0.4)
+    def test_empty_admissible_interval_raises(self):
+        # a Y interval above e_x + e_z leaves every outcome distribution
+        # with a negative probability
+        spec = dataclasses.replace(BB84, name="custom", y_lo_ratio=3.0, y_hi_ratio=4.0)
+        assert worst_case_conditional_phase_entropy(spec, 0.0) == 0.0
+        with pytest.raises(InfeasibleRatesError, match="interval empty"):
+            worst_case_conditional_phase_entropy(spec, 0.1)
 
 
 @st.composite
@@ -193,8 +154,8 @@ def admissible_points(draw):
     e_x = draw(st.floats(0.0, spec.max_bit_error))
     e_z = spec.phase_ratio * e_x
     lo, hi = spec.y_interval(e_x)
-    feas_lo, feas_hi = feasible_y_interval(e_x, e_z)
-    lo, hi = max(lo, feas_lo), min(hi, feas_hi)
+    lo = max(lo, abs(e_x - e_z))
+    hi = min(hi, e_x + e_z, 2.0 - e_x - e_z)
     t = draw(st.floats(0.0, 1.0))
     return spec, e_x, e_z, max(lo, min(lo + t * (hi - lo), hi))
 
@@ -203,7 +164,7 @@ class TestClosedFormProperties:
     @given(admissible_points())
     def test_no_admissible_y_exceeds_worst_case(self, point):
         spec, e_x, e_z, e_y = point
-        value = conditional_phase_entropy(distribution_from_rates(e_x, e_y, e_z))
+        value = conditional_phase_entropy(e_x, e_y, e_z)
         assert value <= worst_case_conditional_phase_entropy(spec, e_x) + 1e-12
 
     @given(st.floats(0.0, 1.0))

@@ -26,7 +26,6 @@ from qkdrates.scenario import (
     Scenario,
     SourceModel,
     breakdown,
-    poisson_breakdown,
 )
 
 # Root of 1 - H(e) - H_worst(e), solved independently by high-precision
@@ -170,7 +169,7 @@ class TestBobAndAliceRates:
             detector=DetectorModel(1e-6, 2),
             e_x_sq=0.01,
         )
-        b = poisson_breakdown(scn)
+        b = breakdown(scn)
         # omega0 p_c -> 2C e^{-mu} while p_dk -> 2C, so Bob's bound wins
         assert b.p_dk > b.omega0 * b.p_c
         assert rate_bob(b, BB84) > rate_alice(b, BB84)

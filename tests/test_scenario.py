@@ -21,8 +21,6 @@ from qkdrates.scenario import (
     decoy_invert,
     distance_sweep,
     intrinsic_error_from_decoy_with_slope,
-    poisson_breakdown,
-    single_photon_breakdown,
     transmittance,
     breakdown,
     worst_case_no_decoy,
@@ -97,27 +95,38 @@ class TestModelValidation:
 
 class TestSinglePhotonBreakdown:
     def test_no_loss_means_no_darks(self):
-        b = single_photon_breakdown(make_scenario(length=0.0, e_x_sq=0.03))
+        b = breakdown(make_scenario(length=0.0, e_x_sq=0.03))
         assert b.p_dk == 0.0
         assert b.e_x == pytest.approx(0.03)
 
     def test_known_point(self):
         # eta = 0.01 at 100 km and 0.2 dB/km
-        b = single_photon_breakdown(make_scenario(length=100.0, e_x_sq=0.0))
+        b = breakdown(make_scenario(length=100.0, e_x_sq=0.0))
         assert b.p_sq == pytest.approx(0.01, rel=1e-12)
         assert b.p_dk == pytest.approx(1.98e-6, rel=1e-9)
         assert b.e_x == pytest.approx(9.898e-5, rel=1e-3)
 
     def test_pbc00_has_higher_dark_fraction(self):
-        b_bb = single_photon_breakdown(make_scenario(BB84))
-        b_pbc = single_photon_breakdown(make_scenario(PBC00))
+        b_bb = breakdown(make_scenario(BB84))
+        b_pbc = breakdown(make_scenario(PBC00))
         assert b_pbc.p_dk / b_pbc.p_c >= b_bb.p_dk / b_bb.p_c
 
-    def test_components_sum(self):
-        b = single_photon_breakdown(make_scenario(length=200.0))
-        assert b.p_emp + b.p_sq + b.p_mq + b.p_dk == pytest.approx(b.p_c, abs=1e-15)
-        assert b.omega0 == 0.0
-        assert b.omega1 == 1.0
+    @given(
+        spec=st.sampled_from(protocol_catalog()),
+        length=st.floats(0.0, 400.0),
+        c=st.floats(0.0, 0.5, exclude_max=True),
+        as_array=st.booleans(),
+    )
+    def test_components_sum(self, spec, length, c, as_array):
+        # the merged breakdown must keep a single-photon source's constants
+        # exact, element by element: no multi-photon results, omega1 = 1
+        if as_array:
+            length = np.array([length, 0.0, 400.0])
+        b = breakdown(make_scenario(spec, length=length, c=c))
+        assert np.all(abs(b.p_emp + b.p_sq + b.p_mq + b.p_dk - b.p_c) <= 1e-15)
+        assert np.all(b.p_mq == 0.0)
+        assert np.all(b.omega0 == 0.0)
+        assert np.all(b.omega1 == 1.0)
 
 
 class TestNoConclusiveResults:
@@ -133,7 +142,7 @@ class TestNoConclusiveResults:
 class TestPoissonBreakdown:
     def test_decoy_relation_exact(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5))
-        b = poisson_breakdown(scn)
+        b = breakdown(scn)
         eta = transmittance(scn.link)
         p1 = 0.5 * math.exp(-0.5)
         want = b.p_sq + 2.0 * 1e-6 * p1 * (1.0 - eta)
@@ -143,7 +152,7 @@ class TestPoissonBreakdown:
         scn = make_scenario(
             source=SourceModel.poissonian(0.5), att=0.0, length=0.0, c=0.0
         )
-        b = poisson_breakdown(scn)
+        b = breakdown(scn)
         p0 = math.exp(-0.5)
         p1 = 0.5 * math.exp(-0.5)
         assert b.p_mq / b.p_c == pytest.approx((1 - p0 - p1) / (1 - p0), rel=1e-12)
@@ -152,8 +161,8 @@ class TestPoissonBreakdown:
         mu = 1e-6
         poisson_scn = make_scenario(source=SourceModel.poissonian(mu))
         single_scn = make_scenario()
-        bp = poisson_breakdown(poisson_scn)
-        bs = single_photon_breakdown(single_scn)
+        bp = breakdown(poisson_scn)
+        bs = breakdown(single_scn)
         p1 = mu * math.exp(-mu)
         assert bp.p_sq / p1 == pytest.approx(bs.p_sq, rel=1e-3)
         dark_on_single = bp.omega1 * bp.p_c - bp.p_sq
@@ -169,24 +178,18 @@ class TestPoissonBreakdown:
                 c=float(10.0 ** rng.uniform(-8, -3)),
                 e_x_sq=float(rng.uniform(0.0, 0.5)),
             )
-            b = poisson_breakdown(scn)
+            b = breakdown(scn)
             assert 0.0 <= b.omega0 and 0.0 <= b.omega1
             assert b.omega0 + b.omega1 <= 1.0 + 1e-12
             assert b.p_emp + b.p_sq + b.p_mq + b.p_dk == pytest.approx(
                 b.p_c, abs=1e-15
             )
 
-    def test_source_kind_dispatch(self):
-        with pytest.raises(ValueError):
-            poisson_breakdown(make_scenario())
-        with pytest.raises(ValueError):
-            single_photon_breakdown(make_scenario(source=SourceModel.poissonian(0.5)))
-
 
 class TestDecoyInvert:
     def test_round_trip_from_forward_model(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5), e_x_sq=0.01)
-        b = poisson_breakdown(scn)
+        b = breakdown(scn)
         eta = transmittance(scn.link)
         p_sq, e_x_sq = decoy_invert(
             b.omega1 * b.p_c, single_photon_class_error(b), 0.5, eta, 1e-6, 2.0
@@ -208,7 +211,7 @@ class TestDecoyInvert:
                 c=float(10.0 ** rng.uniform(-8, -4)),
                 e_x_sq=float(rng.uniform(0.0, 0.5)),
             )
-            b = poisson_breakdown(scn)
+            b = breakdown(scn)
             p_sq, e_x_sq = decoy_invert(
                 b.omega1 * b.p_c,
                 single_photon_class_error(b),
@@ -222,7 +225,7 @@ class TestDecoyInvert:
 
     def test_pbc00_needs_factor_correction(self):
         scn = make_scenario(PBC00, source=SourceModel.poissonian(0.5), e_x_sq=0.04)
-        b = poisson_breakdown(scn)
+        b = breakdown(scn)
         p_sq, e_raw = decoy_invert(
             b.omega1 * b.p_c, single_photon_class_error(b), 0.5,
             transmittance(scn.link), 1e-6, PBC00.dark_conclusive_multiplier,
@@ -265,7 +268,7 @@ class TestDecoyInvert:
             c=10.0**log_dark,
             e_x_sq=e_x_sq,
         )
-        b = poisson_breakdown(scn)
+        b = breakdown(scn)
         p_sq, e_raw = decoy_invert(
             b.omega1 * b.p_c,
             single_photon_class_error(b),
@@ -288,6 +291,12 @@ class TestDecoyInvert:
     def test_below_dark_floor(self):
         with pytest.raises(DecoyInversionError):
             decoy_invert(1e-12, 0.5, 0.5, 0.1, 1e-3, 2.0)
+
+    def test_zero_transmittance(self):
+        with pytest.raises(DecoyInversionError, match="transmittance is 0"):
+            decoy_invert(1e-3, 0.5, 0.5, 0.0, 1e-3, 2.0)
+        with pytest.raises(ValueError, match="eta in"):
+            decoy_invert(1e-3, 0.5, 0.5, 1.5, 1e-3, 2.0)
 
     def test_unphysical_error_rate(self):
         mu, eta = 0.5, 0.01
@@ -312,7 +321,7 @@ class TestWorstCaseNoDecoy:
 
     def test_much_worse_than_decoy(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5), e_x_sq=0.01)
-        b = poisson_breakdown(scn)
+        b = breakdown(scn)
         est = worst_case_no_decoy(b.p_c, b.e_x, 0.5)
         if est.usable:
             from qkdrates.entropy import binary_entropy, worst_case_conditional_phase_entropy

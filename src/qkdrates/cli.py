@@ -64,6 +64,7 @@ _COMMANDS = {
 }
 _ALL = tuple(_COMMANDS)
 _SCENARIO = ("rate", "sweep", "simulate", "decoy")
+_SIMULATION = ("simulate", "decoy")
 
 
 def _parse_mu_values(text: str) -> tuple[float, ...]:
@@ -137,14 +138,12 @@ class RunConfig:
         "compare against an analytic model with a different dark count "
         "probability (diagnostic)",
     )
-    n_pulses: int = _option(
-        1_000_000, "simulation", "n_pulses", int, ("simulate", "decoy")
-    )
+    n_pulses: int = _option(1_000_000, "simulation", "n_pulses", int, _SIMULATION)
     workers: int = _option(
-        1, "simulation", "workers", _positive_int, ("simulate", "decoy"),
+        1, "simulation", "workers", _positive_int, _SIMULATION,
         "threads that run simulation batches; the result does not depend on it",
     )
-    seed: int = _option(1, "simulation", "seed", int, _ALL, "simulation seed")
+    seed: int = _option(1, "simulation", "seed", int, _SIMULATION, "simulation seed")
     eve: EveKind = _option(
         EveKind.NONE, "simulation", "eve", _choice(EveKind), ("simulate",), "{eves}"
     )

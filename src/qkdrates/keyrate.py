@@ -235,7 +235,8 @@ def max_distance(
     bracketing from 1 km is followed by bisection to ``tol_km``.  Returns
     ``math.inf`` when the rate is still positive at ``cap_km`` and 0.0 when
     it is non-positive already at zero length.  A length with no conclusive
-    results at all has no positive rate.
+    results at all has no positive rate.  ``tol_km`` and ``cap_km`` must be
+    positive; the bisection also ends when no float lies between its ends.
     """
     # deferred: scenario imports this module
     from .scenario import NoConclusiveResultsError, breakdown
@@ -246,6 +247,8 @@ def max_distance(
         rate = rate_gllp
     else:
         raise ValueError(f"rate_fn must be 'gllp' or 'improved', got {rate_fn!r}")
+    if not (tol_km > 0.0 and cap_km > 0.0):
+        raise ValueError(f"tol_km and cap_km must be > 0, got {tol_km!r}, {cap_km!r}")
 
     def rate_at(length_km: float) -> float:
         try:
@@ -266,7 +269,7 @@ def max_distance(
         hi *= 2.0
     hi = min(hi, cap_km)
 
-    while hi - lo > tol_km:
+    while hi - lo > tol_km and lo < (lo + hi) / 2.0 < hi:
         mid = (lo + hi) / 2.0
         if rate_at(mid) > 0.0:
             lo = mid

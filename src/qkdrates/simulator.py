@@ -12,24 +12,24 @@ derives them from the protocol relations.
 Sampling is event-sparse.  Pulses are independent and most of them are
 silent (no photon arrives and no detector fires), so a batch draws only how
 many of its pulses carry an arrival and how many of the rest a dark fire,
-as two Binomial counts.  Photon numbers, fire counts, sifting and bit flips
-are then drawn per event from the exact conditional distributions
-(zero-truncated Poisson and Binomial), so the cost follows the number of
-events rather than pulses, and nothing is drawn from the analytic breakdown
-it checks.  A Bernoulli draw whose rarer outcome is unlikely places only
-those outcomes, as Geometric gaps between them; any other takes one random
-byte per trial, with the byte equal to the threshold settled by a uniform,
-so each event still gets its own exact outcome.  A count is a chain of such
-draws, each asking whether it goes past its current value; only a Poisson
-count of a large mean is left to numpy's sampler.  Arrivals are tallied by
-counting and dark events by a bincount over their categories.
+as two Binomial counts.  Each event then draws, as Bernoulli trials with
+the exact conditional probabilities of the Poisson and Binomial laws, only
+the classes the tally reads: whether it had no photon, one, or more (by
+Poisson thinning into arrived and lost photons), and for a dark event
+whether one detector fired or more.  Sifting and bit flips are Bernoulli
+trials too, so the cost follows the number of events rather than pulses,
+and nothing is drawn from the analytic breakdown it checks.  A Bernoulli
+draw whose rarer outcome is unlikely places only those outcomes, as
+Geometric gaps between them; any other takes one random byte per trial,
+with the byte equal to the threshold settled by a uniform, so each event
+still gets its own exact outcome.  Arrivals are tallied by counting and
+dark events by a bincount over their categories.
 
 Pulses are processed in fixed-size batches, each driven by its own PCG64
 stream spawned from ``(seed, batch_index)`` by a ``SeedSequence``, so
 results are bit-identical whether batches run serially or in parallel.
 Each thread of a run draws its batches into one workspace whose arrays are
-allocated once, with headroom, and refilled batch after batch; a
-single-photon source stores its photon counts in one byte.
+allocated once, with headroom, and refilled batch after batch.
 """
 
 from __future__ import annotations
@@ -66,11 +66,6 @@ __all__ = [
 ]
 
 DEFAULT_BATCH_SIZE = 1_000_000
-# numpy draws no Poisson count with a mean above about 9.2e18
-MAX_MEAN_PHOTON_NUMBER = 1e18
-# Up to this mean a Poisson count is drawn by a chain of Bernoulli trials;
-# above it numpy's sampler is faster (200k draws, 2 cores, numpy 2.4.6)
-_CHAIN_MAX_MEAN = 12.0
 # Below this probability of the rarer outcome, Geometric gaps between the
 # rare outcomes cost less than one random byte per trial (at a million
 # trials the two break even near 0.03).
@@ -142,14 +137,13 @@ class _Events:
 
     :func:`_sample_events` refills it batch after batch with only the pulses
     of a batch that carry an event: ``n_arrivals`` arrival events first, then
-    the dark events.  ``emitted``, ``arrived``, ``fired``, ``category`` and
-    ``bit_error`` are views of exactly those entries.  Arrival events have
-    ``arrived >= 1`` and click one detector; dark events have ``arrived ==
-    0`` and ``fired >= 1`` dark fires (``fired`` is 0 for arrivals).  Every
+    the dark events.  ``emitted``, ``category`` and ``bit_error`` are views of
+    exactly those entries.  ``emitted`` is the pulse's photon class, one byte
+    each: 0 for no photon, 1 for one, 2 for two or more.  An arrival event
+    has at least one photon arrive and clicks one detector; a dark event has
+    every photon lost and at least one detector firing in the dark.  Every
     other pulse is silent (nothing arrived, no detector fired, not
-    conclusive) and is not stored.  Photon counts are one byte each for a
-    single-photon source, which emits exactly one photon per pulse, and
-    int64 for a Poissonian one.
+    conclusive) and is not stored.
 
     A buffer is allocated when it is first asked for, with headroom for the
     spread of its count between batches, so a thread maps and faults its
@@ -158,9 +152,7 @@ class _Events:
     :meth:`reset` the workspace holds no events.
     """
 
-    __slots__ = (
-        "n_arrivals", "emitted", "arrived", "fired", "category", "bit_error", "_buffers"
-    )  # fmt: skip
+    __slots__ = ("n_arrivals", "emitted", "category", "bit_error", "_buffers")
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
@@ -169,27 +161,22 @@ class _Events:
         """The first ``n`` entries of buffer ``name``, holding whatever an
         earlier batch left there."""
         buf = self._buffers.get(name)
-        if buf is None or buf.size < n or buf.dtype != dtype:
+        if buf is None or buf.size < n:
             # a batch's event counts are Binomial, with a standard deviation
             # below sqrt(n): 8 sqrt(n) of headroom holds the run's later
             # batches, and as only touched pages are resident, costs little
             buf = self._buffers[name] = np.empty(n + 8 * math.isqrt(n), dtype)
         return buf[:n]
 
-    def reset(self, n_arrivals: int, n_dark: int, photon_dtype: type) -> None:
-        """Hold ``n_arrivals + n_dark`` entries.  Each dark entry is reset to
-        one emitted photon, no arrival, no fire and no conclusive result, and
-        each arrival entry to no fire; :func:`_sample_events` writes the
-        other fields of the arrival entries whole, so they are not reset."""
+    def reset(self, n_arrivals: int, n_dark: int) -> None:
+        """Hold ``n_arrivals + n_dark`` entries, each dark entry reset to no
+        conclusive result; :func:`_sample_events` writes every photon class
+        and the other fields of the arrival entries whole, so they are not
+        reset."""
         n = n_arrivals + n_dark
         self.n_arrivals = n_arrivals
-        arr, dark = slice(0, n_arrivals), slice(n_arrivals, None)
-        self.emitted = self.buffer("emitted", n, photon_dtype)
-        self.emitted[dark] = 1
-        self.arrived = self.buffer("arrived", n, photon_dtype)
-        self.arrived[dark] = 0
-        self.fired = self.buffer("fired", n, np.int8)
-        self.fired[arr] = 0
+        dark = slice(n_arrivals, None)
+        self.emitted = self.buffer("emitted", n, np.int8)
         self.category = self.buffer("category", n, np.int8)
         self.category[dark] = 0
         self.bit_error = self.buffer("bit_error", n, np.bool_)
@@ -263,89 +250,33 @@ def _bernoulli_gaps(rng: np.random.Generator, p: float, out: np.ndarray) -> np.n
     return out
 
 
-def _chop_down(
-    rng: np.random.Generator,
-    pmf: np.ndarray,
-    out: np.ndarray,
-    first: int,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Fill ``out`` with values ``k >= first``, ``P(k)`` proportional to
-    ``pmf[k - first]``; ``scratch``, a bool array of ``out``'s size when
-    given, holds the steps' trials.
+def _poisson_steps(lam: float) -> tuple[float, float]:
+    """``P(K >= 1)`` and ``P(K >= 2 | K >= 1)`` for ``K ~ Poisson(lam)``.
 
-    Every draw starts at ``first``; one step moves the draws still live at
-    ``k`` past it by a :func:`_bernoulli` trial with the continuation
-    probability ``P(K > k | K >= k) = tail[k+1] / tail[k]``.  The tails are
-    summed from the small end, so they keep the digits that ``1 - cdf``
-    loses, and a tail that underflowed to 0 ends the table.  A single-valued
-    pmf draws nothing.
+    Below a mean of 1 the second is ``s / (1 + s)`` with ``s = (e^lam - 1 -
+    lam) / lam`` summed as its series, since ``expm1(lam) - lam`` cancels
+    there; from 1 up it is ``1 - lam e^-lam / P(K >= 1)``, which cannot
+    overflow.  A mean of 0 gives ``(0, 0)``.
     """
-    tail = np.cumsum(pmf[::-1])[::-1]
-    tail = tail[: np.count_nonzero(tail)]
-    steps = tail[1:] / tail[:-1]
-    if not steps.size:
-        out.fill(first)
-        return out
-    if scratch is None:
-        scratch = np.empty(out.size, dtype=bool)
-    moved = _bernoulli(rng, out.size, float(steps[0]), scratch)
-    np.add(moved, first, out=out)
-    live = np.flatnonzero(moved)
-    for k, p in enumerate(steps[1:], first + 2):
-        if not live.size:
-            break
-        live = live[_bernoulli(rng, live.size, float(p), scratch[: live.size])]
-        out[live] = k
-    return out
+    if lam == 0.0:
+        return 0.0, 0.0
+    at_least_one = -math.expm1(-lam)
+    if lam >= 1.0:
+        return at_least_one, 1.0 - lam * math.exp(-lam) / at_least_one
+    # terms past k = 19 are below 2**-53 of the first
+    s = math.fsum(lam ** (k - 1) / math.factorial(k) for k in range(2, 20))
+    return at_least_one, s / (1.0 + s)
 
 
-def _poisson(
-    rng: np.random.Generator,
-    lam: float,
-    size: int,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-    zero_truncated: bool = False,
-) -> np.ndarray:
-    """Poisson(``lam``) counts, conditioned on being at least 1 when
-    ``zero_truncated``, written into ``out`` when given.
-
-    Up to ``_CHAIN_MAX_MEAN`` they are drawn by :func:`_chop_down` (with
-    its ``scratch``); above it by numpy, redrawing zeros when truncated.  A
-    mean of 0 draws nothing.
-    """
-    if out is None:
-        out = np.empty(size, dtype=np.int64)
-    if size == 0:
-        return out
-    if lam > _CHAIN_MAX_MEAN:
-        counts = rng.poisson(lam, size)
-        while zero_truncated and (zeros := np.flatnonzero(counts == 0)).size:
-            counts[zeros] = rng.poisson(lam, zeros.size)
-        out[:] = counts
-        return out
-    # lam^k / k! up to where the tail is far below double precision
-    k = np.arange(1, int(lam + 12.0 * math.sqrt(lam)) + 25)
-    weights = np.concatenate(([1.0], np.cumprod(lam / k)))
-    return _chop_down(rng, weights[zero_truncated:], out, int(zero_truncated), scratch)
-
-
-def _zero_truncated_binomial(
-    rng: np.random.Generator,
-    n: int,
-    p: float,
-    size: int,
-    out: np.ndarray | None = None,
-    scratch: np.ndarray | None = None,
-) -> np.ndarray:
-    """Binomial(``n``, ``p``) counts conditioned on being at least 1, written
-    into ``out`` when given, by :func:`_chop_down` (with its ``scratch``)."""
-    if out is None:
-        out = np.empty(size, dtype=np.int64)
-    k = np.arange(1, n + 1)
-    pmf = np.array([math.comb(n, int(j)) for j in k]) * p**k * (1.0 - p) ** (n - k)
-    return _chop_down(rng, pmf, out, 1, scratch)
+def _multi_fire_probability(n: int, c: float) -> float:
+    """``P(F >= 2 | F >= 1)`` for ``F ~ Binomial(n, c)``: the terms of ``k
+    >= 2`` over those of ``k >= 1``, each divided by ``c`` so that none
+    underflows where the ratio does not.  Every term is positive, so
+    nothing cancels."""
+    weights = [
+        math.comb(n, k) * c ** (k - 1) * (1.0 - c) ** (n - k) for k in range(1, n + 1)
+    ]
+    return math.fsum(weights[1:]) / math.fsum(weights)
 
 
 def _sample_events(
@@ -359,23 +290,24 @@ def _sample_events(
     fresh workspace when none is given) and return it.
 
     Pulses are independent, so only the number of pulses with an event is
-    drawn per batch; everything else is drawn per event.  Draw order:
+    drawn per batch; everything else is drawn per event, by :func:`_bernoulli`
+    trials that settle the photon class and fire class the tally reads rather
+    than the counts.  Draw order:
 
     1. the number of arrival pulses, Binomial(``size``, ``p``) with
        ``p = eta`` (single photon) or ``1 - exp(-mu*eta)`` (Poisson);
     2. the number of dark events among the other pulses,
        Binomial(``size - arrivals``, ``1 - (1-C)^n_det``);
-    3. per arrival (Poisson source), a zero-truncated Poisson(``mu*eta``)
-       arrived count and an independent Poisson(``mu*(1-eta)``) lost count
-       (Poisson thinning), each by :func:`_poisson`;
-    4. per arrival, sifting, an eavesdropper flip and an intrinsic flip,
-       each by :func:`_bernoulli`; the flips are independent of sifting
-       and count only on kept arrivals;
-    5. per dark event, a zero-truncated Binomial(``n_det``, ``C``) fire
-       count by :func:`_chop_down` and, for a Poisson source, the lost
-       count;
-    6. per single fire, dark sifting, then the random bit of the kept ones,
-       each by :func:`_bernoulli`.
+    3. per arrival (Poisson source), by Poisson thinning, whether two or
+       more photons arrived given that one did (mean ``mu*eta``), then
+       whether one or more was lost (mean ``mu*(1-eta)``); the pulse is
+       multi-photon when either trial succeeds;
+    4. per arrival, sifting, an eavesdropper flip and an intrinsic flip; the
+       flips are independent of sifting and count only on kept arrivals;
+    5. per dark event, whether two or more detectors fired given that one
+       did and, for a Poisson source, whether a photon was lost and, if so,
+       whether a second one was;
+    6. per single fire, dark sifting, then the random bit of the kept ones.
 
     Draws with probability 0 or 1 are skipped, so the stream depends on the
     scenario but not on how batches are scheduled or on what a reused
@@ -396,28 +328,28 @@ def _sample_events(
         p_fire = -math.expm1(n_det * math.log1p(-c))
         n_dark = int(rng.binomial(size - n_arr, p_fire))
     ev = _Events() if events is None else events
-    ev.reset(n_arr, n_dark, np.int64 if poisson else np.int8)
+    ev.reset(n_arr, n_dark)
     arr, dark = slice(0, n_arr), slice(n_arr, None)
-    # holds the trials of the count chains, then for arrivals emitted > 1
-    # and the eavesdropper's flips
+    # holds the photon and fire class trials, then for arrivals the kept
+    # multi-photon ones and the eavesdropper's flips
     scratch = ev.buffer("mask", n_arr + n_dark, np.bool_)
     mask = scratch[arr]
+    kept = ev.buffer("kept", n_arr, np.bool_)
 
     if poisson:
-        # Poisson thinning: the arrived and the lost photons are independent
-        arrived, emitted = ev.arrived[arr], ev.emitted[arr]
-        _poisson(rng, mu * eta, n_arr, arrived, mask, zero_truncated=True)
-        _poisson(rng, mu * (1.0 - eta), n_arr, emitted, mask)
-        emitted += arrived
+        lost, lost_again = _poisson_steps(mu * (1.0 - eta))
+        _bernoulli(rng, n_arr, _poisson_steps(mu * eta)[1], mask)
+        # the lost trial borrows the buffer that sifting overwrites next
+        mask |= _bernoulli(rng, n_arr, lost, kept)
+        np.add(mask, 1, out=ev.emitted[arr], dtype=np.int8)
     else:
-        ev.emitted[arr] = 1
-        ev.arrived[arr] = 1
-    kept = _bernoulli(rng, n_arr, cf, ev.buffer("kept", n_arr, np.bool_))
+        # a single-photon pulse emits one photon, arrived or lost
+        ev.emitted.fill(1)
+    _bernoulli(rng, n_arr, cf, kept)
     # a kept qubit is SINGLE_QUBIT (1), or MULTI_QUBIT (2) if more was emitted
     category = ev.category[arr]
     category[:] = kept
     if poisson:
-        np.greater(emitted, 1, out=mask)
         mask &= kept
         category += mask
     _bernoulli(rng, n_arr, eve_flip_p, mask)
@@ -425,12 +357,14 @@ def _sample_events(
     flips ^= mask
     flips &= kept
 
-    fired = ev.fired[dark]
-    _zero_truncated_binomial(rng, n_det, c, n_dark, fired, scratch[dark])
+    multi = _bernoulli(rng, n_dark, _multi_fire_probability(n_det, c), scratch[dark])
+    single = n_arr + np.flatnonzero(~multi)
     if poisson:
         # an empty pulse emitted only photons that were lost
-        _poisson(rng, mu * (1.0 - eta), n_dark, ev.emitted[dark], scratch[dark])
-    single = n_arr + np.flatnonzero(fired == 1)
+        emitted = ev.emitted[dark]
+        emitted[:] = _bernoulli(rng, n_dark, lost, scratch[dark])
+        again = np.flatnonzero(emitted)
+        emitted[again[_bernoulli(rng, again.size, lost_again)]] = 2
     dark_kept = single[_bernoulli(rng, single.size, dark_keep)]
     ev.category[dark_kept] = Category.DARK_COUNT
     ev.bit_error[dark_kept] = _bernoulli(rng, dark_kept.size, 0.5)
@@ -440,15 +374,15 @@ def _sample_events(
 def _tally(n_pulses: int, events: _Events) -> EmpiricalStats:
     """Tally one batch of events.
 
-    Counts sit in bins indexed by (category, bit error, emitted photons
-    capped at 2).  A conclusive arrival is SINGLE_QUBIT exactly when it
-    emitted one photon and MULTI_QUBIT otherwise, and only conclusive
-    events carry a bit error, so arrivals are counted into their bins; dark
-    events are binned by a full key.
+    Counts sit in bins indexed by (category, bit error, photon class).  A
+    conclusive arrival is SINGLE_QUBIT exactly when it emitted one photon
+    and MULTI_QUBIT otherwise, and only conclusive events carry a bit error,
+    so arrivals are counted into their bins; dark events are binned by a
+    full key.
     """
     arr, dark = slice(0, events.n_arrivals), slice(events.n_arrivals, None)
     category, bit_error = events.category[dark], events.bit_error[dark]
-    key = (category * 2 + bit_error) * 3 + np.minimum(events.emitted[dark], 2)
+    key = (category * 2 + bit_error) * 3 + events.emitted[dark]
     counts = np.bincount(key, minlength=len(Category) * 6).reshape(len(Category), 2, 3)
     category, bit_error = events.category[arr], events.bit_error[arr]
     # a plain int: numpy compares an IntEnum about ten times slower
@@ -494,29 +428,22 @@ def run_simulation(
     Deterministic for fixed ``(scn, eve, n_pulses, seed, batch_size)``;
     ``workers`` only parallelizes independent batches and never changes the
     result; at most ``min(workers, os.cpu_count(), batches)`` threads run.
-    A mean photon number above ``MAX_MEAN_PHOTON_NUMBER`` is rejected.
     """
-    mu = scn.source.mean_photon_number
-    if mu is not None and mu > MAX_MEAN_PHOTON_NUMBER:
-        raise ValueError(
-            f"mean_photon_number: {mu:g} exceeds the simulator's limit "
-            f"of {MAX_MEAN_PHOTON_NUMBER:g}"
-        )
     if n_pulses < 1:
         raise ValueError("n_pulses must be >= 1")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    sizes = [
-        min(batch_size, n_pulses - start) for start in range(0, n_pulses, batch_size)
-    ]
-    jobs = list(enumerate(sizes))
-    threads = min(workers, os.cpu_count() or 1, len(jobs))
+    # batch indices: a batch's size follows from its index when it is drawn
+    n_batches = -(-n_pulses // batch_size)
+    jobs = range(n_batches)
+    threads = min(workers, os.cpu_count() or 1, n_batches)
 
-    def run_share(share: list[tuple[int, int]]) -> EmpiricalStats:
+    def run_share(share: range) -> EmpiricalStats:
         # one workspace per thread, refilled by each of its batches
         events = _Events()
         total = EmpiricalStats(n_pulses=0)
-        for index, size in share:
+        for index in share:
+            size = min(batch_size, n_pulses - index * batch_size)
             rng = _batch_rng(seed, index)
             total += _tally(size, _sample_events(scn, eve, size, rng, events))
         return total

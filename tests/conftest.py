@@ -55,11 +55,11 @@ def brute_force_worst_case(spec, e_x, n_grid=10_000):
 def full_key_tally(n_pulses, events):
     """Reference tally of one batch of simulator events.
 
-    Bins every event by the full key (category, bit error, emitted photons
-    capped at 2) in one ``bincount``, independent of the counting shortcuts
-    the simulator's own tally takes for arrivals.
+    Bins every event by the full key (category, bit error, photon class) in
+    one ``bincount``, independent of the counting shortcuts the simulator's
+    own tally takes for arrivals.
     """
-    key = (events.category * 2 + events.bit_error) * 3 + np.minimum(events.emitted, 2)
+    key = (events.category * 2 + events.bit_error) * 3 + events.emitted
     counts = np.bincount(key, minlength=len(Category) * 6).reshape(len(Category), 2, 3)
     values = {"n_pulses": n_pulses}
     for cat in list(Category)[1:]:

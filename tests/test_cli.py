@@ -306,17 +306,6 @@ class TestMeanPhotonNumber:
         assert "mean photon number" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("command", ["simulate", "decoy"])
-    def test_above_simulator_limit_exits_2(self, capsys, command):
-        code, out, err = run_cli(
-            capsys, command, "--source-kind", "poissonian",
-            "--mean-photon-number", "1e30", "--n-pulses", "1000",
-        )  # fmt: skip
-        assert code == 2
-        assert out == ""
-        assert "mean_photon_number" in err and "1e+18" in err
-        assert "Traceback" not in err
-
     @pytest.mark.parametrize(
         ("argv", "want"),
         [
@@ -324,6 +313,12 @@ class TestMeanPhotonNumber:
             (("decoy", "--mean-photon-number", "1e18", "--n-pulses", "1000"), 1),
             (("rate", "--mean-photon-number", "1e30"), 0),
             (("sweep", "--mean-photon-number", "1e30"), 0),
+            # the simulator draws photon classes, so it has no mean limit
+            *(
+                ((command, "--mean-photon-number", mu, "--n-pulses", "1000"), want)
+                for mu in ("1e30", "1e300")
+                for command, want in (("simulate", 0), ("decoy", 1))
+            ),
         ],
     )
     def test_huge_mean_runs(self, capsys, argv, want):
@@ -522,7 +517,8 @@ SCENARIO_FLAGS = {
     "--protocol", "--source-kind", "--mean-photon-number",
     "--attenuation-db-per-km", "--length-km", "--e-x-sq", "--dark-count-prob",
 }  # fmt: skip
-COMMON_FLAGS = {"-h", "--help", "--config", "--seed", "--out"}
+COMMON_FLAGS = {"-h", "--help", "--config", "--out"}
+SIMULATION_FLAGS = {"--n-pulses", "--seed", "--workers"}
 COMMAND_FLAGS = {
     "rate": COMMON_FLAGS | SCENARIO_FLAGS,
     "threshold": COMMON_FLAGS | {"--protocol"},
@@ -531,10 +527,9 @@ COMMAND_FLAGS = {
     | {"--length-min-km", "--length-max-km", "--length-step-km"},
     "simulate": COMMON_FLAGS
     | SCENARIO_FLAGS
-    | {"--n-pulses", "--eve", "--analytic-dark-count-prob", "--workers", "--tally-out"},
-    "decoy": COMMON_FLAGS
-    | SCENARIO_FLAGS
-    | {"--n-pulses", "--mu-values", "--workers"},
+    | SIMULATION_FLAGS
+    | {"--eve", "--analytic-dark-count-prob", "--tally-out"},
+    "decoy": COMMON_FLAGS | SCENARIO_FLAGS | SIMULATION_FLAGS | {"--mu-values"},
 }
 
 
@@ -586,6 +581,21 @@ class TestFieldTable:
             assert out == ""
             want = f"error: {f.name}: bad value for {where}: {bad!r} ({reason})\n"
             assert err == want
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rate"], ["threshold", "0.05"], ["sweep", "--length-step-km", "100"]],
+        ids=lambda a: a[0],
+    )
+    def test_seed_key_read_without_flag(self, capsys, tmp_path, argv):
+        # the commands that draw nothing take no --seed, but read the key
+        path = write_config(tmp_path, "[simulation]\nseed = 5\n")
+        code, out, err = run_cli(capsys, *argv, "--config", path)
+        assert code == 0 and out and err == ""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--seed", "5"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "decoy"])
     def test_negative_seed(self, capsys, command):

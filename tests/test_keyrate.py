@@ -1,6 +1,10 @@
 """Tests for the rate formulas, threshold solver, and distance search."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,6 +363,51 @@ class TestMaxDistance:
     def test_rejects_unknown_rate_fn(self):
         with pytest.raises(ValueError):
             max_distance(fig1_scenario(BB84), "banana")
+
+    @pytest.mark.parametrize(
+        ("arg", "want"),
+        [
+            ("tol_km=0.0", "ValueError"),
+            ("tol_km=-1.0", "ValueError"),
+            ("tol_km=float('nan')", "ValueError"),
+            ("cap_km=0.0", "ValueError"),
+            # below the float spacing near the reach
+            ("tol_km=1e-300", "float"),
+        ],
+    )
+    def test_bisection_tolerance_and_cap(self, arg, want):
+        # in a child process with a timeout, so that a bisection that never
+        # ends fails the test instead of hanging the suite
+        code = (
+            "from qkdrates.keyrate import max_distance\n"
+            "from qkdrates.protocols import BB84\n"
+            "from qkdrates.scenario import (\n"
+            "    DetectorModel, LinkModel, Scenario, SourceModel,\n"
+            ")\n"
+            "scn = Scenario(BB84, SourceModel.single_photon(), LinkModel(0.2, 0.0),\n"
+            "               DetectorModel(1e-6, 2), 0.01)\n"
+            "try:\n"
+            f"    print('float', repr(max_distance(scn, 'improved', {arg})))\n"
+            "except ValueError as exc:\n"
+            "    print('ValueError', exc)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        pythonpath = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": pythonpath},
+            timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        kind, value = proc.stdout.split(" ", 1)
+        assert kind == want, proc.stdout
+        if kind == "ValueError":
+            assert value.startswith("tol_km and cap_km must be > 0"), value
+        else:
+            reach = max_distance(fig1_scenario(BB84), "improved", tol_km=1e-6)
+            assert abs(float(value) - reach) <= 1e-6
 
     def test_improved_rate_monotone_in_distance(self):
         scn = fig1_scenario(BB84)

@@ -1,8 +1,11 @@
-"""The README's Python examples run as written, so a change to the public
-API that they use has to update them."""
+"""The README's Python examples run as written, and its command-line
+synopsis names the flags the parser has, so a change to the public API or
+to the flags has to update them."""
 
 import re
 from pathlib import Path
+
+from qkdrates.cli import _build_parser
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +25,41 @@ def test_readme_examples_run(capsys):
     for code in fences:
         exec(compile(code, str(README), "exec"), namespace)
     assert capsys.readouterr().out
+
+
+def subcommand_flags():
+    """Each subcommand's option strings, ``-h``/``--help`` left out."""
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return {
+        name: {opt for a in parser._actions for opt in a.option_strings}
+        - {"-h", "--help"}
+        for name, parser in sub.choices.items()
+    }
+
+
+def cli_synopsis(text):
+    """The flags each ``qkdrates <cmd>`` line of the README's CLI block
+    names, counting its indented continuation lines."""
+    pattern = r"^## Command-line interface\n\n```\n(.*?)^```$"
+    block = re.search(pattern, text, re.M | re.S)
+    named = {}
+    for line in block.group(1).splitlines():
+        if line.startswith("qkdrates "):
+            command = line.split()[1]
+        named.setdefault(command, set()).update(re.findall(r"--[a-z][a-z-]*", line))
+    return named
+
+
+def test_cli_synopsis_flags_exist():
+    flags = subcommand_flags()
+    named = cli_synopsis(README.read_text())
+    assert named.keys() == flags.keys()
+    for command, used in named.items():
+        assert used <= flags[command], (command, used - flags[command])
+
+
+def test_common_flags_sentence():
+    pattern = r"^Common flags on every subcommand:(.*?)\("
+    sentence = re.search(pattern, README.read_text(), re.M | re.S)
+    listed = set(re.findall(r"`(--[a-z-]+)", sentence.group(1)))
+    assert listed == set.intersection(*subcommand_flags().values())

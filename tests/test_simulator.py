@@ -4,9 +4,9 @@ import dataclasses
 import itertools
 import math
 import tracemalloc
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import full_key_tally
@@ -47,11 +47,6 @@ def make_scenario(spec=BB84, source=None, length=50.0, c=1e-5, e_x_sq=0.05):
 def sample_events(scn, eve, size, seed):
     """Events of one batch of ``size`` pulses, as ``run_simulation`` draws them."""
     return simulator._sample_events(scn, eve, size, np.random.default_rng(seed))
-
-
-def multi_fires(events):
-    """Mask of dark events in which two or more detectors fired."""
-    return (events.arrived == 0) & (events.fired >= 2)
 
 
 class TestDeterminism:
@@ -127,6 +122,26 @@ class TestDeterminism:
         ) == serial
         assert seen == []
 
+    def test_batch_plan_memory_bounded(self, monkeypatch):
+        # 1e11 pulses are 1e5 batches: nothing allocated before the first
+        # batch may grow with their number
+        def refuse(*args):
+            raise RuntimeError("batch drawn")
+
+        monkeypatch.setattr(simulator, "_sample_events", refuse)
+        scn = make_scenario()
+        # a first call pays for the imports the batch generator makes
+        with pytest.raises(RuntimeError, match="batch drawn"):
+            run_simulation(scn, EveKind.NONE, 1, seed=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(RuntimeError, match="batch drawn"):
+                run_simulation(scn, EveKind.NONE, 10**11, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
+
 
 # (source, dark count probability, length in km): C = 0 at 0 km makes every
 # pulse an arrival, C = 0.3 at 50 km makes most events dark
@@ -135,7 +150,7 @@ WORKSPACE_SCENARIOS = [
     for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5))
     for c, length in ((0.0, 0.0), (0.3, 50.0))
 ]
-EVENT_FIELDS = ("emitted", "arrived", "fired", "category", "bit_error")
+EVENT_FIELDS = ("emitted", "category", "bit_error")
 
 
 class TestWorkspace:
@@ -176,10 +191,10 @@ class TestWorkspace:
 
     def test_warm_batch_allocation_bounded(self):
         # a warmed workspace draws a 1e6-pulse batch at 0 km with only the
-        # scratch of one Bernoulli draw or chain step fresh at a time, and
-        # keeps its buffers although the Poissonian batch has more arrivals
-        # (393 520) than its warm-up (393 177): tracemalloc's peak is 1.07 MB
-        # single-photon and 0.84 MB Poissonian (numpy 2.4.6), against 28.0
+        # scratch of one Bernoulli draw fresh at a time, and keeps its
+        # buffers although the Poissonian batch has more arrivals (393 520)
+        # than its warm-up (393 177): tracemalloc's peak is 1.07 MB
+        # single-photon and 0.42 MB Poissonian (numpy 2.4.6), against 28.0
         # and 12.5 MB when buffers were allocated afresh
         eve, n = EveKind.NONE, 1_000_000
         for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5)):
@@ -206,17 +221,22 @@ class TestPulseInvariants:
     def test_category_rules(self):
         scn = make_scenario(source=SourceModel.poissonian(0.8), length=30.0, c=0.3)
         ev = sample_events(scn, EveKind.NONE, 30_000, seed=13)
+        arr, dark = slice(0, ev.n_arrivals), slice(ev.n_arrivals, None)
         cat = ev.category
         single = cat == Category.SINGLE_QUBIT
         assert (ev.emitted[single] == 1).all()
-        assert (ev.arrived[single] >= 1).all() and (ev.fired[single] == 0).all()
         multi = cat == Category.MULTI_QUBIT
-        assert (ev.emitted[multi] >= 2).all() and (ev.arrived[multi] >= 1).all()
-        dark = cat == Category.DARK_COUNT
-        assert (ev.arrived[dark] == 0).all() and (ev.fired[dark] == 1).all()
+        assert (ev.emitted[multi] == 2).all()
+        # arrivals come first, emitted a photon and are never dark counts
+        assert (ev.emitted[arr] >= 1).all()
+        assert (cat[arr] != Category.DARK_COUNT).all()
+        # the rest are dark events, which are never qubits
+        is_dark = cat == Category.DARK_COUNT
+        assert not (single | multi)[dark].any()
+        assert ev.emitted.dtype == np.int8 and np.isin(ev.emitted, (0, 1, 2)).all()
         assert not ev.bit_error[cat == Category.NOT_CONCLUSIVE].any()
-        assert (ev.arrived <= ev.emitted).all()
-        assert single.any() and multi.any() and dark.any() and ev.bit_error.any()
+        assert single.any() and multi.any() and is_dark.any() and ev.bit_error.any()
+        assert (ev.emitted[dark] == 0).any() and (ev.emitted[dark] == 2).any()
 
     @pytest.mark.parametrize("spec", [BB84, PBC00])
     def test_every_tally_populated(self, spec):
@@ -242,15 +262,6 @@ class TestPulseInvariants:
         stats = run_simulation(scn, EveKind.NONE, 100_000, seed=21)
         assert stats.cat1_count == 100_000
         assert stats.error_count == 0
-
-    def test_double_fires_discarded(self):
-        # huge dark count probability so double fires actually occur
-        scn = make_scenario(length=1000.0, c=0.3, e_x_sq=0.0)
-        ev = sample_events(scn, EveKind.NONE, 20_000, seed=8)
-        doubles = multi_fires(ev)
-        assert doubles.any()
-        assert (ev.category[doubles] == Category.NOT_CONCLUSIVE).all()
-        assert not ev.bit_error[doubles].any()
 
 
 class TestAnalyticsAgreement:
@@ -402,82 +413,74 @@ def assert_matches_pmf(draws, pmf):
     assert chi2 <= crit, (chi2, crit, bins)
 
 
-def poisson_pmf(lam):
-    """Poisson(``lam``) probabilities of ``k = 0, 1, ...`` out to where the
-    tail is negligible."""
-    k = np.arange(0, int(lam + 20 * math.sqrt(lam)) + 40)
-    log_pmf = k * math.log(lam) - np.array([math.lgamma(j + 1) for j in k]) - lam
-    return np.exp(log_pmf)
+def within_ulps(got, want, ulps=4):
+    return abs(got - want) <= ulps * math.ulp(want)
 
 
-# the means just either side of the switch from the chain to numpy's sampler
-CROSSOVER_MEANS = [
-    simulator._CHAIN_MAX_MEAN,
-    math.nextafter(simulator._CHAIN_MAX_MEAN, math.inf),
-]
+STEP_MEANS = [
+    1e-150, 1e-40, 1e-12, 1e-4, 0.05, 0.5, math.nextafter(1.0, 0.0), 1.0,
+    1.5, 5.0, 40.0, 745.0, 1e18, 1e300,
+]  # fmt: skip
 
 
-def assert_mean_matches(draws, pmf):
-    k = np.arange(1, len(pmf) + 1)
-    mean = float(np.dot(k, pmf))
-    sd = math.sqrt(max(float(np.dot(k**2, pmf)) - mean**2, 0.0))
-    assert abs(draws.mean() - mean) <= 5 * sd / math.sqrt(draws.size) + 1e-12
+def photon_class_pmfs(mu, eta):
+    """Photon-class probabilities (0, 1, 2 or more) of an arrival and of a
+    dark event of a Poisson(``mu``) pulse through transmittance ``eta``,
+    from the photon-number sums at 30 digits."""
+    with mpmath.workdps(30):
+        arrived, lost = mpmath.mpf(mu) * eta, mpmath.mpf(mu) * (1 - mpmath.mpf(eta))
+        no_loss = mpmath.exp(-lost)
+        one_arrived = arrived * mpmath.exp(-arrived) / -mpmath.expm1(-arrived)
+        single = float(one_arrived * no_loss)
+        empty, one_lost = float(no_loss), float(lost * no_loss)
+    return [single, 1.0 - single], [empty, one_lost, 1.0 - empty - one_lost]
 
 
-class TestZeroTruncatedSamplers:
-    N = 400_000
+class TestClassDraws:
+    """Each event draws its photon class and fire class by Bernoulli trials
+    with the step probabilities of the Poisson and Binomial laws."""
 
-    @pytest.mark.parametrize(
-        "lam", [1e-4, 1e-3, 0.05, 0.5, 1.0, 5.0, *CROSSOVER_MEANS, 40.0]
-    )
-    def test_poisson(self, lam):
-        rng = np.random.default_rng(int(lam * 1e4) + 1)
-        draws = simulator._poisson(rng, lam, self.N, zero_truncated=True)
-        pmf = poisson_pmf(lam)[1:] / -math.expm1(-lam)
-        assert_matches_pmf(draws, pmf)
-        assert_mean_matches(draws, pmf)
+    @pytest.mark.parametrize("lam", STEP_MEANS)
+    def test_poisson_steps(self, lam):
+        with mpmath.workdps(50):
+            x = mpmath.mpf(lam)
+            at_least_one = -mpmath.expm1(-x)
+            if lam < 1.0:
+                # P(K >= 2) by its series: 50 digits cannot resolve
+                # expm1(x) - x below about x = 1e-40
+                series = mpmath.fsum(x**k / mpmath.factorial(k) for k in range(2, 60))
+                at_least_two = mpmath.exp(-x) * series
+            else:
+                at_least_two = 1 - mpmath.exp(-x) * (1 + x)
+            want = (float(at_least_one), float(at_least_two / at_least_one))
+        got = simulator._poisson_steps(lam)
+        assert all(within_ulps(g, w) for g, w in zip(got, want)), (got, want)
 
-    @pytest.mark.parametrize("lam", [1e-4, 0.05, 0.45, 5.0, *CROSSOVER_MEANS])
-    def test_lost_count_poisson(self, lam):
-        # counts from 0: shifted by one onto the helpers' support 1..len(pmf)
-        rng = np.random.default_rng(int(lam * 1e4) + 7)
-        draws = simulator._poisson(rng, lam, self.N)
-        pmf = poisson_pmf(lam)
-        assert_matches_pmf(draws + 1, pmf)
-        assert_mean_matches(draws + 1, pmf)
+    def test_poisson_steps_of_zero_mean(self):
+        assert simulator._poisson_steps(0.0) == (0.0, 0.0)
 
     @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("p", [1e-6, 1e-5, 1e-3, 0.05, 0.3])
-    def test_binomial(self, n, p):
-        rng = np.random.default_rng(int(p * 1e6) + n)
-        draws = simulator._zero_truncated_binomial(rng, n, p, self.N)
-        k = np.arange(1, n + 1)
-        comb = np.array([math.comb(n, j) for j in range(1, n + 1)])
-        pmf = comb * p**k * (1 - p) ** (n - k)
-        pmf /= 1 - (1 - p) ** n
-        assert_matches_pmf(draws, pmf)
-        assert_mean_matches(draws, pmf)
+    @pytest.mark.parametrize("c", [1e-300, 1e-6, 0.3])
+    def test_multi_fire_probability(self, n, c):
+        with mpmath.workdps(50):
+            p = mpmath.mpf(c)
+            terms = [
+                mpmath.binomial(n, k) * p**k * (1 - p) ** (n - k) for k in range(n + 1)
+            ]
+            want = float(mpmath.fsum(terms[2:]) / mpmath.fsum(terms[1:]))
+        assert within_ulps(simulator._multi_fire_probability(n, c), want)
 
-    def test_empty_request_draws_nothing(self):
-        rng = np.random.default_rng(1)
-        state = rng.bit_generator.state
-        assert simulator._poisson(rng, 0.0, 0, zero_truncated=True).size == 0
-        assert simulator._zero_truncated_binomial(rng, 2, 0.0, 0).size == 0
-        for lam in (0.5, 40.0):
-            assert simulator._poisson(rng, lam, 0).size == 0
-        # a mean of 0 has only one value to draw
-        assert (simulator._poisson(rng, 0.0, 1000) == 0).all()
-        assert rng.bit_generator.state == state
-
-    @pytest.mark.parametrize("first", [0, 1])
-    def test_underflowed_tail_ends_table(self, first):
-        # lam^2 / 2 underflows to 0: every draw stays at first, with no 0/0
-        rng = np.random.default_rng(3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            draws = simulator._poisson(rng, 1e-300, 1000, zero_truncated=bool(first))
-            fires = simulator._zero_truncated_binomial(rng, 3, 1e-300, 1000)
-        assert (draws == first).all() and (fires == 1).all()
+    @pytest.mark.parametrize("mu", [1e-4, 0.5, 5.0, 40.0, 1e18])
+    def test_photon_class(self, mu):
+        # mu * eta at most 1 and C = 0.3, so both kinds of event are common
+        length = -50.0 * math.log10(min(0.5, 1.0 / mu))
+        scn = make_scenario(source=SourceModel.poissonian(mu), length=length, c=0.3)
+        events = sample_events(scn, EveKind.NONE, 400_000, seed=97)
+        arrival_pmf, dark_pmf = photon_class_pmfs(mu, transmittance(scn.link))
+        arr, dark = slice(0, events.n_arrivals), slice(events.n_arrivals, None)
+        assert events.n_arrivals > 0 and events.emitted[dark].size > 0
+        assert_matches_pmf(events.emitted[arr], arrival_pmf)
+        assert_matches_pmf(events.emitted[dark] + 1, dark_pmf)
 
 
 class TestBernoulli:
@@ -618,12 +621,14 @@ class TestHighDarkRate:
         assert abs(stats.e_x_hat - e_x) <= 3 * math.sqrt(e_x * (1 - e_x) / (p_c * n))
 
     def test_double_fire_rate(self):
-        # single-photon pulses: a lost photon, then two or more dark fires
+        # single-photon pulses: a lost photon, then two or more dark fires,
+        # or one that dark sifting discards
         c, n = 0.3, 50_000
         scn = make_scenario(PBC00, c=c)
         events = sample_events(scn, EveKind.NONE, n, seed=2026)
-        doubles = int(multi_fires(events).sum())
-        d = PBC00.detector_count
-        multi_fire = 1 - (1 - c) ** d - d * c * (1 - c) ** (d - 1)
-        p = (1 - transmittance(scn.link)) * multi_fire
-        assert abs(doubles / n - p) <= 3 * math.sqrt(p * (1 - p) / n)
+        discarded = np.count_nonzero(events.category[events.n_arrivals :] == 0)
+        d, m = PBC00.detector_count, PBC00.dark_conclusive_multiplier
+        one_fire = d * c * (1 - c) ** (d - 1)
+        multi_fire = 1 - (1 - c) ** d - one_fire
+        p = (1 - transmittance(scn.link)) * (multi_fire + one_fire * (1 - m / d))
+        assert abs(discarded / n - p) <= 3 * math.sqrt(p * (1 - p) / n)

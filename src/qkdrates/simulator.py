@@ -22,14 +22,20 @@ and nothing is drawn from the analytic breakdown it checks.  A Bernoulli
 draw whose rarer outcome is unlikely places only those outcomes, as
 Geometric gaps between them; any other takes one random byte per trial,
 with the byte equal to the threshold settled by a uniform, so each event
-still gets its own exact outcome.  Arrivals are tallied by counting and
-dark events by a bincount over their categories.
+still gets its own exact outcome.
+
+Each batch is counted as it is drawn.  An arrival's trials are masks over
+the batch's arrivals, counted and combined in place, so no per-arrival
+record is stored; the few dark events are binned by photon class and bit
+error.  A trial whose probability is 0 or 1 draws no random numbers, and
+the common ones (sifting at a conclusive factor of 1, the flip of an absent
+eavesdropper, photon loss over no distance) write no mask either.
 
 Pulses are processed in fixed-size batches, each driven by its own PCG64
 stream spawned from ``(seed, batch_index)`` by a ``SeedSequence``, so
 results are bit-identical whether batches run serially or in parallel.
-Each thread of a run draws its batches into one workspace whose arrays are
-allocated once, with headroom, and refilled batch after batch.
+Each thread of a run reuses one set of scratch masks, allocated once with
+headroom.
 """
 
 from __future__ import annotations
@@ -131,33 +137,21 @@ class EmpiricalStats:
         return self.error_count / n if n else 0.0
 
 
-class _Events:
-    """Workspace of one thread: the events of a batch and the scratch arrays
-    that draw them.
+class _Scratch:
+    """Scratch masks of one thread, reused batch after batch.
 
-    :func:`_sample_events` refills it batch after batch with only the pulses
-    of a batch that carry an event: ``n_arrivals`` arrival events first, then
-    the dark events.  ``emitted``, ``category`` and ``bit_error`` are views of
-    exactly those entries.  ``emitted`` is the pulse's photon class, one byte
-    each: 0 for no photon, 1 for one, 2 for two or more.  An arrival event
-    has at least one photon arrive and clicks one detector; a dark event has
-    every photon lost and at least one detector firing in the dark.  Every
-    other pulse is silent (nothing arrived, no detector fired, not
-    conclusive) and is not stored.
-
-    A buffer is allocated when it is first asked for, with headroom for the
-    spread of its count between batches, so a thread maps and faults its
-    memory in once per run rather than once per batch; the buffers go when
-    the workspace does, at the end of the run.  Until the first
-    :meth:`reset` the workspace holds no events.
+    A mask is allocated when it is first asked for, with headroom for the
+    spread of its size between batches, so a thread maps and faults its
+    memory in once per run rather than once per batch; the masks go when the
+    scratch does, at the end of the run.
     """
 
-    __slots__ = ("n_arrivals", "emitted", "category", "bit_error", "_buffers")
+    __slots__ = ("_buffers",)
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
 
-    def buffer(self, name: str, n: int, dtype: type) -> np.ndarray:
+    def take(self, name: str, n: int, dtype: type = np.bool_) -> np.ndarray:
         """The first ``n`` entries of buffer ``name``, holding whatever an
         earlier batch left there."""
         buf = self._buffers.get(name)
@@ -167,20 +161,6 @@ class _Events:
             # batches, and as only touched pages are resident, costs little
             buf = self._buffers[name] = np.empty(n + 8 * math.isqrt(n), dtype)
         return buf[:n]
-
-    def reset(self, n_arrivals: int, n_dark: int) -> None:
-        """Hold ``n_arrivals + n_dark`` entries, each dark entry reset to no
-        conclusive result; :func:`_sample_events` writes every photon class
-        and the other fields of the arrival entries whole, so they are not
-        reset."""
-        n = n_arrivals + n_dark
-        self.n_arrivals = n_arrivals
-        dark = slice(n_arrivals, None)
-        self.emitted = self.buffer("emitted", n, np.int8)
-        self.category = self.buffer("category", n, np.int8)
-        self.category[dark] = 0
-        self.bit_error = self.buffer("bit_error", n, np.bool_)
-        self.bit_error[dark] = False
 
 
 def _bernoulli(
@@ -279,29 +259,62 @@ def _multi_fire_probability(n: int, c: float) -> float:
     return math.fsum(weights[1:]) / math.fsum(weights)
 
 
-def _sample_events(
-    scn: Scenario,
-    eve: EveKind,
-    size: int,
-    rng: np.random.Generator,
-    events: _Events | None = None,
-) -> _Events:
-    """Sample the events of one batch of ``size`` pulses into ``events`` (a
-    fresh workspace when none is given) and return it.
+class _Draws(NamedTuple):
+    """The probabilities of a run's draws.  They depend only on the scenario
+    and the eavesdropper, so a run works them out once."""
+
+    arrival: float  # a pulse carries an arrival
+    dark_fire: float  # a detector fires in the dark (0 when C = 0)
+    poisson: bool
+    multi_arrived: float  # two or more photons arrived, given one did
+    lost: float  # one or more photons were lost
+    lost_again: float  # two or more were lost, given one was
+    keep: float  # sifting keeps an arrival
+    eve_flip: float
+    flip: float  # the intrinsic error channel flips a qubit
+    multi_fire: float  # two or more detectors fired, given one did
+    dark_keep: float  # dark sifting keeps a single fire
+
+
+def _draws(scn: Scenario, eve: EveKind) -> _Draws:
+    eta = transmittance(scn.link)
+    c = scn.detector.dark_count_prob
+    n_det = scn.detector.detector_count
+    poisson = scn.source.kind is SourceKind.POISSONIAN
+    mu = scn.source.mean_photon_number
+    lost, lost_again = _poisson_steps(mu * (1.0 - eta)) if poisson else (0.0, 0.0)
+    return _Draws(
+        arrival=-math.expm1(-mu * eta) if poisson else eta,
+        dark_fire=-math.expm1(n_det * math.log1p(-c)) if c > 0.0 else 0.0,
+        poisson=poisson,
+        multi_arrived=_poisson_steps(mu * eta)[1] if poisson else 0.0,
+        lost=lost,
+        lost_again=lost_again,
+        keep=scn.protocol.conclusive_factor(scn.e_x_sq),
+        eve_flip=eve.flip_probability(scn.protocol.basis_count),
+        flip=scn.e_x_sq,
+        multi_fire=_multi_fire_probability(n_det, c),
+        dark_keep=scn.protocol.dark_conclusive_multiplier / n_det,
+    )
+
+
+def _count_batch(
+    d: _Draws, size: int, rng: np.random.Generator, scratch: _Scratch
+) -> EmpiricalStats:
+    """Draw one batch of ``size`` pulses and count its conclusive results.
 
     Pulses are independent, so only the number of pulses with an event is
     drawn per batch; everything else is drawn per event, by :func:`_bernoulli`
-    trials that settle the photon class and fire class the tally reads rather
-    than the counts.  Draw order:
+    trials that settle the photon class and fire class rather than the
+    counts.  Each trial's outcome lives in a scratch mask only until it is
+    counted.  Draw order:
 
-    1. the number of arrival pulses, Binomial(``size``, ``p``) with
-       ``p = eta`` (single photon) or ``1 - exp(-mu*eta)`` (Poisson);
+    1. the number of arrival pulses, Binomial(``size``, ``d.arrival``);
     2. the number of dark events among the other pulses,
-       Binomial(``size - arrivals``, ``1 - (1-C)^n_det``);
+       Binomial(``size - arrivals``, ``d.dark_fire``);
     3. per arrival (Poisson source), by Poisson thinning, whether two or
-       more photons arrived given that one did (mean ``mu*eta``), then
-       whether one or more was lost (mean ``mu*(1-eta)``); the pulse is
-       multi-photon when either trial succeeds;
+       more photons arrived given that one did, then whether one or more
+       was lost; the pulse is multi-photon when either trial succeeds;
     4. per arrival, sifting, an eavesdropper flip and an intrinsic flip; the
        flips are independent of sifting and count only on kept arrivals;
     5. per dark event, whether two or more detectors fired given that one
@@ -309,100 +322,69 @@ def _sample_events(
        whether a second one was;
     6. per single fire, dark sifting, then the random bit of the kept ones.
 
-    Draws with probability 0 or 1 are skipped, so the stream depends on the
-    scenario but not on how batches are scheduled or on what a reused
-    workspace held before.
+    A draw with probability 0 or 1 takes no random numbers, so the stream
+    depends on the scenario but not on how batches are scheduled, on what
+    the scratch held before, or on which such draws skip their mask too
+    (sifting at a conclusive factor of 1, no eavesdropper, no photon loss).
     """
-    eta = transmittance(scn.link)
-    cf = scn.protocol.conclusive_factor(scn.e_x_sq)
-    c = scn.detector.dark_count_prob
-    n_det = scn.detector.detector_count
-    dark_keep = scn.protocol.dark_conclusive_multiplier / n_det
-    eve_flip_p = eve.flip_probability(scn.protocol.basis_count)
-    poisson = scn.source.kind is SourceKind.POISSONIAN
-    mu = scn.source.mean_photon_number
+    n = int(rng.binomial(size, d.arrival))
+    n_dark = int(rng.binomial(size - n, d.dark_fire)) if d.dark_fire > 0.0 else 0
 
-    n_arr = int(rng.binomial(size, -math.expm1(-mu * eta) if poisson else eta))
-    n_dark = 0
-    if c > 0.0:
-        p_fire = -math.expm1(n_det * math.log1p(-c))
-        n_dark = int(rng.binomial(size - n_arr, p_fire))
-    ev = _Events() if events is None else events
-    ev.reset(n_arr, n_dark)
-    arr, dark = slice(0, n_arr), slice(n_arr, None)
-    # holds the photon and fire class trials, then for arrivals the kept
-    # multi-photon ones and the eavesdropper's flips
-    scratch = ev.buffer("mask", n_arr + n_dark, np.bool_)
-    mask = scratch[arr]
-    kept = ev.buffer("kept", n_arr, np.bool_)
+    # a kept arrival is SINGLE_QUBIT, or MULTI_QUBIT if more than one photon
+    # was emitted; the lost trial borrows the mask the flips overwrite later
+    multi = kept = eve_flips = None
+    if d.poisson:
+        multi = _bernoulli(rng, n, d.multi_arrived, scratch.take("multi", n))
+        if d.lost > 0.0:
+            multi |= _bernoulli(rng, n, d.lost, scratch.take("errors", n))
+    if d.keep < 1.0:
+        kept = _bernoulli(rng, n, d.keep, scratch.take("kept", n))
+        if multi is not None:
+            multi &= kept
+    if d.eve_flip > 0.0:
+        eve_flips = _bernoulli(rng, n, d.eve_flip, scratch.take("eve", n))
+    errors = _bernoulli(rng, n, d.flip, scratch.take("errors", n))
+    if eve_flips is not None:
+        errors ^= eve_flips
+    if kept is not None:
+        errors &= kept
+    n_kept = n if kept is None else int(np.count_nonzero(kept))
+    n_errors = int(np.count_nonzero(errors))
+    n_multi = n_multi_errors = 0
+    if multi is not None:
+        n_multi = int(np.count_nonzero(multi))
+        n_multi_errors = int(np.count_nonzero(np.logical_and(errors, multi, out=errors)))
 
-    if poisson:
-        lost, lost_again = _poisson_steps(mu * (1.0 - eta))
-        _bernoulli(rng, n_arr, _poisson_steps(mu * eta)[1], mask)
-        # the lost trial borrows the buffer that sifting overwrites next
-        mask |= _bernoulli(rng, n_arr, lost, kept)
-        np.add(mask, 1, out=ev.emitted[arr], dtype=np.int8)
-    else:
-        # a single-photon pulse emits one photon, arrived or lost
-        ev.emitted.fill(1)
-    _bernoulli(rng, n_arr, cf, kept)
-    # a kept qubit is SINGLE_QUBIT (1), or MULTI_QUBIT (2) if more was emitted
-    category = ev.category[arr]
-    category[:] = kept
-    if poisson:
-        mask &= kept
-        category += mask
-    _bernoulli(rng, n_arr, eve_flip_p, mask)
-    flips = _bernoulli(rng, n_arr, scn.e_x_sq, ev.bit_error[arr])
-    flips ^= mask
-    flips &= kept
+    # dark events: an empty pulse emitted only photons that were lost
+    mask = _bernoulli(rng, n_dark, d.multi_fire, scratch.take("dark", n_dark))
+    single = np.flatnonzero(np.logical_not(mask, out=mask))
+    photons = 1  # a single-photon source's one photon was lost
+    if d.poisson:
+        photons = scratch.take("dark_photons", n_dark, np.int8)
+        again = np.flatnonzero(_bernoulli(rng, n_dark, d.lost, photons.view(np.bool_)))
+        lost_again = _bernoulli(rng, again.size, d.lost_again, mask[: again.size])
+        photons[again[lost_again]] = 2
+    dark_kept = single[_bernoulli(rng, single.size, d.dark_keep, mask[: single.size])]
+    bits = _bernoulli(rng, dark_kept.size, 0.5, mask[: dark_kept.size])
+    # dark counts by photon class (0, 1 or 2) and bit error
+    if d.poisson:
+        photons = photons[dark_kept]
+    dark = np.bincount(photons * 2 + bits, minlength=6).reshape(3, 2)
 
-    multi = _bernoulli(rng, n_dark, _multi_fire_probability(n_det, c), scratch[dark])
-    single = n_arr + np.flatnonzero(~multi)
-    if poisson:
-        # an empty pulse emitted only photons that were lost
-        emitted = ev.emitted[dark]
-        emitted[:] = _bernoulli(rng, n_dark, lost, scratch[dark])
-        again = np.flatnonzero(emitted)
-        emitted[again[_bernoulli(rng, again.size, lost_again)]] = 2
-    dark_kept = single[_bernoulli(rng, single.size, dark_keep)]
-    ev.category[dark_kept] = Category.DARK_COUNT
-    ev.bit_error[dark_kept] = _bernoulli(rng, dark_kept.size, 0.5)
-    return ev
-
-
-def _tally(n_pulses: int, events: _Events) -> EmpiricalStats:
-    """Tally one batch of events.
-
-    Counts sit in bins indexed by (category, bit error, photon class).  A
-    conclusive arrival is SINGLE_QUBIT exactly when it emitted one photon
-    and MULTI_QUBIT otherwise, and only conclusive events carry a bit error,
-    so arrivals are counted into their bins; dark events are binned by a
-    full key.
-    """
-    arr, dark = slice(0, events.n_arrivals), slice(events.n_arrivals, None)
-    category, bit_error = events.category[dark], events.bit_error[dark]
-    key = (category * 2 + bit_error) * 3 + events.emitted[dark]
-    counts = np.bincount(key, minlength=len(Category) * 6).reshape(len(Category), 2, 3)
-    category, bit_error = events.category[arr], events.bit_error[arr]
-    # a plain int: numpy compares an IntEnum about ten times slower
-    multi = category == Category.MULTI_QUBIT.value
-    n_multi = int(np.count_nonzero(multi))
-    multi_errors = int(np.count_nonzero(bit_error & multi))
-    n_single = int(np.count_nonzero(category)) - n_multi
-    single_errors = int(np.count_nonzero(bit_error)) - multi_errors
-    counts[Category.SINGLE_QUBIT, :, 1] += (n_single - single_errors, single_errors)
-    counts[Category.MULTI_QUBIT, :, 2] += (n_multi - multi_errors, multi_errors)
-    values: dict[str, int] = {"n_pulses": n_pulses}
-    for cat in list(Category)[1:]:
-        values[f"cat{int(cat)}_count"] = int(counts[cat].sum())
-        values[f"cat{int(cat)}_errors"] = int(counts[cat, 1].sum())
-    conclusive = counts[1:]
-    values["single_pulse_conclusive"] = int(conclusive[:, :, 1].sum())
-    values["single_pulse_errors"] = int(conclusive[:, 1, 1].sum())
-    values["empty_pulse_conclusive"] = int(conclusive[:, :, 0].sum())
-    values["empty_pulse_errors"] = int(conclusive[:, 1, 0].sum())
-    return EmpiricalStats(**values)
+    n_single, n_single_errors = n_kept - n_multi, n_errors - n_multi_errors
+    return EmpiricalStats(
+        n_pulses=size,
+        cat1_count=n_single,
+        cat1_errors=n_single_errors,
+        cat2_count=n_multi,
+        cat2_errors=n_multi_errors,
+        cat4_count=int(dark_kept.size),
+        cat4_errors=int(dark[:, 1].sum()),
+        single_pulse_conclusive=n_single + int(dark[1].sum()),
+        single_pulse_errors=n_single_errors + int(dark[1, 1]),
+        empty_pulse_conclusive=int(dark[0].sum()),
+        empty_pulse_errors=int(dark[0, 1]),
+    )
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
@@ -437,15 +419,15 @@ def run_simulation(
     n_batches = -(-n_pulses // batch_size)
     jobs = range(n_batches)
     threads = min(workers, os.cpu_count() or 1, n_batches)
+    draws = _draws(scn, eve)
 
     def run_share(share: range) -> EmpiricalStats:
-        # one workspace per thread, refilled by each of its batches
-        events = _Events()
+        # one set of scratch masks per thread, reused by each of its batches
+        scratch = _Scratch()
         total = EmpiricalStats(n_pulses=0)
         for index in share:
             size = min(batch_size, n_pulses - index * batch_size)
-            rng = _batch_rng(seed, index)
-            total += _tally(size, _sample_events(scn, eve, size, rng, events))
+            total += _count_batch(draws, size, _batch_rng(seed, index), scratch)
         return total
 
     if threads <= 1:

@@ -1,9 +1,12 @@
 """Shared test helpers and acceptance-line reporting."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
+from qkdrates import simulator
+from qkdrates.scenario import SourceKind, transmittance
 from qkdrates.simulator import Category, EmpiricalStats
 
 _acceptance_lines: list[str] = []
@@ -52,12 +55,68 @@ def brute_force_worst_case(spec, e_x, n_grid=10_000):
     return best
 
 
+def sample_events(scn, eve, size, rng):
+    """Per-event reference sampler: the events of one batch of ``size``
+    pulses, with each event's photon class, category and bit error stored.
+
+    It makes the draws of ``simulator._count_batch`` in the same order, by
+    ``simulator._bernoulli``, but works out every probability itself and
+    keeps every outcome: ``n_arrivals`` arrival events first, then the dark
+    events, in arrays ``emitted`` (photon class: 0 for no photon, 1 for one,
+    2 for two or more), ``category`` and ``bit_error``.  Silent pulses are
+    not stored.  On one stream, ``full_key_tally`` of its events equals the
+    simulator's count of the batch.
+    """
+    eta = transmittance(scn.link)
+    c = scn.detector.dark_count_prob
+    n_det = scn.detector.detector_count
+    poisson = scn.source.kind is SourceKind.POISSONIAN
+    mu = scn.source.mean_photon_number
+
+    def bernoulli(n, p):
+        return simulator._bernoulli(rng, n, p)
+
+    n_arr = int(rng.binomial(size, -math.expm1(-mu * eta) if poisson else eta))
+    n_dark = 0
+    if c > 0.0:
+        n_dark = int(rng.binomial(size - n_arr, -math.expm1(n_det * math.log1p(-c))))
+    arr, dark = slice(0, n_arr), slice(n_arr, None)
+    emitted = np.ones(n_arr + n_dark, np.int8)
+    category = np.zeros(n_arr + n_dark, np.int8)
+    bit_error = np.zeros(n_arr + n_dark, bool)
+
+    multi = np.zeros(n_arr, bool)
+    if poisson:
+        lost, lost_again = simulator._poisson_steps(mu * (1.0 - eta))
+        multi = bernoulli(n_arr, simulator._poisson_steps(mu * eta)[1])
+        multi |= bernoulli(n_arr, lost)
+        emitted[arr] += multi
+    kept = bernoulli(n_arr, scn.protocol.conclusive_factor(scn.e_x_sq))
+    category[arr] = np.where(multi, Category.MULTI_QUBIT, Category.SINGLE_QUBIT) * kept
+    eve_flips = bernoulli(n_arr, eve.flip_probability(scn.protocol.basis_count))
+    bit_error[arr] = (eve_flips ^ bernoulli(n_arr, scn.e_x_sq)) & kept
+
+    multi_fire = bernoulli(n_dark, simulator._multi_fire_probability(n_det, c))
+    single = n_arr + np.flatnonzero(~multi_fire)
+    if poisson:
+        emitted[dark] = bernoulli(n_dark, lost)
+        again = n_arr + np.flatnonzero(emitted[dark])
+        emitted[again[bernoulli(again.size, lost_again)]] = 2
+    keep = scn.protocol.dark_conclusive_multiplier / n_det
+    dark_kept = single[bernoulli(single.size, keep)]
+    category[dark_kept] = Category.DARK_COUNT
+    bit_error[dark_kept] = bernoulli(dark_kept.size, 0.5)
+    return SimpleNamespace(
+        n_arrivals=n_arr, emitted=emitted, category=category, bit_error=bit_error
+    )
+
+
 def full_key_tally(n_pulses, events):
-    """Reference tally of one batch of simulator events.
+    """Reference tally of one batch of ``sample_events``.
 
     Bins every event by the full key (category, bit error, photon class) in
-    one ``bincount``, independent of the counting shortcuts the simulator's
-    own tally takes for arrivals.
+    one ``bincount``, independent of the counting the simulator does as it
+    draws.
     """
     key = (events.category * 2 + events.bit_error) * 3 + events.emitted
     counts = np.bincount(key, minlength=len(Category) * 6).reshape(len(Category), 2, 3)

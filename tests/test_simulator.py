@@ -9,7 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
-from conftest import full_key_tally
+from conftest import full_key_tally, sample_events
 
 from qkdrates import simulator
 from qkdrates.cli import main
@@ -44,9 +44,17 @@ def make_scenario(spec=BB84, source=None, length=50.0, c=1e-5, e_x_sq=0.05):
     )
 
 
-def sample_events(scn, eve, size, seed):
-    """Events of one batch of ``size`` pulses, as ``run_simulation`` draws them."""
-    return simulator._sample_events(scn, eve, size, np.random.default_rng(seed))
+def count_batch(scn, eve, size, seed, scratch=None):
+    """Counts of one batch of ``size`` pulses, as ``run_simulation`` draws
+    them, into ``scratch`` (fresh masks when none is given)."""
+    draws = simulator._draws(scn, eve)
+    rng = np.random.default_rng(seed)
+    return simulator._count_batch(draws, size, rng, scratch or simulator._Scratch())
+
+
+def reference_events(scn, eve, size, seed):
+    """The reference sampler's events of the same batch."""
+    return sample_events(scn, eve, size, np.random.default_rng(seed))
 
 
 class TestDeterminism:
@@ -128,7 +136,7 @@ class TestDeterminism:
         def refuse(*args):
             raise RuntimeError("batch drawn")
 
-        monkeypatch.setattr(simulator, "_sample_events", refuse)
+        monkeypatch.setattr(simulator, "_count_batch", refuse)
         scn = make_scenario()
         # a first call pays for the imports the batch generator makes
         with pytest.raises(RuntimeError, match="batch drawn"):
@@ -150,77 +158,78 @@ WORKSPACE_SCENARIOS = [
     for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5))
     for c, length in ((0.0, 0.0), (0.3, 50.0))
 ]
-EVENT_FIELDS = ("emitted", "category", "bit_error")
 
 
 class TestWorkspace:
-    """A reused ``_Events`` workspace must draw what a fresh one draws."""
+    """Reused scratch masks must count what fresh ones count."""
 
     @pytest.mark.parametrize(
         ("warm", "drawn"), itertools.permutations(WORKSPACE_SCENARIOS, 2)
     )
     def test_warmed_equals_fresh(self, warm, drawn):
         eve = EveKind.INTERCEPT_RESEND
-        events = simulator._Events()
+        scratch = simulator._Scratch()
         source, c, length = warm
-        warm_scn = make_scenario(source=source, c=c, length=length)
-        simulator._sample_events(warm_scn, eve, 40_000, np.random.default_rng(5), events)
+        warm_scn = make_scenario(PBC00, source=source, c=c, length=length)
+        count_batch(warm_scn, eve, 40_000, 5, scratch)
         source, c, length = drawn
-        scn = make_scenario(source=source, c=c, length=length)
-        fresh = sample_events(scn, eve, 20_000, seed=6)
-        reused = simulator._sample_events(scn, eve, 20_000, np.random.default_rng(6), events)
-        assert reused is events and reused.n_arrivals == fresh.n_arrivals
-        for name in EVENT_FIELDS:
-            want, got = getattr(fresh, name), getattr(reused, name)
-            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        scn = make_scenario(PBC00, source=source, c=c, length=length)
+        fresh = count_batch(scn, eve, 20_000, 6)
+        assert count_batch(scn, eve, 20_000, 6, scratch) == fresh
+        assert fresh == full_key_tally(20_000, reference_events(scn, eve, 20_000, 6))
 
     @pytest.mark.parametrize(
         "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
     )
     def test_reuse_changes_no_tally(self, source):
-        # fresh buffers per batch, one workspace serially, and two threads
+        # fresh masks per batch, one scratch serially, and two threads
         scn, eve = make_scenario(source=source, length=0.0, c=1e-3), EveKind.NONE
         n, seed, batch = 500_000, 12, 100_000
+        draws = simulator._draws(scn, eve)
         fresh = EmpiricalStats(n_pulses=0)
         for index in range(n // batch):
             rng = simulator._batch_rng(seed, index)
-            fresh += simulator._tally(batch, simulator._sample_events(scn, eve, batch, rng))
+            fresh += simulator._count_batch(draws, batch, rng, simulator._Scratch())
         serial = run_simulation(scn, eve, n, seed=seed, batch_size=batch)
         threaded = run_simulation(scn, eve, n, seed=seed, batch_size=batch, workers=2)
         assert fresh == serial == threaded
 
     def test_warm_batch_allocation_bounded(self):
-        # a warmed workspace draws a 1e6-pulse batch at 0 km with only the
-        # scratch of one Bernoulli draw fresh at a time, and keeps its
-        # buffers although the Poissonian batch has more arrivals (393 520)
+        # warmed scratch counts a 1e6-pulse batch at 0 km with only the
+        # random bytes of one Bernoulli draw fresh at a time, and keeps its
+        # masks although the Poissonian batch has more arrivals (393 520)
         # than its warm-up (393 177): tracemalloc's peak is 1.07 MB
         # single-photon and 0.42 MB Poissonian (numpy 2.4.6), against 28.0
-        # and 12.5 MB when buffers were allocated afresh
+        # and 12.5 MB when every batch allocated its arrays afresh
         eve, n = EveKind.NONE, 1_000_000
         for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5)):
             scn = make_scenario(PBC00, source=source, length=0.0)
-            events = simulator._Events()
-            simulator._sample_events(scn, eve, n, np.random.default_rng(1), events)
-            warm_arrivals, buffers = events.n_arrivals, dict(events._buffers)
+            draws, scratch = simulator._draws(scn, eve), simulator._Scratch()
+            simulator._count_batch(draws, n, np.random.default_rng(1), scratch)
+            buffers = dict(scratch._buffers)
             rng = np.random.default_rng(2)
             tracemalloc.start()
             try:
-                simulator._sample_events(scn, eve, n, rng, events)
+                simulator._count_batch(draws, n, rng, scratch)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert peak <= 1_500_000, source
             # every single-photon pulse arrives at 0 km; Poissonian ones grow
-            grown = events.n_arrivals > warm_arrivals
-            assert grown or events.n_arrivals == n
-            assert events._buffers.keys() == buffers.keys()
-            assert all(events._buffers[k] is buf for k, buf in buffers.items())
+            # (a batch's first draw is its number of arrivals)
+            warm, grown = (
+                np.random.default_rng(seed).binomial(n, draws.arrival) for seed in (1, 2)
+            )
+            assert grown > warm or grown == n
+            assert scratch._buffers.keys() == buffers.keys()
+            assert all(scratch._buffers[k] is buf for k, buf in buffers.items())
 
 
 class TestPulseInvariants:
     def test_category_rules(self):
         scn = make_scenario(source=SourceModel.poissonian(0.8), length=30.0, c=0.3)
-        ev = sample_events(scn, EveKind.NONE, 30_000, seed=13)
+        ev = reference_events(scn, EveKind.NONE, 30_000, seed=13)
+        assert count_batch(scn, EveKind.NONE, 30_000, 13) == full_key_tally(30_000, ev)
         arr, dark = slice(0, ev.n_arrivals), slice(ev.n_arrivals, None)
         cat = ev.category
         single = cat == Category.SINGLE_QUBIT
@@ -475,7 +484,9 @@ class TestClassDraws:
         # mu * eta at most 1 and C = 0.3, so both kinds of event are common
         length = -50.0 * math.log10(min(0.5, 1.0 / mu))
         scn = make_scenario(source=SourceModel.poissonian(mu), length=length, c=0.3)
-        events = sample_events(scn, EveKind.NONE, 400_000, seed=97)
+        events = reference_events(scn, EveKind.NONE, 400_000, seed=97)
+        counted = count_batch(scn, EveKind.NONE, 400_000, 97)
+        assert counted == full_key_tally(400_000, events)
         arrival_pmf, dark_pmf = photon_class_pmfs(mu, transmittance(scn.link))
         arr, dark = slice(0, events.n_arrivals), slice(events.n_arrivals, None)
         assert events.n_arrivals > 0 and events.emitted[dark].size > 0
@@ -567,8 +578,8 @@ class TestBernoulli:
 
 
 class TestCountingTally:
-    """``_tally`` counts arrivals without a full key; the reference
-    ``full_key_tally`` bins every event."""
+    """``_count_batch`` counts each batch as it draws it; the reference
+    sampler stores every event and ``full_key_tally`` bins them."""
 
     @pytest.mark.parametrize("spec", [BB84, SIX_STATE, PBC00])
     @pytest.mark.parametrize(
@@ -580,9 +591,8 @@ class TestCountingTally:
             for c in (0.0, 1e-5, 0.3):
                 for eve in (EveKind.NONE, EveKind.INTERCEPT_RESEND):
                     scn = make_scenario(spec, source=source, length=length, c=c)
-                    events = sample_events(scn, eve, n, seed)
-                    want = full_key_tally(n, events)
-                    assert simulator._tally(n, events) == want, (length, c, eve)
+                    want = full_key_tally(n, reference_events(scn, eve, n, seed))
+                    assert count_batch(scn, eve, n, seed) == want, (length, c, eve)
                     seed += 1
 
 
@@ -625,7 +635,8 @@ class TestHighDarkRate:
         # or one that dark sifting discards
         c, n = 0.3, 50_000
         scn = make_scenario(PBC00, c=c)
-        events = sample_events(scn, EveKind.NONE, n, seed=2026)
+        events = reference_events(scn, EveKind.NONE, n, seed=2026)
+        assert count_batch(scn, EveKind.NONE, n, 2026) == full_key_tally(n, events)
         discarded = np.count_nonzero(events.category[events.n_arrivals :] == 0)
         d, m = PBC00.detector_count, PBC00.dark_conclusive_multiplier
         one_fire = d * c * (1 - c) ** (d - 1)

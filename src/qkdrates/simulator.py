@@ -72,9 +72,9 @@ __all__ = [
 ]
 
 DEFAULT_BATCH_SIZE = 1_000_000
-# Below this probability of the rarer outcome, Geometric gaps between the
-# rare outcomes cost less than one random byte per trial (at a million
-# trials the two break even near 0.03).
+# Below this probability of the rarer outcome only the rare outcomes are
+# placed, by Geometric gaps.  From 3e4 to 1e6 trials gaps and random bytes
+# break even near 0.02; up to 0.03 the gaps cost at most 1.3 times the bytes.
 _GAP_MAX_P = 0.03
 
 
@@ -185,49 +185,58 @@ def _bernoulli_bytes(rng: np.random.Generator, p: float, out: np.ndarray) -> np.
     """Fill ``out`` with Bernoulli(``p``) trials, one random byte ``b`` each.
 
     The bytes are the generator's raw 64-bit words, eight trials to a word.
-    With ``k = floor(256 p)``, a trial succeeds when ``b < k``; a tie ``b ==
-    k`` (probability 1/256) succeeds when one uniform falls below ``256 p -
-    k``.  So a trial succeeds with probability ``k/256 + (256 p - k)/256 =
-    p``, exact to the 2**-53 grain of the uniform divided by 256.
+    On the rarer side ``r = min(p, 1 - p)``, with ``k = floor(256 r)``, a
+    trial succeeds when ``b < k`` and otherwise through an independent trial
+    of probability ``q = (256 r - k) / (256 - k)``, below 1/128 as ``k <=
+    128``, placed by :func:`_place_gaps`.  So it succeeds with probability
+    ``k/256 + (1 - k/256) q = r``, exact to the rounding of ``q``; the mask
+    is inverted when ``p > 0.5``.
     """
     n = out.size
+    rare = min(p, 1.0 - p)
     b = rng.bit_generator.random_raw(-(-n // 8)).view(np.uint8)[:n]
-    scaled = 256.0 * p  # exact: a power-of-two scale
+    scaled = 256.0 * rare  # exact: a power-of-two scale
     k = int(scaled)
-    # out marks the ties first, then is overwritten by the comparison
-    ties = np.flatnonzero(np.equal(b, k, out=out))
     np.less(b, k, out=out)
-    out[ties] = rng.random(ties.size) < scaled - k
+    _place_gaps(rng, (scaled - k) / (256 - k), out)
+    if p > 0.5:
+        np.logical_not(out, out=out)
     return out
 
 
 def _bernoulli_gaps(rng: np.random.Generator, p: float, out: np.ndarray) -> np.ndarray:
     """Fill ``out`` with Bernoulli(``p``) trials by placing only the rarer
-    outcomes.
+    outcomes (:func:`_place_gaps`)."""
+    out.fill(False)
+    _place_gaps(rng, min(p, 1.0 - p), out)
+    if p > 0.5:
+        np.logical_not(out, out=out)
+    return out
 
-    The gaps between successive rare outcomes of iid trials are iid
-    Geometric, so their positions are cumulative sums of Geometric gaps,
-    drawn in chunks until they pass the last trial.
+
+def _place_gaps(rng: np.random.Generator, q: float, out: np.ndarray) -> None:
+    """Set the entries of ``out`` at which Bernoulli(``q``) trials succeed,
+    leaving the others as they are; ``q`` of 0, or an empty ``out``, draws
+    nothing.
+
+    The gaps between successive successes of iid trials are iid Geometric,
+    so their positions are cumulative sums of Geometric gaps, drawn in
+    chunks until they pass the last trial.
     """
     n = out.size
-    rare = min(p, 1.0 - p)
-    out.fill(False)
-    if rare > 0.0 and n > 0:
-        chunk = int(n * rare + 5.0 * math.sqrt(n * rare)) + 1
+    if q > 0.0 and n > 0:
+        chunk = int(n * q + 5.0 * math.sqrt(n * q)) + 1
         last = -1  # the position before the first trial
         while last < n:
-            # numpy's Geometric saturates at 2**63 - 1 for tiny p, so gaps
+            # numpy's Geometric saturates at 2**63 - 1 for tiny q, so gaps
             # are capped before the sum; a gap of n + 1 (not n) from the
             # start still lands past the last trial
-            positions = rng.geometric(rare, chunk)
+            positions = rng.geometric(q, chunk)
             np.minimum(positions, n + 1, out=positions)
             np.cumsum(positions, out=positions)
             positions += last
             out[positions[: np.searchsorted(positions, n)]] = True
             last = int(positions[-1])
-    if p > 0.5:
-        np.logical_not(out, out=out)
-    return out
 
 
 def _poisson_steps(lam: float) -> tuple[float, float]:

@@ -546,35 +546,55 @@ class TestBernoulli:
 
     @pytest.mark.parametrize("p", P_VALUES)
     def test_route(self, p):
-        # a common outcome takes one raw byte per trial, ties resolved by a
-        # uniform; a rare one the gaps
+        # a common outcome takes one raw byte per trial, then gap-placed
+        # trials for what the bytes leave over; a rare one only the gaps
         rng = np.random.default_rng(61)
         raw = rng.bit_generator.random_raw(-(-self.N // 8)).view(np.uint8)[: self.N]
-        k = math.floor(256 * p)
-        by_bytes = raw < k
-        ties = np.flatnonzero(raw == k)
-        by_bytes[ties] = rng.random(ties.size) < 256 * p - k
+        k, q = byte_rule(p)
+        by_bytes = simulator._bernoulli_gaps(rng, q, np.empty(self.N, bool))
+        by_bytes |= raw < k
+        if p > 0.5:
+            by_bytes = ~by_bytes
         drawn = np.random.default_rng(61)
         mask = simulator._bernoulli(drawn, self.N, p)
         on_bytes = min(p, 1 - p) >= simulator._GAP_MAX_P
         assert np.array_equal(mask, by_bytes) == on_bytes
         assert (drawn.bit_generator.state == rng.bit_generator.state) == on_bytes
 
-
     @pytest.mark.parametrize("p", [0.5, 1 / 256, 255.5 / 256])
     def test_byte_ties(self, p):
-        # with k = floor(256 p), a byte below k succeeds and one equal to k
-        # succeeds with probability 256 p - k: never when 256 p is whole
+        # on the rarer side, with k and q of byte_rule, a byte below k
+        # succeeds and any other succeeds with probability q: never when
+        # 256 p is whole, so no tie is settled apart
         raw = np.random.default_rng(71).bit_generator.random_raw(-(-self.N // 8))
         raw = raw.view(np.uint8)[: self.N]
-        k = math.floor(256 * p)
+        k, q = byte_rule(p)
         out = np.empty(self.N, dtype=bool)
         mask = simulator._bernoulli_bytes(np.random.default_rng(71), p, out)
         assert mask is out
-        tie = raw == k
-        assert np.array_equal(mask[~tie], raw[~tie] < k)
-        ties, hits, frac = tie.sum(), mask[tie].sum(), 256 * p - k
-        assert abs(hits - ties * frac) <= 5 * math.sqrt(ties * frac * (1 - frac))
+        rare = ~mask if p > 0.5 else mask
+        assert rare[raw < k].all()
+        rest = raw >= k
+        trials, hits = rest.sum(), rare[rest].sum()
+        assert abs(hits - trials * q) <= 5 * math.sqrt(trials * q * (1 - q))
+
+    @pytest.mark.parametrize("p", [0.5 - 0.3 / 256, 255.5 / 256])
+    def test_count_off_the_byte_grid(self, p):
+        # 256 p not whole: the gap-placed trials carry the fraction, at
+        # 8e6 trials enough to see a remainder lost or mis-scaled
+        n = 8_000_000
+        mask = simulator._bernoulli_bytes(np.random.default_rng(73), p, np.empty(n, bool))
+        se = math.sqrt(n * p * (1 - p))
+        assert abs(np.count_nonzero(mask) - n * p) <= 5 * se
+
+
+def byte_rule(p):
+    """``k`` and ``q`` of the byte route on the rarer side ``r``: a byte
+    below ``k = floor(256 r)`` succeeds, any other through a trial of
+    probability ``q = (256 r - k) / (256 - k)``."""
+    r = min(p, 1 - p)
+    k = math.floor(256 * r)
+    return k, (256 * r - k) / (256 - k)
 
 
 class TestCountingTally:

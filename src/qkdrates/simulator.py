@@ -21,8 +21,9 @@ trials too, so the cost follows the number of events rather than pulses,
 and nothing is drawn from the analytic breakdown it checks.  A Bernoulli
 draw whose rarer outcome is unlikely places only those outcomes, as
 Geometric gaps between them; any other takes one random byte per trial,
-with the byte equal to the threshold settled by a uniform, so each event
-still gets its own exact outcome.
+and the part of its probability that whole bytes cannot express goes to a
+second, rare trial placed by gaps, so each event still gets its own exact
+outcome.
 
 Each batch is counted as it is drawn.  An arrival's trials are masks over
 the batch's arrivals, counted and combined in place, so no per-arrival
@@ -367,7 +368,6 @@ def _count_batch(
     # dark events: an empty pulse emitted only photons that were lost
     mask = _bernoulli(rng, n_dark, d.multi_fire, scratch.take("dark", n_dark))
     single = np.flatnonzero(np.logical_not(mask, out=mask))
-    photons = 1  # a single-photon source's one photon was lost
     if d.poisson:
         photons = scratch.take("dark_photons", n_dark, np.int8)
         again = np.flatnonzero(_bernoulli(rng, n_dark, d.lost, photons.view(np.bool_)))
@@ -375,10 +375,10 @@ def _count_batch(
         photons[again[lost_again]] = 2
     dark_kept = single[_bernoulli(rng, single.size, d.dark_keep, mask[: single.size])]
     bits = _bernoulli(rng, dark_kept.size, 0.5, mask[: dark_kept.size])
-    # dark counts by photon class (0, 1 or 2) and bit error
-    if d.poisson:
-        photons = photons[dark_kept]
-    dark = np.bincount(photons * 2 + bits, minlength=6).reshape(3, 2)
+    # dark counts by photon class (0, 1 or 2) and bit error; a single-photon
+    # source's one photon was lost
+    classes = photons[dark_kept] if d.poisson else 1
+    dark = np.bincount(classes * 2 + bits, minlength=6).reshape(3, 2)
 
     n_single, n_single_errors = n_kept - n_multi, n_errors - n_multi_errors
     return EmpiricalStats(

@@ -6,6 +6,9 @@ import re
 from pathlib import Path
 
 from qkdrates.cli import _build_parser
+from qkdrates.keyrate import max_distance
+from qkdrates.protocols import protocol_catalog
+from qkdrates.scenario import DetectorModel, LinkModel, Scenario, SourceModel
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -63,3 +66,31 @@ def test_common_flags_sentence():
     sentence = re.search(pattern, README.read_text(), re.M | re.S)
     listed = set(re.findall(r"`(--[a-z-]+)", sentence.group(1)))
     assert listed == set.intersection(*subcommand_flags().values())
+
+
+def test_reach_gain_sentence():
+    # every number of the reach sentence, recomputed: the gain of the
+    # improved rate over gllp, rounded to 0.1 km, spans the stated range
+    # over the protocol catalog for each source
+    pattern = (
+        r"at ([\d.]+) dB/km, `C = ([\de.-]+)` and `e_x_sq = ([\d.]+)`, achievable"
+        r".*? by ([\d.]+)-([\d.]+) km for an ideal\s+single-photon source"
+        r".*? by ([\d.]+)-([\d.]+) km for a Poissonian source\s+at μ = ([\d.]+) "
+    )
+    match = re.search(pattern, README.read_text(), re.S)
+    attenuation, c, e_x_sq, *ranges, mu = match.groups()
+    sources = (SourceModel.single_photon(), SourceModel.poissonian(float(mu)))
+    for source, stated in zip(sources, (ranges[:2], ranges[2:])):
+        gains = []
+        for spec in protocol_catalog():
+            scn = Scenario(
+                protocol=spec,
+                source=source,
+                link=LinkModel(attenuation_db_per_km=float(attenuation), length_km=0.0),
+                detector=DetectorModel(
+                    dark_count_prob=float(c), detector_count=spec.detector_count
+                ),
+                e_x_sq=float(e_x_sq),
+            )
+            gains.append(max_distance(scn, "improved") - max_distance(scn, "gllp"))
+        assert [f"{min(gains):.1f}", f"{max(gains):.1f}"] == stated, (source, gains)

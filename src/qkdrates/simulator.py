@@ -363,7 +363,8 @@ def _count_batch(
     n_multi = n_multi_errors = 0
     if multi is not None:
         n_multi = int(np.count_nonzero(multi))
-        n_multi_errors = int(np.count_nonzero(np.logical_and(errors, multi, out=errors)))
+        np.logical_and(errors, multi, out=errors)
+        n_multi_errors = int(np.count_nonzero(errors))
 
     # dark events: an empty pulse emitted only photons that were lost
     mask = _bernoulli(rng, n_dark, d.multi_fire, scratch.take("dark", n_dark))

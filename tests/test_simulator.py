@@ -218,7 +218,7 @@ class TestWorkspace:
             # every single-photon pulse arrives at 0 km; Poissonian ones grow
             # (a batch's first draw is its number of arrivals)
             warm, grown = (
-                np.random.default_rng(seed).binomial(n, draws.arrival) for seed in (1, 2)
+                np.random.default_rng(s).binomial(n, draws.arrival) for s in (1, 2)
             )
             assert grown > warm or grown == n
             assert scratch._buffers.keys() == buffers.keys()
@@ -583,7 +583,8 @@ class TestBernoulli:
         # 256 p not whole: the gap-placed trials carry the fraction, at
         # 8e6 trials enough to see a remainder lost or mis-scaled
         n = 8_000_000
-        mask = simulator._bernoulli_bytes(np.random.default_rng(73), p, np.empty(n, bool))
+        rng, out = np.random.default_rng(73), np.empty(n, dtype=bool)
+        mask = simulator._bernoulli_bytes(rng, p, out)
         se = math.sqrt(n * p * (1 - p))
         assert abs(np.count_nonzero(mask) - n * p) <= 5 * se
 

@@ -331,7 +331,10 @@ def cmd_decoy(cfg: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(commands=_ALL) -> argparse.ArgumentParser:
+    """The ``qkdrates`` parser.  Every subcommand is registered, so the help
+    and the errors name them all, but only those in ``commands`` get their
+    flags and arguments."""
     parser = argparse.ArgumentParser(
         prog="qkdrates",
         description="Key generation rates, thresholds, and Monte Carlo checks "
@@ -343,29 +346,33 @@ def _build_parser() -> argparse.ArgumentParser:
         "sources": " | ".join(kind.value for kind in SourceKind),
         "eves": " | ".join(kind.value for kind in EveKind),
     }
-    commands = {}
+    built = {}
     for name, text in _COMMANDS.items():
         command = sub.add_parser(name, help=text)
-        command.add_argument("--config", help="INI config file path")
-        command.add_argument("--out", help="write output to file instead of stdout")
-        commands[name] = command
+        if name in commands:
+            command.add_argument("--config", help="INI config file path")
+            command.add_argument("--out", help="write output to file instead of stdout")
+            built[name] = command
     for f in dataclasses.fields(RunConfig):
         text = f.metadata["help"]
         for name in f.metadata["commands"]:
-            commands[name].add_argument(
-                _flag(f), dest=f.name, help=text and text.format(**allowed)
-            )
+            if name in built:
+                built[name].add_argument(
+                    _flag(f), dest=f.name, help=text and text.format(**allowed)
+                )
 
-    commands["threshold"].add_argument(
-        "e_x_sq_values",
-        nargs="*",
-        type=float,
-        default=[0.0, 0.01, 0.1],
-        help="intrinsic bit error rates (default: 0 0.01 0.1)",
-    )
-    commands["simulate"].add_argument(
-        "--tally-out", help="also write raw per-category tallies as CSV"
-    )
+    if "threshold" in built:
+        built["threshold"].add_argument(
+            "e_x_sq_values",
+            nargs="*",
+            type=float,
+            default=[0.0, 0.01, 0.1],
+            help="intrinsic bit error rates (default: 0 0.01 0.1)",
+        )
+    if "simulate" in built:
+        built["simulate"].add_argument(
+            "--tally-out", help="also write raw per-category tallies as CSV"
+        )
     return parser
 
 
@@ -380,7 +387,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # only the named subcommand's flags: any other first token meets the
+    # full parser's help or error
+    command = argv[0] if argv else None
+    parser = _build_parser((command,) if command in _COMMANDS else _ALL)
+    args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
         if args.command == "rate":

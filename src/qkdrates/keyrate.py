@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _TOL = 1e-12
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -173,54 +174,57 @@ def _credited_rate(b: RateBreakdown, spec: ProtocolSpec, credited):
     return b.p_sq + credited - b.p_c * binary_entropy(b.e_x) - b.p_sq * h_worst
 
 
+def _capacity(y: float) -> float:
+    """``1 - H((1 - y)/2)`` in bits, for ``0 <= y <= 1``.
+
+    Written as ``(y*atanh(y) + log1p(-y*y)/2) / ln 2``: the two terms are
+    about ``y**2`` and ``-y**2/2`` for small ``y``, so the value keeps its
+    digits as ``y -> 0``, where ``1 - binary_entropy`` would lose them all.
+    """
+    if y == 1.0:
+        return 1.0  # atanh(1) is inf and log1p(-1) is -inf
+    return (y * math.atanh(y) + 0.5 * math.log1p(-y * y)) / _LN2
+
+
 def threshold_bit_error(spec: ProtocolSpec, e_x_sq: float) -> float | None:
     """Largest tolerable bit error rate for a single-photon source.
 
     As the dark-count share ``f = p_dk / p_c`` sweeps [0, 1], the observed
     error rate is ``e_x(f) = (1-f)*e_x_sq + f/2`` and the normalized key
     rate is ``1 - H(e_x(f)) - (1-f)*H(e_z^sq | e_x^sq)`` (conclusive-rate
-    factors cancel).  This margin is convex in ``f``, zero at ``f = 1`` and
-    rising there with slope ``H(e_z^sq | e_x^sq)``, so when that entropy is
-    positive the margin is negative on exactly one interval ``(f*, 1)``.
-    Returns ``e_x(f*)``, found by bisecting [0, 1] to 1e-9 while keeping
-    the non-negative end as ``lo``: as long as the margin stays non-negative
-    this halves ``1 - f``, so a dip of any width is bracketed before it is
-    bisected.  Returns 0.5 only when that entropy is 0 (``e_x_sq = 0``),
-    where the margin never dips, and ``None`` when the margin is already
-    negative at ``f = 0``.
+    factors cancel).  With ``s = 1 - 2*e_x_sq``, ``y = (1-f)*s`` and
+    ``t = H(e_z^sq | e_x^sq) / s`` the margin is ``G(y) = C(y) - t*y``,
+    where ``C(y) = 1 - H((1-y)/2)``, and ``e_x(f) = (1-y)/2``.  ``G`` is
+    convex with ``G(0) = 0`` and ``G'(0) = -t``, so when the entropy is
+    positive it is negative on exactly one interval ``(0, y*)`` and the
+    threshold is ``(1 - y*)/2``.  ``C(y) >= y**2 / (2 ln 2)`` puts
+    ``y0 = min(s, 2 ln 2 * t)`` at or right of ``y*``, from where Newton
+    steps with ``G'(y) = atanh(y)/ln 2 - t`` fall monotonically onto
+    ``y*``; they stop when an iterate no longer decreases.
+
+    Returns the float nearest the exact threshold.  That is 0.5 when the
+    entropy is 0 (``e_x_sq = 0``, or so small that the entropy underflows),
+    where the margin never dips, and whenever the threshold lies within
+    half an ulp of 1/2 (``e_x_sq`` below 5e-19 to 1.3e-18 for the catalog
+    protocols).  Returns ``None`` when the margin is already negative at
+    ``f = 0``.
     """
     if not 0.0 <= e_x_sq < 0.5:
         raise ValueError(f"e_x_sq={e_x_sq} outside [0, 0.5)")
     h_worst = worst_case_conditional_phase_entropy(spec, e_x_sq)
-
-    def mixed_error(f: float) -> float:
-        return (1.0 - f) * e_x_sq + f / 2.0
-
-    def margin(f: float) -> float:
-        # 1 - H(e) at e = (1 - x)/2, in log1p form: no cancellation as
-        # e -> 1/2, where 1 - binary_entropy(e) would lose its digits
-        x = (1.0 - f) * (1.0 - 2.0 * e_x_sq)
-        if x == 1.0:
-            capacity = 1.0  # (1 - x) * log1p(-x) is 0 * -inf
-        else:
-            capacity = ((1.0 + x) * math.log1p(x) + (1.0 - x) * math.log1p(-x)) / (
-                2.0 * math.log(2.0)
-            )
-        return capacity - (1.0 - f) * h_worst
-
-    if margin(0.0) < 0.0:
+    s = 1.0 - 2.0 * e_x_sq
+    if _capacity(s) < h_worst:  # the margin at f = 0
         return None
     if h_worst == 0.0:
         return 0.5
 
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-9:
-        mid = (lo + hi) / 2.0
-        if margin(mid) < 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return mixed_error((lo + hi) / 2.0)
+    t = h_worst / s
+    y = min(s, 2.0 * _LN2 * t)
+    while True:
+        after = y - (_capacity(y) - t * y) / (math.atanh(y) / _LN2 - t)
+        if not after < y:
+            return (1.0 - y) / 2.0
+        y = after
 
 
 def max_distance(

@@ -533,20 +533,21 @@ COMMAND_FLAGS = {
 }
 
 
+def flags_per_command(parser):
+    sub = next(action for action in parser._actions if action.dest == "command")
+    return {
+        name: {opt for action in command._actions for opt in action.option_strings}
+        for name, command in sub.choices.items()
+    }
+
+
 class TestFieldTable:
     def test_samples_cover_every_field(self):
         assert set(SAMPLES) == {f.name for f in FIELDS}
         assert all(SAMPLES[f.name][1] != f.default for f in FIELDS)
 
     def test_flag_sets_per_subcommand(self):
-        sub = next(
-            action for action in _build_parser()._actions if action.dest == "command"
-        )
-        got = {
-            name: {opt for action in parser._actions for opt in action.option_strings}
-            for name, parser in sub.choices.items()
-        }
-        assert got == COMMAND_FLAGS
+        assert flags_per_command(_build_parser()) == COMMAND_FLAGS
 
     @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
     def test_ini_round_trip(self, tmp_path, f):
@@ -602,6 +603,39 @@ class TestFieldTable:
         code, _, err = run_cli(capsys, command, "--seed", "-1")
         assert code == 2
         assert "seed must be >= 0" in err
+
+
+class TestParserPerCommand:
+    """``main`` builds only the invoked subcommand's flags; what a user sees
+    is the same as from the parser with every subcommand's flags."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--help"], *([name, "--help"] for name in COMMAND_FLAGS), [], ["bogus"],
+         ["rate", "--seed", "1"]],
+        ids=lambda argv: " ".join(argv) or "no-arguments",
+    )  # fmt: skip
+    def test_help_and_errors_match_the_full_parser(self, capsys, argv):
+        def exit_of(call):
+            with pytest.raises(SystemExit) as exc:
+                call(list(argv))
+            return exc.value.code, *capsys.readouterr()
+
+        assert exit_of(main) == exit_of(_build_parser().parse_args)
+
+    def test_threshold_declares_no_other_flags(self, capsys):
+        built = []
+
+        def recording(*args):
+            built.append(_build_parser(*args))
+            return built[-1]
+
+        with mock.patch("qkdrates.cli._build_parser", recording):
+            assert run_cli(capsys, "threshold", "0.05")[0] == 0
+        help_only = {"-h", "--help"}
+        want = {name: help_only for name in COMMAND_FLAGS}
+        want["threshold"] = COMMAND_FLAGS["threshold"]
+        assert [flags_per_command(parser) for parser in built] == [want]
 
 
 class TestNoConclusiveResults:

@@ -6,11 +6,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qkdrates import keyrate
 from qkdrates.entropy import binary_entropy, worst_case_conditional_phase_entropy
 from qkdrates.keyrate import (
     RateBreakdown,
@@ -50,6 +52,36 @@ DARK_THRESHOLDS = {
     ("bb84", 0.1): 0.13569767,
     ("six-state", 0.1): 0.19455603,
 }
+
+
+def exact_threshold(spec, e_x_sq):
+    """The threshold's equation solved in 50 digits, by bisection: with
+    ``s = 1 - 2 e_x_sq`` and ``t = H_worst / s``, the root ``y*`` of
+    ``C(y) = t*y`` with ``C(y) = 1 - H((1-y)/2)`` gives ``(1 - y*)/2``.
+    ``H_worst`` is the library's float, taken as exact."""
+    with mpmath.workdps(50):
+        h = mpmath.mpf(worst_case_conditional_phase_entropy(spec, e_x_sq))
+        s = 1 - 2 * mpmath.mpf(e_x_sq)
+
+        def capacity(y):
+            if y == 1:
+                return mpmath.mpf(1)
+            return (y * mpmath.atanh(y) + mpmath.log1p(-y * y) / 2) / mpmath.log(2)
+
+        if capacity(s) < h:
+            return None
+        if h == 0:
+            return 0.5
+        t = h / s
+        # C(y) < t*y at y = t ln 2 and C(y) >= t*y at min(s, 2 t ln 2)
+        lo, hi = t * mpmath.log(2), min(s, 2 * t * mpmath.log(2))
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            if capacity(mid) < t * mid:
+                lo = mid
+            else:
+                hi = mid
+        return float((1 - (lo + hi) / 2) / 2)
 
 
 def pure_single_photon(p_sq=1.0, e=0.0):
@@ -305,6 +337,43 @@ class TestThresholdBitError:
     )
     def test_narrow_dip_below_half(self, spec, want):
         assert abs(threshold_bit_error(spec, 1e-9) - want) <= 1e-9
+
+    # Below about 1e-18 the threshold lies within half an ulp of 1/2, so the
+    # nearest float is 0.5 itself.
+    @pytest.mark.parametrize("spec", protocol_catalog(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("e_x_sq", [5e-324, 1e-300, 1e-20, 1e-17, 1e-15])
+    def test_tiny_intrinsic_error_gives_nearest_float(self, spec, e_x_sq):
+        want = exact_threshold(spec, e_x_sq)
+        assert threshold_bit_error(spec, e_x_sq) == want
+        if e_x_sq <= 1e-20:
+            assert want == 0.5
+
+    @pytest.mark.parametrize("spec", protocol_catalog(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("e_x_sq", [1e-12, 1e-9, 1e-6, 1e-3, 0.01, 0.05, 0.1])
+    def test_exact_root(self, spec, e_x_sq):
+        want = exact_threshold(spec, e_x_sq)
+        got = threshold_bit_error(spec, e_x_sq)
+        if want is None:
+            assert got is None
+        else:
+            assert abs(got - want) <= 1e-15
+
+    def test_newton_evaluations_per_solve(self, monkeypatch):
+        # the benchmark's grid; a return to a long search fails here
+        capacity = keyrate._capacity
+        calls = 0
+
+        def counted(y):
+            nonlocal calls
+            calls += 1
+            return capacity(y)
+
+        monkeypatch.setattr(keyrate, "_capacity", counted)
+        for spec in protocol_catalog():
+            for i in range(201):
+                calls = 0
+                if threshold_bit_error(spec, i / 1000) is not None:
+                    assert calls <= 12, (spec.name, i)
 
     @given(
         spec=st.sampled_from(protocol_catalog()),

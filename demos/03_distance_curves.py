@@ -33,7 +33,7 @@ scenarios = {
     for name in ("bb84", "six-state", "pbc00")
 }
 
-print("Maximum reach (km), bisected to 0.01 km:")
+print("Maximum reach (km), solved to within 0.01 km:")
 for name, scn in scenarios.items():
     old = max_distance(scn, "gllp")
     new = max_distance(scn, "improved")

@@ -235,15 +235,26 @@ def max_distance(
 ) -> float:
     """Largest channel length with a positive key rate, in km.
 
-    ``rate_fn`` selects ``"gllp"`` or ``"improved"``.  Exponential
-    bracketing from 1 km is followed by bisection to ``tol_km``.  Returns
-    ``math.inf`` when the rate is still positive at ``cap_km`` and 0.0 when
-    it is non-positive already at zero length.  A length with no conclusive
-    results at all has no positive rate.  ``tol_km`` and ``cap_km`` must be
-    positive; the bisection also ends when no float lies between its ends.
+    ``rate_fn`` selects ``"gllp"`` or ``"improved"``.  Returns ``math.inf``
+    when the rate is still positive at ``cap_km`` and 0.0 when it is
+    non-positive already at zero length.  Otherwise the result has a
+    positive rate, and the search found a non-positive one at most
+    ``tol_km`` further out; a length with no conclusive results at all has
+    no positive rate.  ``tol_km`` and ``cap_km`` must be positive; the
+    search also ends when its bracket is a few float spacings wide.
+
+    The search starts where the single-photon signal falls to the dark-count
+    floor, ``ln(p_sq(0) / p_dk(cap_km)) / A`` with ``A`` the attenuation in
+    nepers per km, read off the two end-point breakdowns; without a floor
+    (``C = 0``, or ``p_sq(0)`` underflowed) it starts at 1 km.  From there it
+    walks in doubling steps, right while the rate is positive and left while
+    it is not, until the sign changes, and then narrows that bracket by
+    Brent's method on the margin ``rate / p_c``.  Where the margin changes
+    sign more than once, as it can without dark counts, the walk decides
+    which crossing is returned.
     """
     # deferred: scenario imports this module
-    from .scenario import NoConclusiveResultsError, breakdown
+    from .scenario import _DB_TO_NEPER, NoConclusiveResultsError, breakdown
 
     if rate_fn == "improved":
         rate = rate_improved
@@ -254,29 +265,86 @@ def max_distance(
     if not (tol_km > 0.0 and cap_km > 0.0):
         raise ValueError(f"tol_km and cap_km must be > 0, got {tol_km!r}, {cap_km!r}")
 
-    def rate_at(length_km: float) -> float:
+    def at(length_km: float):
+        """The breakdown and the margin; ``None`` and 0.0 at a length with
+        no conclusive results."""
         try:
             b = breakdown(scn.at_length(length_km))
         except NoConclusiveResultsError:
-            return 0.0
-        return rate(b, scn.protocol)
+            return None, 0.0
+        return b, rate(b, scn.protocol) / b.p_c
 
-    if rate_at(0.0) <= 0.0:
+    near, f_lo = at(0.0)
+    if f_lo <= 0.0:
         return 0.0
-    if rate_at(cap_km) > 0.0:
+    far, f_hi = at(cap_km)
+    if f_hi > 0.0:
         return math.inf
 
-    lo = 0.0
-    hi = 1.0
-    while hi < cap_km and rate_at(hi) > 0.0:
-        lo = hi
-        hi *= 2.0
-    hi = min(hi, cap_km)
+    if far is not None and near.p_sq > 0.0 and far.p_dk > 0.0:
+        # the rates differ at 0 and cap_km, so the attenuation is positive
+        step = 1.0 / (scn.link.attenuation_db_per_km * _DB_TO_NEPER)
+        start = math.log(near.p_sq / far.p_dk) * step
+    else:
+        start = step = 1.0
+    lo, hi = 0.0, cap_km
+    x = min(max(start, lo), hi)
+    while lo <= x <= hi:
+        if lo < x < hi:
+            f_x = at(x)[1]
+            if f_x > 0.0:
+                lo, f_lo = x, f_x
+            else:
+                hi, f_hi = x, f_x
+        x += step if x == lo else -step
+        step *= 2.0
+    return _zeroin(lambda x: at(x)[1], lo, f_lo, hi, f_hi, tol_km)
 
-    while hi - lo > tol_km and lo < (lo + hi) / 2.0 < hi:
-        mid = (lo + hi) / 2.0
-        if rate_at(mid) > 0.0:
-            lo = mid
+
+def _zeroin(f, lo: float, f_lo: float, hi: float, f_hi: float, tol: float) -> float:
+    """Narrow a bracket with ``f(lo) > 0 >= f(hi)`` by Brent's method.
+
+    Brent's zeroin (Algorithms for Minimization without Derivatives, 1973,
+    ch. 4): ``b`` is the bracket end where ``|f|`` is smaller, ``c`` the
+    other end and ``a`` the previous ``b``.  Each step
+    interpolates, by the secant through ``a`` and ``b`` or inversely
+    quadratically through all three, when that lands inside the bracket
+    and at most half as far as the step before last; otherwise it bisects.
+    A zero of ``f`` counts as non-positive, not as a root.  Returns the
+    bracket end where ``f`` is positive, once the bracket is at most
+    ``tol`` wide, or four float spacings wide.
+    """
+    a, f_a, b, f_b = lo, f_lo, hi, f_hi
+    c, f_c = a, f_a
+    d = e = b - a
+    while True:
+        if abs(f_c) < abs(f_b):
+            a, b, c = b, c, b
+            f_a, f_b, f_c = f_b, f_c, f_b
+        tol1 = max(0.5 * tol, 2.0 * math.ulp(b))
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol1:
+            return b if f_b > 0.0 else c
+        if abs(e) >= tol1 and abs(f_a) > abs(f_b):
+            s = f_b / f_a
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = f_a / f_c, f_b / f_c
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
         else:
-            hi = mid
-    return lo
+            d = e = xm
+        a, f_a = b, f_b
+        b += d if abs(d) > tol1 else math.copysign(tol1, xm)
+        f_b = f(b)
+        if (f_b > 0.0) == (f_c > 0.0):
+            c, f_c = a, f_a
+            d = e = b - a

@@ -6,7 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 
 from qkdrates import simulator
-from qkdrates.scenario import SourceKind, transmittance
+from qkdrates.keyrate import rate_gllp, rate_improved
+from qkdrates.scenario import (
+    NoConclusiveResultsError,
+    SourceKind,
+    breakdown,
+    transmittance,
+)
 from qkdrates.simulator import Category, EmpiricalStats
 
 _acceptance_lines: list[str] = []
@@ -53,6 +59,42 @@ def brute_force_worst_case(spec, e_x, n_grid=10_000):
             hx = -e_x * math.log2(e_x) - (1 - e_x) * math.log2(1 - e_x)
         best = max(best, h4 - hx)
     return best
+
+
+def reference_max_distance(scn, rate_fn="improved", cap_km=1e4, tol_km=0.01):
+    """Reference reach search: ``max_distance``'s sentinels, then doubling
+    from 1 km until the rate is non-positive and bisection of that bracket
+    to ``tol_km``, or until no float lies between its ends.
+
+    It evaluates about 26 breakdowns per solve on the benchmark's reach
+    scenarios, against about 9 for ``max_distance``; where the rate changes
+    sign only once the two agree to within ``tol_km``.
+    """
+    rate = {"gllp": rate_gllp, "improved": rate_improved}[rate_fn]
+
+    def rate_at(length_km):
+        try:
+            b = breakdown(scn.at_length(length_km))
+        except NoConclusiveResultsError:
+            return 0.0
+        return rate(b, scn.protocol)
+
+    if rate_at(0.0) <= 0.0:
+        return 0.0
+    if rate_at(cap_km) > 0.0:
+        return math.inf
+    lo, hi = 0.0, 1.0
+    while hi < cap_km and rate_at(hi) > 0.0:
+        lo = hi
+        hi *= 2.0
+    hi = min(hi, cap_km)
+    while hi - lo > tol_km and lo < (lo + hi) / 2.0 < hi:
+        mid = (lo + hi) / 2.0
+        if rate_at(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def sample_events(scn, eve, size, rng):

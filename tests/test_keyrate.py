@@ -9,10 +9,11 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from conftest import reference_max_distance
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdrates import keyrate
+from qkdrates import keyrate, scenario
 from qkdrates.entropy import binary_entropy, worst_case_conditional_phase_entropy
 from qkdrates.keyrate import (
     RateBreakdown,
@@ -101,11 +102,13 @@ def single_photon_with_darks(e_x_sq, dark_fraction, p_c=1.0):
     )
 
 
-def fig1_scenario(spec, e_x_sq=0.01, dark=1e-6, length=0.0):
+def fig1_scenario(
+    spec, e_x_sq=0.01, dark=1e-6, length=0.0, attenuation=0.2, source=None
+):
     return Scenario(
         protocol=spec,
-        source=SourceModel.single_photon(),
-        link=LinkModel(attenuation_db_per_km=0.2, length_km=length),
+        source=source or SourceModel.single_photon(),
+        link=LinkModel(attenuation_db_per_km=attenuation, length_km=length),
         detector=DetectorModel(dark_count_prob=dark, detector_count=spec.detector_count),
         e_x_sq=e_x_sq,
     )
@@ -485,6 +488,91 @@ class TestMaxDistance:
             b = breakdown(scn.at_length(float(length)))
             rates.append(rate_improved(b, BB84))
         assert all(b <= a + 1e-12 for a, b in zip(rates, rates[1:]))
+
+    @pytest.mark.parametrize("spec", protocol_catalog(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("dark", [1e-7, 1e-6, 1e-5, 1e-4])
+    def test_single_photon_closed_form(self, spec, dark):
+        # with a single-photon source the improved margin rate / p_c depends
+        # on the dark-count share f = p_dk / p_c alone, so the reach is
+        # where f reaches the threshold's share f*, that is, where
+        # p_dk / p_sq = m C (1 - eta) / (cf eta) equals f* / (1 - f*)
+        for e_x_sq in (0.005, 0.01, 0.05):
+            e_star = threshold_bit_error(spec, e_x_sq)
+            f_star = (e_star - e_x_sq) / (0.5 - e_x_sq)
+            ratio = f_star / (1.0 - f_star)
+            m_c = spec.dark_conclusive_multiplier * dark
+            eta = m_c / (ratio * spec.conclusive_factor(e_x_sq) + m_c)
+            for attenuation in (0.2, 0.35, 1.0):
+                want = -math.log(eta) / (attenuation * math.log(10.0) / 10.0)
+                scn = fig1_scenario(spec, e_x_sq, dark, attenuation=attenuation)
+                got = max_distance(scn, "improved", tol_km=1e-6)
+                # on the positive side of the root, up to its rounding
+                assert want - 1e-6 <= got < want + 1e-9, (e_x_sq, attenuation)
+
+    # C and e_x_sq start at 1e-7 and 1e-3, where the margin is resolved
+    # along both search paths.  Below them it is rounding noise in places:
+    # the Poissonian p_mq = cf (1 - exp(-eta mu) - P1 eta) cancels, and the
+    # single-photon improved margin past the reach falls under the rounding
+    # of 1 - H(e_x).  Each search can then stop at a sign flip of the noise.
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(
+        spec=st.sampled_from(protocol_catalog()),
+        mu=st.none() | st.floats(min_value=0.01, max_value=5.0),
+        log10_dark=st.floats(min_value=-7.0, max_value=math.log10(0.3)),
+        attenuation=st.floats(min_value=0.01, max_value=1.0),
+        e_x_sq=st.floats(min_value=1e-3, max_value=0.3),
+        rate_fn=st.sampled_from(["gllp", "improved"]),
+    )
+    def test_matches_reference_search(
+        self, spec, mu, log10_dark, attenuation, e_x_sq, rate_fn
+    ):
+        source = None if mu is None else SourceModel.poissonian(mu)
+        scn = fig1_scenario(spec, e_x_sq, 10.0**log10_dark, 0.0, attenuation, source)
+        got = max_distance(scn, rate_fn)
+        want = reference_max_distance(scn, rate_fn)
+        assert got == want or abs(got - want) <= 0.01
+        if 0.0 < got < math.inf:
+            rate = rate_improved if rate_fn == "improved" else rate_gllp
+            assert rate(breakdown(scn.at_length(got)), spec) > 0.0
+
+    def test_zero_dark_reach_is_first_crossing(self):
+        # without dark counts p_mq cancels to 0 at long range, so this margin
+        # turns positive again (0.686 at 500 km) until the transmittance
+        # underflows near 6618 km; the reach is its first crossing
+        scn = fig1_scenario(
+            SIX_STATE,
+            e_x_sq=0.027582,
+            dark=0.0,
+            attenuation=0.48826,
+            source=SourceModel.poissonian(1.8335),
+        )
+        got = max_distance(scn, "gllp")
+        assert 10.3 < got < 10.5
+        assert abs(got - reference_max_distance(scn, "gllp")) <= 0.01
+
+    def test_breakdowns_per_solve(self, monkeypatch):
+        # the benchmark's 48 reach scenarios; doubling from 1 km and
+        # bisecting took 25.8 on average, so a return to it fails here
+        calls = 0
+
+        def counted(scn):
+            nonlocal calls
+            calls += 1
+            return breakdown(scn)
+
+        monkeypatch.setattr(scenario, "breakdown", counted)
+        counts = []
+        for spec in protocol_catalog():
+            for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5)):
+                for dark in (1e-7, 1e-6, 1e-5, 1e-4):
+                    for rate_fn in ("gllp", "improved"):
+                        calls = 0
+                        scn = fig1_scenario(spec, dark=dark, source=source)
+                        assert 0.0 < max_distance(scn, rate_fn) < math.inf
+                        counts.append(calls)
+        assert len(counts) == 48
+        assert sum(counts) / len(counts) <= 12.0, counts
+        assert max(counts) <= 18, counts
 
 
 class TestBreakdownValidation:

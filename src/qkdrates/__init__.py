@@ -44,9 +44,7 @@ from .scenario import (
 
 # The simulator needs numpy, so it is imported on first use of one of these
 # names: the rate commands never load either.
-_SIMULATOR_NAMES = frozenset(
-    ("Category", "EmpiricalStats", "run_simulation", "simulate_decoy_run")
-)
+_SIMULATOR_NAMES = frozenset(("Category", "EmpiricalStats", "run_simulation"))
 
 
 def __getattr__(name: str):
@@ -86,7 +84,6 @@ __all__ = [
     "rate_improved",
     "rate_shor_preskill",
     "run_simulation",
-    "simulate_decoy_run",
     "threshold_bit_error",
     "transmittance",
     "worst_case_conditional_phase_entropy",

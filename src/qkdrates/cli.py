@@ -67,15 +67,6 @@ _SCENARIO = ("rate", "sweep", "simulate", "decoy")
 _SIMULATION = ("simulate", "decoy")
 
 
-def _parse_mu_values(text: str) -> tuple[float, ...]:
-    values = tuple(float(part) for part in text.split(",") if part.strip())
-    if not values:
-        raise ValueError("empty list")
-    if len(set(values)) < len(values):
-        raise ValueError("repeated value")
-    return values
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -119,25 +110,18 @@ class RunConfig:
     )
     source_kind: SourceKind = _option(
         SourceKind.SINGLE_PHOTON, "source", "kind", _choice(SourceKind),
-        help="{sources}",
+        ("rate", "sweep", "simulate"), "{sources}",
     )
     mean_photon_number: float = _option(0.5, "source", "mean_photon_number", float)
-    mu_values: tuple[float, ...] = _option(
-        (0.1, 0.5), "source", "mu_values", _parse_mu_values, ("decoy",),
-        "comma-separated decoy mean photon numbers",
-    )
     attenuation_db_per_km: float = _option(0.2, "link", "attenuation_db_per_km", float)
-    length_km: float = _option(50.0, "link", "length_km", float)
+    length_km: float = _option(
+        50.0, "link", "length_km", float, ("rate", "simulate", "decoy")
+    )
     length_min_km: float = _option(0.0, "link", "length_min_km", float, ("sweep",))
     length_max_km: float = _option(400.0, "link", "length_max_km", float, ("sweep",))
     length_step_km: float = _option(1.0, "link", "length_step_km", float, ("sweep",))
     e_x_sq: float = _option(0.01, "link", "e_x_sq", float)
     dark_count_prob: float = _option(1e-6, "detector", "dark_count_prob", float)
-    analytic_dark_count_prob: float | None = _option(
-        None, "detector", "analytic_dark_count_prob", float, ("simulate",),
-        "compare against an analytic model with a different dark count "
-        "probability (diagnostic)",
-    )
     n_pulses: int = _option(1_000_000, "simulation", "n_pulses", int, _SIMULATION)
     workers: int = _option(
         1, "simulation", "workers", _positive_int, _SIMULATION,
@@ -275,17 +259,13 @@ def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
 def cmd_simulate(cfg: RunConfig, out_path: str | None, tally_out: str | None) -> int:
     from .simulator import compare_to_analytic, run_simulation, tally_csv
 
-    scn = analytic_scn = config_scenario(cfg)
-    if cfg.analytic_dark_count_prob is not None:
-        analytic_scn = config_scenario(
-            dataclasses.replace(cfg, dark_count_prob=cfg.analytic_dark_count_prob)
-        )
+    scn = config_scenario(cfg)
     stats = run_simulation(
         scn, cfg.eve, n_pulses=cfg.n_pulses, seed=cfg.seed, workers=cfg.workers
     )
     if tally_out is not None:
         _emit(tally_csv(stats), tally_out)
-    comparisons = compare_to_analytic(stats, analytic_scn)
+    comparisons = compare_to_analytic(stats, scn)
     lines = [
         f"pulses {cfg.n_pulses}  seed {cfg.seed}  protocol {scn.protocol.name}",
         f"{'field':8} {'empirical':>14} {'analytic':>14} {'z':>10}",
@@ -302,26 +282,21 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, tally_out: str | None) ->
 
 
 def cmd_decoy(cfg: RunConfig, out_path: str | None) -> int:
-    from .simulator import recover_single_photon_rates, simulate_decoy_run
+    from .simulator import recover_single_photon_rates, run_simulation
 
     cfg = dataclasses.replace(cfg, source_kind=SourceKind.POISSONIAN)
     scn = config_scenario(cfg)
-    mu_values = list(cfg.mu_values)
-    if cfg.mean_photon_number not in mu_values:
-        mu_values.append(cfg.mean_photon_number)
-    runs = simulate_decoy_run(
-        scn, mu_values, n_pulses=cfg.n_pulses, seed=cfg.seed, workers=cfg.workers
+    stats = run_simulation(
+        scn, EveKind.NONE, cfg.n_pulses, cfg.seed, workers=cfg.workers
     )
-    signal_stats = runs[cfg.mean_photon_number]
     try:
-        recovery = recover_single_photon_rates(signal_stats, scn)
+        recovery = recover_single_photon_rates(stats, scn)
     except DecoyInversionError as exc:
         _emit(f"decoy inversion failed: {exc}\n", out_path)
         return 1
     truth = breakdown(scn)
     lines = [
-        f"decoy run: mu values {', '.join(_fmt(m) for m in mu_values)}  "
-        f"signal mu {_fmt(cfg.mean_photon_number)}  pulses {cfg.n_pulses}",
+        f"decoy run: signal mu {_fmt(cfg.mean_photon_number)}  pulses {cfg.n_pulses}",
         f"{'quantity':8} {'recovered':>14} {'stderr':>12} {'true':>14}",
         f"{'p_sq':8} {recovery.p_sq:14.6e} {recovery.p_sq_se:12.4e} {truth.p_sq:14.6e}",
         f"{'e_x_sq':8} {recovery.e_x_sq:14.6e} {recovery.e_x_sq_se:12.4e} "

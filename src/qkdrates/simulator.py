@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -53,7 +53,6 @@ from .scenario import (
     EveKind,
     Scenario,
     SourceKind,
-    SourceModel,
     breakdown as analytic_breakdown,
     decoy_invert,
     intrinsic_error_from_decoy_with_slope,
@@ -67,7 +66,6 @@ __all__ = [
     "DecoyRecovery",
     "run_simulation",
     "compare_to_analytic",
-    "simulate_decoy_run",
     "recover_single_photon_rates",
     "tally_csv",
 ]
@@ -103,7 +101,6 @@ class EmpiricalStats:
     single_pulse_conclusive: int = 0
     single_pulse_errors: int = 0
     empty_pulse_conclusive: int = 0
-    empty_pulse_errors: int = 0
 
     def __add__(self, other: "EmpiricalStats") -> "EmpiricalStats":
         return EmpiricalStats(
@@ -393,7 +390,6 @@ def _count_batch(
         single_pulse_conclusive=n_single + int(dark[1].sum()),
         single_pulse_errors=n_single_errors + int(dark[1, 1]),
         empty_pulse_conclusive=int(dark[0].sum()),
-        empty_pulse_errors=int(dark[0, 1]),
     )
 
 
@@ -497,37 +493,6 @@ def compare_to_analytic(stats: EmpiricalStats, scn: Scenario) -> list[FieldCompa
         FieldComparison(name, empirical, analytic, _z_score(empirical, analytic, trials))
         for name, empirical, analytic, trials in rows
     ]
-
-
-def simulate_decoy_run(
-    scn: Scenario,
-    mu_values: list[float],
-    n_pulses: int,
-    seed: int,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    workers: int = 1,
-) -> dict[float, EmpiricalStats]:
-    """Run the simulator once per mean photon number.
-
-    Each run reuses the same seed, so a single-entry list reproduces
-    ``run_simulation`` exactly.
-    """
-    if not mu_values:
-        raise ValueError("mu_values must be non-empty")
-    if any(mu <= 0.0 for mu in mu_values):
-        raise ValueError("all mu values must be positive")
-    results: dict[float, EmpiricalStats] = {}
-    for mu in mu_values:
-        varied = replace(scn, source=SourceModel.poissonian(mu))
-        results[mu] = run_simulation(
-            varied,
-            EveKind.NONE,
-            n_pulses,
-            seed,
-            batch_size=batch_size,
-            workers=workers,
-        )
-    return results
 
 
 class DecoyRecovery(NamedTuple):

@@ -170,5 +170,4 @@ def full_key_tally(n_pulses, events):
     values["single_pulse_conclusive"] = int(conclusive[:, :, 1].sum())
     values["single_pulse_errors"] = int(conclusive[:, 1, 1].sum())
     values["empty_pulse_conclusive"] = int(conclusive[:, :, 0].sum())
-    values["empty_pulse_errors"] = int(conclusive[:, 1, 0].sum())
     return EmpiricalStats(**values)

@@ -27,6 +27,7 @@ from qkdrates.cli import (
 from qkdrates.keyrate import rate_gllp, rate_improved
 from qkdrates.protocols import BB84, PBC00
 from qkdrates.scenario import EveKind, SourceKind, breakdown, transmittance
+from qkdrates.simulator import recover_single_photon_rates, run_simulation
 
 FIELDS = dataclasses.fields(RunConfig)
 
@@ -268,7 +269,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize(
-        "flag", ["--length-min-km", "--length-max-km", "--length-step-km", "--length-km"]
+        "flag", ["--length-min-km", "--length-max-km", "--length-step-km"]
     )
     def test_non_finite_exits_2(self, capsys, flag, value):
         code, out, err = run_cli(capsys, "sweep", flag, value)
@@ -292,13 +293,17 @@ class TestSweepCommand:
         assert b"\r" not in path_a.read_bytes()
 
 
+def poissonian(command):
+    """Flags that select a Poissonian source; ``decoy`` always uses one."""
+    return () if command == "decoy" else ("--source-kind", "poissonian")
+
+
 class TestMeanPhotonNumber:
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["rate", "simulate", "sweep", "decoy"])
     def test_non_finite_exits_2(self, capsys, command, value):
         code, out, err = run_cli(
-            capsys, command, "--source-kind", "poissonian",
-            f"--mean-photon-number={value}",
+            capsys, command, *poissonian(command), f"--mean-photon-number={value}"
         )
         assert code == 2
         assert out == ""
@@ -322,7 +327,7 @@ class TestMeanPhotonNumber:
         ],
     )
     def test_huge_mean_runs(self, capsys, argv, want):
-        code, out, err = run_cli(capsys, *argv, "--source-kind", "poissonian")
+        code, out, err = run_cli(capsys, *argv, *poissonian(argv[0]))
         assert code == want
         assert out and err == ""
 
@@ -343,9 +348,8 @@ class TestSimulateCommand:
         assert "PASS" in out
 
     def test_mismatch_exit_1(self, capsys):
-        code, out, _ = run_cli(
-            capsys, *self.ARGS, "--analytic-dark-count-prob", "1e-3"
-        )
+        # the analytic side models no eavesdropper
+        code, out, _ = run_cli(capsys, *self.ARGS, "--eve", "intercept-resend")
         assert code == 1
         assert "FAIL" in out
 
@@ -392,9 +396,7 @@ class TestDecoyCommand:
         code, out, _ = run_cli(
             capsys,
             "decoy",
-            "--source-kind", "poissonian",
             "--mean-photon-number", "0.5",
-            "--mu-values", "0.1,0.5",
             "--length-km", "50",
             "--e-x-sq", "0.01",
             "--n-pulses", "500000",
@@ -409,9 +411,7 @@ class TestDecoyCommand:
         code, out, _ = run_cli(
             capsys,
             "decoy",
-            "--source-kind", "poissonian",
             "--mean-photon-number", "0.5",
-            "--mu-values", "0.5",
             "--length-km", "1500",
             "--dark-count-prob", "1e-6",
             "--n-pulses", "20000",
@@ -434,12 +434,32 @@ class TestDecoyCommand:
         assert err == ""
         assert out.startswith("decoy inversion failed: transmittance is 0")
 
-    @pytest.mark.parametrize("mu_values", ["0.5,0.5", "0.1,0.5,0.10"])
-    def test_repeated_mu_exits_2(self, capsys, mu_values):
-        code, out, err = run_cli(capsys, "decoy", "--mu-values", mu_values)
-        assert code == 2
-        assert out == ""
-        assert "--mu-values" in err
+    def test_report_is_one_run_recovered(self, capsys, monkeypatch):
+        argv = ("--length-km", "30", "--e-x-sq", "0.02", "--n-pulses", "100000",
+                "--seed", "6")  # fmt: skip
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return run_simulation(*args, **kwargs)
+
+        monkeypatch.setattr("qkdrates.simulator.run_simulation", counting)
+        code, out, _ = run_cli(capsys, "decoy", *argv)
+        assert code == 0
+        assert len(calls) == 1
+        cfg = _resolve_config(_build_parser().parse_args(["decoy", *argv]))
+        scn = config_scenario(
+            dataclasses.replace(cfg, source_kind=SourceKind.POISSONIAN)
+        )
+        stats = run_simulation(scn, EveKind.NONE, 100_000, 6)
+        got, truth = recover_single_photon_rates(stats, scn), breakdown(scn)
+        lines = out.splitlines()
+        assert lines[0] == "decoy run: signal mu 0.5  pulses 100000"
+        assert lines[2:] == [
+            f"{'p_sq':8} {got.p_sq:14.6e} {got.p_sq_se:12.4e} {truth.p_sq:14.6e}",
+            f"{'e_x_sq':8} {got.e_x_sq:14.6e} {got.e_x_sq_se:12.4e} "
+            f"{truth.e_x_sq:14.6e}",
+        ]
 
 
 class TestWorkers:
@@ -481,7 +501,6 @@ SAMPLES = {
     "protocol": ("pbc00", PBC00),
     "source_kind": ("poissonian", SourceKind.POISSONIAN),
     "mean_photon_number": ("0.7", 0.7),
-    "mu_values": ("0.05, 0.2", (0.05, 0.2)),
     "attenuation_db_per_km": ("0.25", 0.25),
     "length_km": ("123.5", 123.5),
     "length_min_km": ("5", 5.0),
@@ -489,7 +508,6 @@ SAMPLES = {
     "length_step_km": ("0.5", 0.5),
     "e_x_sq": ("0.02", 0.02),
     "dark_count_prob": ("2e-7", 2e-7),
-    "analytic_dark_count_prob": ("3e-5", 3e-5),
     "n_pulses": ("12345", 12345),
     "workers": ("2", 2),
     "seed": ("99", 99),
@@ -504,7 +522,6 @@ BAD_VALUES = {
         "b92", "unknown protocol 'b92'; expected one of: bb84, six-state, pbc00"
     ),
     "source_kind": ("laser", "must be 'single-photon' or 'poissonian'"),
-    "mu_values": ("0.5,0.5", "repeated value"),
     "n_pulses": ("tiny", "invalid literal for int() with base 10: 'tiny'"),
     "workers": ("0", "must be >= 1"),
     "seed": ("tiny", "invalid literal for int() with base 10: 'tiny'"),
@@ -513,23 +530,23 @@ BAD_VALUES = {
 
 # Each subcommand's flags, frozen so that an edit to the field table cannot
 # add or drop one unnoticed.
-SCENARIO_FLAGS = {
-    "--protocol", "--source-kind", "--mean-photon-number",
-    "--attenuation-db-per-km", "--length-km", "--e-x-sq", "--dark-count-prob",
+MODEL_FLAGS = {
+    "--protocol", "--mean-photon-number", "--attenuation-db-per-km", "--e-x-sq",
+    "--dark-count-prob",
 }  # fmt: skip
 COMMON_FLAGS = {"-h", "--help", "--config", "--out"}
 SIMULATION_FLAGS = {"--n-pulses", "--seed", "--workers"}
 COMMAND_FLAGS = {
-    "rate": COMMON_FLAGS | SCENARIO_FLAGS,
+    "rate": COMMON_FLAGS | MODEL_FLAGS | {"--source-kind", "--length-km"},
     "threshold": COMMON_FLAGS | {"--protocol"},
     "sweep": COMMON_FLAGS
-    | SCENARIO_FLAGS
-    | {"--length-min-km", "--length-max-km", "--length-step-km"},
+    | MODEL_FLAGS
+    | {"--source-kind", "--length-min-km", "--length-max-km", "--length-step-km"},
     "simulate": COMMON_FLAGS
-    | SCENARIO_FLAGS
+    | MODEL_FLAGS
     | SIMULATION_FLAGS
-    | {"--eve", "--analytic-dark-count-prob", "--tally-out"},
-    "decoy": COMMON_FLAGS | SCENARIO_FLAGS | SIMULATION_FLAGS | {"--mu-values"},
+    | {"--source-kind", "--length-km", "--eve", "--tally-out"},
+    "decoy": COMMON_FLAGS | MODEL_FLAGS | SIMULATION_FLAGS | {"--length-km"},
 }
 
 
@@ -603,6 +620,58 @@ class TestFieldTable:
         code, _, err = run_cli(capsys, command, "--seed", "-1")
         assert code == 2
         assert "seed must be >= 0" in err
+
+    @pytest.mark.parametrize(
+        "f, command",
+        [(f, command) for f in FIELDS for command in f.metadata["commands"]],
+        ids=lambda v: getattr(v, "name", v),
+    )
+    def test_every_flag_changes_the_output(self, capsys, tmp_path, f, command):
+        # a Poissonian source, so that the mean photon number counts; the
+        # first line is skipped, as the simulate and decoy headers echo flags
+        base = "[source]\nkind = poissonian\n[simulation]\nn_pulses = 20000\n"
+        value = "single-photon" if f.name == "source_kind" else SAMPLES[f.name][0]
+        argv = [command, "--config", write_config(tmp_path, base)]
+        results = []
+        for extra in ([], [f"{_flag(f)}={value}"]):
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            results.append((code, out.splitlines()[1:]))
+        # --workers promises the same result for any number of threads
+        assert (results[0] == results[1]) == (f.name == "workers")
+
+
+class TestRemovedInputs:
+    """Inputs that changed no result are gone, and naming one is an error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["decoy", "--mu-values", "0.1,0.5"],
+            ["decoy", "--source-kind", "single-photon"],
+            ["sweep", "--length-km", "5"],
+            ["simulate", "--analytic-dark-count-prob", "1e-3"],
+        ],
+        ids=lambda argv: "".join(argv[:2]),
+    )
+    def test_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, section, key",
+        [("decoy", "source", "mu_values"),
+         ("simulate", "detector", "analytic_dark_count_prob")],
+        ids=lambda v: v,
+    )  # fmt: skip
+    def test_config_key_exits_2(self, capsys, tmp_path, command, section, key):
+        path = write_config(tmp_path, f"[{section}]\n{key} = 0.1\n")
+        code, out, err = run_cli(capsys, command, "--config", path)
+        assert (code, out) == (2, "")
+        assert err == f"error: unknown config key [{section}] {key}\n"
 
 
 class TestParserPerCommand:

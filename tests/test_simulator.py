@@ -29,7 +29,6 @@ from qkdrates.simulator import (
     compare_to_analytic,
     recover_single_photon_rates,
     run_simulation,
-    simulate_decoy_run,
     tally_csv,
 )
 
@@ -352,32 +351,19 @@ class TestInterceptResend:
 
 
 class TestDecoySimulation:
-    def test_single_mu_equals_plain_run(self):
-        scn = make_scenario(source=SourceModel.poissonian(0.5))
-        runs = simulate_decoy_run(scn, [0.5], 100_000, seed=6)
-        assert runs[0.5] == run_simulation(scn, EveKind.NONE, 100_000, seed=6)
-
     def test_recovers_intrinsic_error(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-6, e_x_sq=0.01)
-        runs = simulate_decoy_run(scn, [0.1, 0.5], 2_000_000, seed=23)
-        recovery = recover_single_photon_rates(runs[0.5], scn)
+        stats = run_simulation(scn, EveKind.NONE, 2_000_000, seed=23)
+        recovery = recover_single_photon_rates(stats, scn)
         truth = breakdown(scn)
         assert abs(recovery.p_sq - truth.p_sq) <= 3 * recovery.p_sq_se
         assert abs(recovery.e_x_sq - 0.01) <= 3 * recovery.e_x_sq_se
 
     def test_no_dark_counts_recovers_cat1_rate(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=0.0, e_x_sq=0.01)
-        runs = simulate_decoy_run(scn, [0.5], 500_000, seed=27)
-        stats = runs[0.5]
+        stats = run_simulation(scn, EveKind.NONE, 500_000, seed=27)
         recovery = recover_single_photon_rates(stats, scn)
         assert recovery.p_sq == pytest.approx(stats.cat1_count / stats.n_pulses)
-
-    def test_validates_mu_values(self):
-        scn = make_scenario(source=SourceModel.poissonian(0.5))
-        with pytest.raises(ValueError):
-            simulate_decoy_run(scn, [], 1000, seed=1)
-        with pytest.raises(ValueError):
-            simulate_decoy_run(scn, [0.5, -1.0], 1000, seed=1)
 
 
 class TestTallyCsv:

@@ -18,7 +18,6 @@ input.
 from __future__ import annotations
 
 import argparse
-import configparser
 import dataclasses
 import math
 import sys
@@ -74,6 +73,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError("must be finite and > 0")
+    return value
+
+
 def _choice(enum):
     """Parser for a field that holds one member of ``enum``, named by value."""
 
@@ -112,7 +118,9 @@ class RunConfig:
         SourceKind.SINGLE_PHOTON, "source", "kind", _choice(SourceKind),
         ("rate", "sweep", "simulate"), "{sources}",
     )
-    mean_photon_number: float = _option(0.5, "source", "mean_photon_number", float)
+    mean_photon_number: float = _option(
+        0.5, "source", "mean_photon_number", _positive_float
+    )
     attenuation_db_per_km: float = _option(0.2, "link", "attenuation_db_per_km", float)
     length_km: float = _option(
         50.0, "link", "length_km", float, ("rate", "simulate", "decoy")
@@ -146,6 +154,8 @@ def _flag(f: dataclasses.Field) -> str:
 
 def load_config(path: str) -> RunConfig:
     """Parse an INI config file into a RunConfig."""
+    import configparser
+
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     try:
         with open(path, encoding="utf-8") as handle:
@@ -234,7 +244,8 @@ def cmd_threshold(cfg: RunConfig, values: list[float], out_path: str | None) -> 
 
 
 def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
-    scn = config_scenario(cfg)
+    # the grid replaces the length, so sweep never reads cfg.length_km
+    scn = config_scenario(dataclasses.replace(cfg, length_km=0.0))
     try:
         sweep = distance_sweep(
             scn, cfg.length_min_km, cfg.length_max_km, cfg.length_step_km
@@ -306,48 +317,43 @@ def cmd_decoy(cfg: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _build_parser(commands=_ALL) -> argparse.ArgumentParser:
-    """The ``qkdrates`` parser.  Every subcommand is registered, so the help
-    and the errors name them all, but only those in ``commands`` get their
-    flags and arguments."""
+def _declare(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """Give ``parser`` the flags and arguments of subcommand ``command``."""
+    allowed = {
+        "protocols": " | ".join(spec.name for spec in protocol_catalog()),
+        "sources": " | ".join(kind.value for kind in SourceKind),
+        "eves": " | ".join(kind.value for kind in EveKind),
+    }
+    parser.add_argument("--config", help="INI config file path")
+    parser.add_argument("--out", help="write output to file instead of stdout")
+    for f in dataclasses.fields(RunConfig):
+        if command in f.metadata["commands"]:
+            text = f.metadata["help"]
+            parser.add_argument(
+                _flag(f), dest=f.name, help=text and text.format(**allowed)
+            )
+    if command == "threshold":
+        parser.add_argument(
+            "e_x_sq_values", nargs="*", type=float, default=[0.0, 0.01, 0.1],
+            help="intrinsic bit error rates (default: 0 0.01 0.1)",
+        )  # fmt: skip
+    if command == "simulate":
+        parser.add_argument(
+            "--tally-out", help="also write raw per-category tallies as CSV"
+        )
+    return parser
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    """The full ``qkdrates`` parser, with every subcommand."""
     parser = argparse.ArgumentParser(
         prog="qkdrates",
         description="Key generation rates, thresholds, and Monte Carlo checks "
         "for BB84, six-state, and PBC00.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    allowed = {
-        "protocols": " | ".join(spec.name for spec in protocol_catalog()),
-        "sources": " | ".join(kind.value for kind in SourceKind),
-        "eves": " | ".join(kind.value for kind in EveKind),
-    }
-    built = {}
     for name, text in _COMMANDS.items():
-        command = sub.add_parser(name, help=text)
-        if name in commands:
-            command.add_argument("--config", help="INI config file path")
-            command.add_argument("--out", help="write output to file instead of stdout")
-            built[name] = command
-    for f in dataclasses.fields(RunConfig):
-        text = f.metadata["help"]
-        for name in f.metadata["commands"]:
-            if name in built:
-                built[name].add_argument(
-                    _flag(f), dest=f.name, help=text and text.format(**allowed)
-                )
-
-    if "threshold" in built:
-        built["threshold"].add_argument(
-            "e_x_sq_values",
-            nargs="*",
-            type=float,
-            default=[0.0, 0.01, 0.1],
-            help="intrinsic bit error rates (default: 0 0.01 0.1)",
-        )
-    if "simulate" in built:
-        built["simulate"].add_argument(
-            "--tally-out", help="also write raw per-category tallies as CSV"
-        )
+        _declare(sub.add_parser(name, help=text), name)
     return parser
 
 
@@ -363,24 +369,28 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # only the named subcommand's flags: any other first token meets the
-    # full parser's help or error
+    # the subcommand's own parser prints what the full one would, except
+    # that only the full parser reports leftover arguments as unrecognized
     command = argv[0] if argv else None
-    parser = _build_parser((command,) if command in _COMMANDS else _ALL)
-    args = parser.parse_args(argv)
+    if command in _COMMANDS:
+        parser = _declare(argparse.ArgumentParser(prog=f"qkdrates {command}"), command)
+        args, rest = parser.parse_known_args(argv[1:])
+    if command not in _COMMANDS or rest:
+        args = _build_parser().parse_args(argv)
+        command = args.command
     try:
         cfg = _resolve_config(args)
-        if args.command == "rate":
+        if command == "rate":
             return cmd_rate(cfg, args.out)
-        if args.command == "threshold":
+        if command == "threshold":
             return cmd_threshold(cfg, args.e_x_sq_values, args.out)
-        if args.command == "sweep":
+        if command == "sweep":
             return cmd_sweep(cfg, args.out)
-        if args.command == "simulate":
+        if command == "simulate":
             return cmd_simulate(cfg, args.out, args.tally_out)
-        if args.command == "decoy":
+        if command == "decoy":
             return cmd_decoy(cfg, args.out)
-        raise AssertionError(f"unhandled command {args.command}")
+        raise AssertionError(f"unhandled command {command}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from qkdrates import simulator
+from qkdrates.cli import _build_parser
 from qkdrates.keyrate import rate_gllp, rate_improved
 from qkdrates.scenario import (
     NoConclusiveResultsError,
@@ -28,6 +29,17 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in sorted(_acceptance_lines):
             terminalreporter.write_line(line)
+
+
+def option_strings(parser):
+    """The option strings of ``parser``'s own arguments, ``-h`` included."""
+    return {opt for action in parser._actions for opt in action.option_strings}
+
+
+def subcommand_flags():
+    """Each subcommand's option strings in the full ``qkdrates`` parser."""
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    return {name: option_strings(parser) for name, parser in sub.choices.items()}
 
 
 def brute_force_worst_case(spec, e_x, n_grid=10_000):

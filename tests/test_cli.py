@@ -1,5 +1,6 @@
 """Tests for the command-line interface and config handling."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
@@ -10,6 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from conftest import option_strings, subcommand_flags
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -267,6 +269,21 @@ class TestSweepCommand:
         assert code == 2
         assert "length range" in err
 
+    def test_length_km_key_not_read(self, capsys, tmp_path):
+        # the grid replaces the length, so even an invalid one changes nothing
+        base = "[link]\nlength_step_km = 50\n"
+        runs = [
+            run_cli(capsys, "sweep", "--config", write_config(tmp_path, base + extra))
+            for extra in ("", "length_km = -1\n")
+        ]
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][1]
+
+    def test_negative_length_min_is_a_range_error(self, capsys):
+        code, out, err = run_cli(capsys, "sweep", "--length-min-km", "-1")
+        assert (code, out) == (2, "")
+        assert err == "error: length range: need 0 <= l_min <= l_max\n"
+
     @pytest.mark.parametrize("value", ["inf", "nan"])
     @pytest.mark.parametrize(
         "flag", ["--length-min-km", "--length-max-km", "--length-step-km"]
@@ -305,11 +322,30 @@ class TestMeanPhotonNumber:
         code, out, err = run_cli(
             capsys, command, *poissonian(command), f"--mean-photon-number={value}"
         )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error:")
-        assert "mean photon number" in err
-        assert "Traceback" not in err
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: mean_photon_number: bad value for --mean-photon-number: "
+            f"{value!r} (must be finite and > 0)\n"
+        )
+
+    @pytest.mark.parametrize("value", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("command", ["rate", "sweep", "simulate"])
+    def test_bad_value_exits_2_for_a_single_photon_source(
+        self, capsys, tmp_path, command, value
+    ):
+        # the value is checked even where the source does not read it
+        path = write_config(tmp_path, f"[source]\nmean_photon_number = {value}\n")
+        small = ["--n-pulses", "1000"] if command == "simulate" else []
+        for extra, where in (
+            (["--mean-photon-number", value], "--mean-photon-number"),
+            (["--config", path], "[source] mean_photon_number"),
+        ):
+            code, out, err = run_cli(capsys, command, *small, *extra)
+            assert (code, out) == (2, ""), extra
+            assert err == (
+                f"error: mean_photon_number: bad value for {where}: {value!r} "
+                "(must be finite and > 0)\n"
+            )
 
     @pytest.mark.parametrize(
         ("argv", "want"),
@@ -550,21 +586,13 @@ COMMAND_FLAGS = {
 }
 
 
-def flags_per_command(parser):
-    sub = next(action for action in parser._actions if action.dest == "command")
-    return {
-        name: {opt for action in command._actions for opt in action.option_strings}
-        for name, command in sub.choices.items()
-    }
-
-
 class TestFieldTable:
     def test_samples_cover_every_field(self):
         assert set(SAMPLES) == {f.name for f in FIELDS}
         assert all(SAMPLES[f.name][1] != f.default for f in FIELDS)
 
     def test_flag_sets_per_subcommand(self):
-        assert flags_per_command(_build_parser()) == COMMAND_FLAGS
+        assert subcommand_flags() == COMMAND_FLAGS
 
     @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
     def test_ini_round_trip(self, tmp_path, f):
@@ -675,13 +703,17 @@ class TestRemovedInputs:
 
 
 class TestParserPerCommand:
-    """``main`` builds only the invoked subcommand's flags; what a user sees
-    is the same as from the parser with every subcommand's flags."""
+    """``main`` parses a call that names a subcommand with that subcommand's
+    parser alone; what a user sees is the same as from the full parser."""
 
     @pytest.mark.parametrize(
         "argv",
         [["--help"], *([name, "--help"] for name in COMMAND_FLAGS), [], ["bogus"],
-         ["rate", "--seed", "1"]],
+         ["rate", "--seed", "1"], *([name, "--bogus"] for name in COMMAND_FLAGS),
+         ["threshold", "--prot", "bb84", "--bogus"], ["sweep", "--length-m", "5"],
+         ["rate", "--protocol=bb84", "--bogus=1"], ["rate", "--protocol"],
+         ["simulate", "--tally-out"], ["threshold", "-0.05", "abc"],
+         ["threshold", "-0.05", "--bogus"]],
         ids=lambda argv: " ".join(argv) or "no-arguments",
     )  # fmt: skip
     def test_help_and_errors_match_the_full_parser(self, capsys, argv):
@@ -692,19 +724,30 @@ class TestParserPerCommand:
 
         assert exit_of(main) == exit_of(_build_parser().parse_args)
 
-    def test_threshold_declares_no_other_flags(self, capsys):
-        built = []
+    @pytest.mark.parametrize(
+        "argv",
+        [["rate"], ["threshold", "0.05"], ["sweep", "--length-step-km", "100"],
+         ["simulate", "--n-pulses", "20000"], ["decoy", "--n-pulses", "20000"]],
+        ids=lambda argv: argv[0],
+    )  # fmt: skip
+    def test_valid_call_builds_one_parser(self, capsys, argv):
+        built, init = [], argparse.ArgumentParser.__init__
 
-        def recording(*args):
-            built.append(_build_parser(*args))
-            return built[-1]
+        def recording(parser, *args, **kwargs):
+            init(parser, *args, **kwargs)
+            built.append(parser)
 
-        with mock.patch("qkdrates.cli._build_parser", recording):
-            assert run_cli(capsys, "threshold", "0.05")[0] == 0
-        help_only = {"-h", "--help"}
-        want = {name: help_only for name in COMMAND_FLAGS}
-        want["threshold"] = COMMAND_FLAGS["threshold"]
-        assert [flags_per_command(parser) for parser in built] == [want]
+        full = AssertionError("the full parser was built")
+        with (
+            mock.patch.object(argparse.ArgumentParser, "__init__", recording),
+            mock.patch("qkdrates.cli._build_parser", side_effect=full),
+        ):
+            assert run_cli(capsys, *argv)[0] == 0
+        [parser] = built
+        assert parser.prog == f"qkdrates {argv[0]}"
+        subparsers = argparse._SubParsersAction
+        assert not any(isinstance(a, subparsers) for a in parser._actions)
+        assert option_strings(parser) == COMMAND_FLAGS[argv[0]]
 
 
 class TestNoConclusiveResults:

@@ -2,7 +2,8 @@
 
 numpy takes most of the start-up time of a CLI call, and ``rate`` and
 ``threshold`` do pure float math, so only the code that needs arrays
-imports it.  Each check runs in a fresh interpreter, where nothing is
+imports it.  Likewise only a call that reads a config file imports
+``configparser``.  Each check runs in a fresh interpreter, where nothing is
 imported yet.
 """
 
@@ -43,6 +44,18 @@ def test_heavy_modules_not_loaded(code):
     check = f"import sys\n{code}\nprint([m for m in {HEAVY!r} if m in sys.modules])"
     result = run_python("-c", check)
     assert result.stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [(["rate"], False), (["threshold", "0.05"], False),
+     (["rate", "--config", os.devnull], True)],
+    ids=["rate", "threshold", "rate-config"],
+)  # fmt: skip
+def test_configparser_loaded_only_to_read_a_config_file(argv, loaded):
+    code = f"import sys\nfrom qkdrates.cli import main\nmain({argv!r})\n"
+    result = run_python("-c", code + "print('configparser' in sys.modules)")
+    assert result.stdout.splitlines()[-1] == str(loaded)
 
 
 def test_importtime_lists_no_numpy():

@@ -209,6 +209,12 @@ def threshold_bit_error(spec: ProtocolSpec, e_x_sq: float) -> float | None:
     protocols).  Returns ``None`` when the margin is already negative at
     ``f = 0``.
     """
+    y = _threshold_y(spec, e_x_sq)
+    return None if y is None else (1.0 - y) / 2.0
+
+
+def _threshold_y(spec: ProtocolSpec, e_x_sq: float) -> float | None:
+    """The root ``y*`` of the margin ``G`` whose ``(1 - y*)/2`` is the threshold."""
     if not 0.0 <= e_x_sq < 0.5:
         raise ValueError(f"e_x_sq={e_x_sq} outside [0, 0.5)")
     h_worst = worst_case_conditional_phase_entropy(spec, e_x_sq)
@@ -216,15 +222,23 @@ def threshold_bit_error(spec: ProtocolSpec, e_x_sq: float) -> float | None:
     if _capacity(s) < h_worst:  # the margin at f = 0
         return None
     if h_worst == 0.0:
-        return 0.5
+        return 0.0
 
     t = h_worst / s
     y = min(s, 2.0 * _LN2 * t)
     while True:
         after = y - (_capacity(y) - t * y) / (math.atanh(y) / _LN2 - t)
         if not after < y:
-            return (1.0 - y) / 2.0
+            return y
         y = after
+
+
+def _zero_dark_threshold(spec: ProtocolSpec) -> float:
+    """The gllp threshold of a single-photon source without dark counts: the
+    root of ``rate_shor_preskill(1, e, spec)`` on [0, 1/2], to a few ulps."""
+    def margin(e: float) -> float:
+        return rate_shor_preskill(1.0, e, spec)
+    return _zeroin(margin, 0.0, margin(0.0), 0.5, margin(0.5), 0.0)
 
 
 def max_distance(
@@ -246,15 +260,19 @@ def max_distance(
     The search starts where the single-photon signal falls to the dark-count
     floor, ``ln(p_sq(0) / p_dk(cap_km)) / A`` with ``A`` the attenuation in
     nepers per km, read off the two end-point breakdowns; without a floor
-    (``C = 0``, or ``p_sq(0)`` underflowed) it starts at 1 km.  From there it
-    walks in doubling steps, right while the rate is positive and left while
-    it is not, until the sign changes, and then narrows that bracket by
-    Brent's method on the margin ``rate / p_c``.  Where the margin changes
-    sign more than once, as it can without dark counts, the walk decides
-    which crossing is returned.
+    (``C = 0``, or ``p_sq(0)`` underflowed) it starts at 1 km.  A single-photon
+    margin vanishes where ``1 - 2 e_x`` falls to the threshold's root ``y*``
+    (``1 - 2 e0`` for gllp, ``e0`` the zero-dark threshold), which is at
+    ``ln(1 + R p_sq(0) / p_dk(cap_km)) / A`` with ``R = (1 - 2 e_x_sq)/y* - 1``;
+    with a floor it starts ``tol_km/2`` short of that and steps ``tol_km``,
+    or returns ``math.inf`` if ``y* = 0``.  From there it walks in doubling
+    steps, right while the rate is positive and left while it is not, until
+    the sign changes, and then narrows that bracket by Brent's method on the
+    margin ``rate / p_c``.  Where the margin changes sign more than once, as
+    it can without dark counts, the walk decides which crossing is returned.
     """
     # deferred: scenario imports this module
-    from .scenario import _DB_TO_NEPER, NoConclusiveResultsError, breakdown
+    from .scenario import _DB_TO_NEPER, NoConclusiveResultsError, SourceKind, breakdown
 
     if rate_fn == "improved":
         rate = rate_improved
@@ -284,7 +302,19 @@ def max_distance(
     if far is not None and near.p_sq > 0.0 and far.p_dk > 0.0:
         # the rates differ at 0 and cap_km, so the attenuation is positive
         step = 1.0 / (scn.link.attenuation_db_per_km * _DB_TO_NEPER)
-        start = math.log(near.p_sq / far.p_dk) * step
+        if scn.source.kind is SourceKind.SINGLE_PHOTON:
+            if rate_fn == "gllp":
+                y = 1.0 - 2.0 * _zero_dark_threshold(scn.protocol)
+            else:
+                y = _threshold_y(scn.protocol, scn.e_x_sq)
+            if y == 0.0:
+                return math.inf
+            # p_dk / p_sq at the crossing; None: the f = 0 margin rounds below 0
+            ratio = 0.0 if y is None else (1.0 - 2.0 * scn.e_x_sq) / y - 1.0
+            start = math.log1p(ratio * near.p_sq / far.p_dk) * step - 0.5 * tol_km
+            step = tol_km
+        else:
+            start = math.log(near.p_sq / far.p_dk) * step
     else:
         start = step = 1.0
     lo, hi = 0.0, cap_km

@@ -1,5 +1,7 @@
 """Tests for the rate formulas, threshold solver, and distance search."""
 
+import functools
+import itertools
 import math
 import os
 import subprocess
@@ -55,34 +57,88 @@ DARK_THRESHOLDS = {
 }
 
 
-def exact_threshold(spec, e_x_sq):
+def exact_root_y(spec, e_x_sq):
     """The threshold's equation solved in 50 digits, by bisection: with
     ``s = 1 - 2 e_x_sq`` and ``t = H_worst / s``, the root ``y*`` of
-    ``C(y) = t*y`` with ``C(y) = 1 - H((1-y)/2)`` gives ``(1 - y*)/2``.
-    ``H_worst`` is the library's float, taken as exact."""
+    ``C(y) = t*y`` with ``C(y) = 1 - H((1-y)/2)``; 0 when ``H_worst = 0`` and
+    ``None`` when ``C(s) < H_worst``.  ``H_worst`` is the library's float,
+    taken as exact.  Call it inside ``mpmath.workdps(50)``."""
+    h = mpmath.mpf(worst_case_conditional_phase_entropy(spec, e_x_sq))
+    s = 1 - 2 * mpmath.mpf(e_x_sq)
+
+    def capacity(y):
+        if y == 1:
+            return mpmath.mpf(1)
+        return (y * mpmath.atanh(y) + mpmath.log1p(-y * y) / 2) / mpmath.log(2)
+
+    if capacity(s) < h:
+        return None
+    if h == 0:
+        return mpmath.mpf(0)
+    t = h / s
+    # C(y) < t*y at y = t ln 2 and C(y) >= t*y at min(s, 2 t ln 2)
+    lo, hi = t * mpmath.log(2), min(s, 2 * t * mpmath.log(2))
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        if capacity(mid) < t * mid:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def exact_threshold(spec, e_x_sq):
+    """``(1 - y*)/2`` of ``exact_root_y``, rounded to a float."""
     with mpmath.workdps(50):
-        h = mpmath.mpf(worst_case_conditional_phase_entropy(spec, e_x_sq))
-        s = 1 - 2 * mpmath.mpf(e_x_sq)
+        y = exact_root_y(spec, e_x_sq)
+        return None if y is None else float((1 - y) / 2)
 
-        def capacity(y):
-            if y == 1:
-                return mpmath.mpf(1)
-            return (y * mpmath.atanh(y) + mpmath.log1p(-y * y) / 2) / mpmath.log(2)
 
-        if capacity(s) < h:
-            return None
-        if h == 0:
-            return 0.5
-        t = h / s
-        # C(y) < t*y at y = t ln 2 and C(y) >= t*y at min(s, 2 t ln 2)
-        lo, hi = t * mpmath.log(2), min(s, 2 * t * mpmath.log(2))
+@functools.cache
+def exact_zero_dark_threshold(spec):
+    """The root of ``1 - H(e) = H_worst(e)`` on [0, 1/2] in 50 digits, by
+    bisection, with ``H_worst`` the library's float at the float nearest
+    ``e``, taken as exact."""
+    with mpmath.workdps(50):
+
+        def margin(e):
+            h = -e * mpmath.log(e, 2) - (1 - e) * mpmath.log(1 - e, 2)
+            return 1 - h - worst_case_conditional_phase_entropy(spec, float(e))
+
+        lo, hi = mpmath.mpf("1e-3"), mpmath.mpf("0.5")
+        assert margin(lo) > 0 > margin(hi)
         for _ in range(200):
             mid = (lo + hi) / 2
-            if capacity(mid) < t * mid:
+            if margin(mid) > 0:
                 lo = mid
             else:
                 hi = mid
-        return float((1 - (lo + hi) / 2) / 2)
+        return (lo + hi) / 2
+
+
+def exact_single_photon_reach(scn, rate_fn):
+    """The single-photon reach in 50 digits, as a float: the margin
+    ``rate / p_c`` vanishes where ``1 - 2 e_x`` falls to ``y*``, that is,
+    where ``p_dk / p_sq = m C (1 - eta) / (cf eta)`` reaches
+    ``R = (1 - 2 e_x_sq) / y* - 1``.  0.0 when the margin is not positive
+    at zero length and inf when it never vanishes."""
+    spec = scn.protocol
+    with mpmath.workdps(50):
+        if rate_fn == "gllp":
+            y = 1 - 2 * exact_zero_dark_threshold(spec)
+        else:
+            y = exact_root_y(spec, scn.e_x_sq)
+        if y is None:
+            return 0.0
+        if y == 0:
+            return math.inf
+        ratio = (1 - 2 * mpmath.mpf(scn.e_x_sq)) / y - 1
+        if ratio <= 0:
+            return 0.0
+        m_c = spec.dark_conclusive_multiplier * mpmath.mpf(scn.detector.dark_count_prob)
+        cf = mpmath.mpf(spec.conclusive_factor(scn.e_x_sq))
+        neper_per_km = mpmath.mpf(scn.link.attenuation_db_per_km) * mpmath.log(10) / 10
+        return float(mpmath.log1p(ratio * cf / m_c) / neper_per_km)
 
 
 def pure_single_photon(p_sq=1.0, e=0.0):
@@ -135,6 +191,15 @@ class TestShorPreskillRate:
             else:
                 hi = mid
         assert (lo + hi) / 2 == pytest.approx(ZERO_DARK_THRESHOLDS[name], abs=5e-4)
+
+    @pytest.mark.parametrize("name", list(ZERO_DARK_THRESHOLDS))
+    def test_zero_dark_threshold_solver(self, name):
+        # the gllp reach's threshold, found by Brent's method to a few ulps
+        spec = next(s for s in protocol_catalog() if s.name == name)
+        got = keyrate._zero_dark_threshold(spec)
+        with mpmath.workdps(50):
+            assert abs(got - exact_zero_dark_threshold(spec)) <= 1e-15
+        assert got == pytest.approx(ZERO_DARK_THRESHOLDS[name], abs=5e-4)
 
 
 class TestGllpRate:
@@ -404,6 +469,17 @@ class TestMaxDistance:
         scn = fig1_scenario(BB84, e_x_sq=0.0, dark=0.0)
         assert max_distance(scn, "improved") == math.inf
 
+    # At e_x_sq = 0 the worst-case entropy is 0, so the improved margin of a
+    # single-photon source stays positive at every dark-count share, though
+    # near e_x = 1/2 its float value is rounding noise (at 0.711 dB/km and
+    # C = 0.0708 it reads 0 at 119 km), so a search on its sign can stop at
+    # a finite length.
+    @pytest.mark.parametrize("spec", protocol_catalog(), ids=lambda s: s.name)
+    @pytest.mark.parametrize(("attenuation", "dark"), [(0.2, 1e-6), (0.711, 0.0708)])
+    def test_zero_intrinsic_error_is_unbounded(self, spec, attenuation, dark):
+        scn = fig1_scenario(spec, e_x_sq=0.0, dark=dark, attenuation=attenuation)
+        assert max_distance(scn, "improved") == math.inf
+
     def test_improved_extends_distance(self):
         for spec in protocol_catalog():
             scn = fig1_scenario(spec)
@@ -492,12 +568,17 @@ class TestMaxDistance:
     @pytest.mark.parametrize("spec", protocol_catalog(), ids=lambda s: s.name)
     @pytest.mark.parametrize("dark", [1e-7, 1e-6, 1e-5, 1e-4])
     def test_single_photon_closed_form(self, spec, dark):
-        # with a single-photon source the improved margin rate / p_c depends
-        # on the dark-count share f = p_dk / p_c alone, so the reach is
-        # where f reaches the threshold's share f*, that is, where
-        # p_dk / p_sq = m C (1 - eta) / (cf eta) equals f* / (1 - f*)
-        for e_x_sq in (0.005, 0.01, 0.05):
-            e_star = threshold_bit_error(spec, e_x_sq)
+        # with a single-photon source the margin rate / p_c depends on the
+        # dark-count share f = p_dk / p_c alone, so the reach is where f
+        # reaches the threshold's share f*, that is, where
+        # p_dk / p_sq = m C (1 - eta) / (cf eta) equals f* / (1 - f*); the
+        # gllp threshold is the zero-dark one
+        cases = itertools.product(("gllp", "improved"), (0.005, 0.01, 0.05))
+        for rate_fn, e_x_sq in cases:
+            if rate_fn == "gllp":
+                e_star = float(exact_zero_dark_threshold(spec))
+            else:
+                e_star = threshold_bit_error(spec, e_x_sq)
             f_star = (e_star - e_x_sq) / (0.5 - e_x_sq)
             ratio = f_star / (1.0 - f_star)
             m_c = spec.dark_conclusive_multiplier * dark
@@ -505,9 +586,9 @@ class TestMaxDistance:
             for attenuation in (0.2, 0.35, 1.0):
                 want = -math.log(eta) / (attenuation * math.log(10.0) / 10.0)
                 scn = fig1_scenario(spec, e_x_sq, dark, attenuation=attenuation)
-                got = max_distance(scn, "improved", tol_km=1e-6)
+                got = max_distance(scn, rate_fn, tol_km=1e-6)
                 # on the positive side of the root, up to its rounding
-                assert want - 1e-6 <= got < want + 1e-9, (e_x_sq, attenuation)
+                assert want - 1e-6 <= got < want + 1e-9, (rate_fn, e_x_sq, attenuation)
 
     # C and e_x_sq start at 1e-7 and 1e-3, where the margin is resolved
     # along both search paths.  Below them it is rounding noise in places:
@@ -535,6 +616,28 @@ class TestMaxDistance:
             rate = rate_improved if rate_fn == "improved" else rate_gllp
             assert rate(breakdown(scn.at_length(got)), spec) > 0.0
 
+    # Attenuation starts at 0.05 dB/km: below it the margin at cap_km is
+    # rounding noise, so the search can stop at a sign flip of that noise.
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        spec=st.sampled_from(protocol_catalog()),
+        log10_dark=st.floats(min_value=-9.0, max_value=math.log10(0.3)),
+        attenuation=st.floats(min_value=0.05, max_value=1.0),
+        e_x_sq=st.floats(min_value=1e-6, max_value=0.3),
+        rate_fn=st.sampled_from(["gllp", "improved"]),
+    )
+    def test_single_photon_matches_exact_reach(
+        self, spec, log10_dark, attenuation, e_x_sq, rate_fn
+    ):
+        scn = fig1_scenario(spec, e_x_sq, 10.0**log10_dark, 0.0, attenuation)
+        want = exact_single_photon_reach(scn, rate_fn)
+        got = max_distance(scn, rate_fn)
+        if want == 0.0:
+            assert got == 0.0
+        else:
+            # on the positive side of the root, up to its rounding
+            assert want - 0.01 <= got < want + 1e-9
+
     def test_zero_dark_reach_is_first_crossing(self):
         # without dark counts p_mq cancels to 0 at long range, so this margin
         # turns positive again (0.686 at 500 km) until the transmittance
@@ -552,7 +655,9 @@ class TestMaxDistance:
 
     def test_breakdowns_per_solve(self, monkeypatch):
         # the benchmark's 48 reach scenarios; doubling from 1 km and
-        # bisecting took 25.8 on average, so a return to it fails here
+        # bisecting took 25.8 on average, so a return to it fails here.  A
+        # single-photon solve starts at the exact crossing: the two end
+        # points, then one step of tol_km past the start brackets the root.
         calls = 0
 
         def counted(scn):
@@ -561,7 +666,7 @@ class TestMaxDistance:
             return breakdown(scn)
 
         monkeypatch.setattr(scenario, "breakdown", counted)
-        counts = []
+        counts = {"single-photon": [], "poissonian": []}
         for spec in protocol_catalog():
             for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5)):
                 for dark in (1e-7, 1e-6, 1e-5, 1e-4):
@@ -569,10 +674,12 @@ class TestMaxDistance:
                         calls = 0
                         scn = fig1_scenario(spec, dark=dark, source=source)
                         assert 0.0 < max_distance(scn, rate_fn) < math.inf
-                        counts.append(calls)
-        assert len(counts) == 48
-        assert sum(counts) / len(counts) <= 12.0, counts
-        assert max(counts) <= 18, counts
+                        counts[source.kind.value].append(calls)
+        assert counts["single-photon"] == [4] * 24
+        poisson = counts["poissonian"]
+        assert len(poisson) == 24
+        assert sum(poisson) / len(poisson) <= 12.0, poisson
+        assert max(poisson) <= 18, poisson
 
 
 class TestBreakdownValidation:

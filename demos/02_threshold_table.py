@@ -8,18 +8,11 @@ rises far beyond those numbers, reaching 50% when the intrinsic qubit
 error vanishes.
 """
 
-from qkdrates import protocol_catalog, rate_shor_preskill, threshold_bit_error
+from qkdrates import protocol_catalog, threshold_bit_error, zero_dark_threshold
 
 print("Zero-dark-count thresholds (root of the one-way rate):")
 for spec in protocol_catalog():
-    lo, hi = 0.01, 0.3
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if rate_shor_preskill(1.0, mid, spec) > 0:
-            lo = mid
-        else:
-            hi = mid
-    print(f"  {spec.name:10} {100 * (lo + hi) / 2:6.2f} %")
+    print(f"  {spec.name:10} {100 * zero_dark_threshold(spec):6.2f} %")
 
 print()
 print("Thresholds on the observed error rate when dark counts are credited")

@@ -18,6 +18,7 @@ from .keyrate import (
     rate_improved,
     rate_shor_preskill,
     threshold_bit_error,
+    zero_dark_threshold,
 )
 from .protocols import (
     BB84,
@@ -88,4 +89,5 @@ __all__ = [
     "transmittance",
     "worst_case_conditional_phase_entropy",
     "worst_case_no_decoy",
+    "zero_dark_threshold",
 ]

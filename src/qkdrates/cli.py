@@ -6,22 +6,22 @@ vs analytic comparison), ``decoy`` (decoy-state recovery check).
 
 Configuration is an INI file with sections ``[protocol]``, ``[source]``,
 ``[link]``, ``[detector]``, ``[simulation]``; every key is optional and CLI
-flags override file values.  Each :class:`RunConfig` field declares its INI
-key, parser and flag once; the file reader and the flags follow from that
-table.  The parser turns the text into the value the library uses (a
-protocol name into its :class:`~qkdrates.protocols.ProtocolSpec`, a choice
-into its enum member) and rejects anything else, naming the field and the
-reason.  Exit codes: 0 success, 1 check or inversion failure, 2 invalid
-input.
+flags override file values.  Each entry of ``_OPTIONS`` declares one
+:class:`RunConfig` field with its default, INI key, parser and flag; the
+config record, the file reader and the flags follow from that table.  The
+parser turns the text into the value the library uses (a protocol name into
+its :class:`~qkdrates.protocols.ProtocolSpec`, a choice into its enum
+member) and rejects anything else, naming the field and the reason.  Exit
+codes: 0 success, 1 check or inversion failure, 2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import Callable, NamedTuple
 
 from .keyrate import (
     rate_alice,
@@ -31,7 +31,7 @@ from .keyrate import (
     rate_shor_preskill,
     threshold_bit_error,
 )
-from .protocols import BB84, ProtocolSpec, get_protocol, protocol_catalog
+from .protocols import BB84, get_protocol, protocol_catalog
 from .scenario import (
     DecoyInversionError,
     DetectorModel,
@@ -93,63 +93,77 @@ def _choice(enum):
     return parse
 
 
-def _option(default, section, key, parse, commands=_SCENARIO, help=None):
-    """A RunConfig field with its INI ``[section] key``, the parser for its
-    INI and ``--flag`` text, and the subcommands that take the flag.  The
-    help text may name ``{protocols}``, ``{sources}`` or ``{eves}``."""
-    metadata = dict(
-        section=section, key=key, parse=parse, commands=commands, help=help
-    )
-    return dataclasses.field(default=default, metadata=metadata)
+class _Option(NamedTuple):
+    """One RunConfig field: its default, its INI ``[section] key``, the
+    parser for its INI and ``--flag`` text, the subcommands that take the
+    flag, and its help text, which may name ``{protocols}``, ``{sources}``
+    or ``{eves}``."""
+
+    name: str
+    default: object
+    section: str
+    key: str
+    parse: Callable[[str], object]
+    commands: tuple[str, ...] = _SCENARIO
+    help: str | None = None
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run parameters with figure-reproducing defaults.
-
-    Each field declares its INI location, parser and ``--flag``; the config
-    file reader and the command-line flags both come from here.
-    """
-
-    protocol: ProtocolSpec = _option(
-        BB84, "protocol", "name", get_protocol, _ALL, "{protocols}"
-    )
-    source_kind: SourceKind = _option(
-        SourceKind.SINGLE_PHOTON, "source", "kind", _choice(SourceKind),
-        ("rate", "sweep", "simulate"), "{sources}",
-    )
-    mean_photon_number: float = _option(
-        0.5, "source", "mean_photon_number", _positive_float
-    )
-    attenuation_db_per_km: float = _option(0.2, "link", "attenuation_db_per_km", float)
-    length_km: float = _option(
-        50.0, "link", "length_km", float, ("rate", "simulate", "decoy")
-    )
-    length_min_km: float = _option(0.0, "link", "length_min_km", float, ("sweep",))
-    length_max_km: float = _option(400.0, "link", "length_max_km", float, ("sweep",))
-    length_step_km: float = _option(1.0, "link", "length_step_km", float, ("sweep",))
-    e_x_sq: float = _option(0.01, "link", "e_x_sq", float)
-    dark_count_prob: float = _option(1e-6, "detector", "dark_count_prob", float)
-    n_pulses: int = _option(1_000_000, "simulation", "n_pulses", int, _SIMULATION)
-    workers: int = _option(
-        1, "simulation", "workers", _positive_int, _SIMULATION,
+_OPTIONS = (
+    _Option("protocol", BB84, "protocol", "name", get_protocol, _ALL, "{protocols}"),
+    _Option(
+        "source_kind", SourceKind.SINGLE_PHOTON, "source", "kind",
+        _choice(SourceKind), ("rate", "sweep", "simulate"), "{sources}",
+    ),  # fmt: skip
+    _Option(
+        "mean_photon_number", 0.5, "source", "mean_photon_number", _positive_float
+    ),
+    _Option("attenuation_db_per_km", 0.2, "link", "attenuation_db_per_km", float),
+    _Option(
+        "length_km", 50.0, "link", "length_km", float, ("rate", "simulate", "decoy")
+    ),
+    _Option("length_min_km", 0.0, "link", "length_min_km", float, ("sweep",)),
+    _Option("length_max_km", 400.0, "link", "length_max_km", float, ("sweep",)),
+    _Option("length_step_km", 1.0, "link", "length_step_km", float, ("sweep",)),
+    _Option("e_x_sq", 0.01, "link", "e_x_sq", float),
+    _Option("dark_count_prob", 1e-6, "detector", "dark_count_prob", float),
+    _Option("n_pulses", 1_000_000, "simulation", "n_pulses", int, _SIMULATION),
+    _Option(
+        "workers", 1, "simulation", "workers", _positive_int, _SIMULATION,
         "threads that run simulation batches; the result does not depend on it",
-    )
-    seed: int = _option(1, "simulation", "seed", int, _SIMULATION, "simulation seed")
-    eve: EveKind = _option(
-        EveKind.NONE, "simulation", "eve", _choice(EveKind), ("simulate",), "{eves}"
-    )
+    ),  # fmt: skip
+    _Option("seed", 1, "simulation", "seed", int, _SIMULATION, "simulation seed"),
+    _Option(
+        "eve", EveKind.NONE, "simulation", "eve", _choice(EveKind), ("simulate",),
+        "{eves}",
+    ),  # fmt: skip
+)
 
 
-def _parse(f: dataclasses.Field, raw: str, where: str):
+class RunConfig(
+    namedtuple(
+        "RunConfig",
+        [option.name for option in _OPTIONS],
+        defaults=[option.default for option in _OPTIONS],
+    )
+):
+    """Validated run parameters with figure-reproducing defaults: one field
+    per entry of ``_OPTIONS``, in its order, which also gives the field its
+    INI location, parser and ``--flag``."""
+
+    __slots__ = ()
+
+
+def _parse(option: _Option, raw: str, where: str):
     try:
-        return f.metadata["parse"](raw)
+        return option.parse(raw)
     except ValueError as exc:
-        raise ConfigError(f"{f.name}: bad value for {where}: {raw!r} ({exc})") from exc
+        raise ConfigError(
+            f"{option.name}: bad value for {where}: {raw!r} ({exc})"
+        ) from exc
 
 
-def _flag(f: dataclasses.Field) -> str:
-    return "--" + f.name.replace("_", "-")
+def _flag(option: _Option) -> str:
+    return "--" + option.name.replace("_", "-")
 
 
 def load_config(path: str) -> RunConfig:
@@ -165,18 +179,15 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(f"malformed config file: {exc}") from exc
 
-    table = {
-        (f.metadata["section"], f.metadata["key"]): f
-        for f in dataclasses.fields(RunConfig)
-    }
-    overrides = {}
+    table = {(option.section, option.key): option for option in _OPTIONS}
+    values = {}
     for section in parser.sections():
         for key, raw in parser[section].items():
-            f = table.get((section, key))
-            if f is None:
+            option = table.get((section, key))
+            if option is None:
                 raise ConfigError(f"unknown config key [{section}] {key}")
-            overrides[f.name] = _parse(f, raw, f"[{section}] {key}")
-    return dataclasses.replace(RunConfig(), **overrides)
+            values[option.name] = _parse(option, raw, f"[{section}] {key}")
+    return RunConfig(**values)
 
 
 def config_scenario(cfg: RunConfig) -> Scenario:
@@ -245,7 +256,7 @@ def cmd_threshold(cfg: RunConfig, values: list[float], out_path: str | None) -> 
 
 def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
     # the grid replaces the length, so sweep never reads cfg.length_km
-    scn = config_scenario(dataclasses.replace(cfg, length_km=0.0))
+    scn = config_scenario(cfg._replace(length_km=0.0))
     try:
         sweep = distance_sweep(
             scn, cfg.length_min_km, cfg.length_max_km, cfg.length_step_km
@@ -295,7 +306,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, tally_out: str | None) ->
 def cmd_decoy(cfg: RunConfig, out_path: str | None) -> int:
     from .simulator import recover_single_photon_rates, run_simulation
 
-    cfg = dataclasses.replace(cfg, source_kind=SourceKind.POISSONIAN)
+    cfg = cfg._replace(source_kind=SourceKind.POISSONIAN)
     scn = config_scenario(cfg)
     stats = run_simulation(
         scn, EveKind.NONE, cfg.n_pulses, cfg.seed, workers=cfg.workers
@@ -326,11 +337,11 @@ def _declare(parser: argparse.ArgumentParser, command: str) -> argparse.Argument
     }
     parser.add_argument("--config", help="INI config file path")
     parser.add_argument("--out", help="write output to file instead of stdout")
-    for f in dataclasses.fields(RunConfig):
-        if command in f.metadata["commands"]:
-            text = f.metadata["help"]
+    for option in _OPTIONS:
+        if command in option.commands:
+            text = option.help
             parser.add_argument(
-                _flag(f), dest=f.name, help=text and text.format(**allowed)
+                _flag(option), dest=option.name, help=text and text.format(**allowed)
             )
     if command == "threshold":
         parser.add_argument(
@@ -360,11 +371,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config) if args.config else RunConfig()
     overrides = {}
-    for f in dataclasses.fields(RunConfig):
-        raw = getattr(args, f.name, None)
+    for option in _OPTIONS:
+        raw = getattr(args, option.name, None)
         if raw is not None:
-            overrides[f.name] = _parse(f, raw, _flag(f))
-    return dataclasses.replace(cfg, **overrides)
+            overrides[option.name] = _parse(option, raw, _flag(option))
+    return cfg._replace(**overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

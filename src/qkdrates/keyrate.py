@@ -22,9 +22,10 @@ solvers work on floats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from ._elementwise import all_, any_, first_failing, maximum
+from ._record import checked
 from .entropy import (
     InfeasibleRatesError,
     binary_entropy,
@@ -41,6 +42,7 @@ __all__ = [
     "rate_alice",
     "rate_improved",
     "threshold_bit_error",
+    "zero_dark_threshold",
     "max_distance",
 ]
 
@@ -48,8 +50,8 @@ _TOL = 1e-12
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class RateBreakdown:
+@checked
+class RateBreakdown(NamedTuple):
     """Conclusive-result rates split by physical origin.
 
     ``p_sq``, ``p_mq``, ``p_emp``, ``p_dk`` are the per-pulse rates of
@@ -59,7 +61,7 @@ class RateBreakdown:
     empty and single-photon pulses.  ``e_x`` is the bit error rate over all
     conclusive results and ``e_x_sq`` the rate restricted to single-photon
     qubit results.  Fields may be numpy arrays (or floats) that broadcast
-    together; each check then applies to every element.
+    together; each check then applies to every element, and a NaN fails it.
     """
 
     p_emp: float
@@ -71,15 +73,16 @@ class RateBreakdown:
     e_x: float
     e_x_sq: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
+        # each test is written to hold for good values, so that NaN fails it
         for field in ("p_emp", "p_sq", "p_mq", "p_dk"):
-            if any_(getattr(self, field) < -_TOL):
-                raise ValueError(f"{field} is negative")
-        if any_(self.p_c <= 0.0):
+            if not all_(getattr(self, field) >= -_TOL):
+                raise ValueError(f"{field} is negative or NaN")
+        if not all_(self.p_c > 0.0):
             raise ValueError("total conclusive rate must be positive")
         if not (all_(-_TOL <= self.omega0) and all_(-_TOL <= self.omega1)):
             raise ValueError("omega fractions must be non-negative")
-        if any_(self.omega0 + self.omega1 > 1.0 + 1e-9):
+        if not all_(self.omega0 + self.omega1 <= 1.0 + 1e-9):
             raise ValueError("omega0 + omega1 exceeds 1")
         for field in ("e_x", "e_x_sq"):
             value = getattr(self, field)
@@ -233,9 +236,15 @@ def _threshold_y(spec: ProtocolSpec, e_x_sq: float) -> float | None:
         y = after
 
 
-def _zero_dark_threshold(spec: ProtocolSpec) -> float:
-    """The gllp threshold of a single-photon source without dark counts: the
-    root of ``rate_shor_preskill(1, e, spec)`` on [0, 1/2], to a few ulps."""
+def zero_dark_threshold(spec: ProtocolSpec) -> float:
+    """Largest tolerable bit error rate when dark counts earn no credit.
+
+    The root of the one-way rate ``rate_shor_preskill(1, e, spec)`` on
+    [0, 1/2], to a few ulps: about 11.0% for BB84, 12.6% for six-state and
+    9.81% for PBC00.  It is also the gllp threshold on the observed error
+    rate of a single-photon source, whose gllp rate depends on that rate
+    alone; :func:`threshold_bit_error` is the one with dark counts credited.
+    """
     def margin(e: float) -> float:
         return rate_shor_preskill(1.0, e, spec)
     return _zeroin(margin, 0.0, margin(0.0), 0.5, margin(0.5), 0.0)
@@ -304,7 +313,7 @@ def max_distance(
         step = 1.0 / (scn.link.attenuation_db_per_km * _DB_TO_NEPER)
         if scn.source.kind is SourceKind.SINGLE_PHOTON:
             if rate_fn == "gllp":
-                y = 1.0 - 2.0 * _zero_dark_threshold(scn.protocol)
+                y = 1.0 - 2.0 * zero_dark_threshold(scn.protocol)
             else:
                 y = _threshold_y(scn.protocol, scn.e_x_sq)
             if y == 0.0:

@@ -9,7 +9,7 @@ fixes all three rates to be equal).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "ProtocolSpec",
@@ -21,8 +21,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProtocolSpec:
+class ProtocolSpec(NamedTuple):
     """Constants describing one prepare-and-measure protocol.
 
     Attributes

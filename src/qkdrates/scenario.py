@@ -19,12 +19,12 @@ whole grid in one pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import keyrate
 from ._elementwise import all_, any_, exp, first_failing, maximum
+from ._record import checked
 from .keyrate import RateBreakdown
 from .protocols import ProtocolSpec
 
@@ -64,8 +64,8 @@ class NoConclusiveResultsError(ValueError):
     """Raised when an operating point yields no conclusive results at all."""
 
 
-@dataclass(frozen=True)
-class LinkModel:
+@checked
+class LinkModel(NamedTuple):
     """Fiber link with exponential loss ``eta = exp(-A * l)``.
 
     ``length_km`` is a float or an array of lengths.
@@ -74,7 +74,7 @@ class LinkModel:
     attenuation_db_per_km: float
     length_km: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # abs(x) < inf is false for NaN and for either infinity
         if not (
             math.isfinite(self.attenuation_db_per_km)
@@ -87,18 +87,19 @@ class LinkModel:
             raise ValueError("length must be >= 0 km")
 
 
-@dataclass(frozen=True)
-class DetectorModel:
+@checked
+class DetectorModel(NamedTuple):
     """Threshold detectors with per-pulse dark count probability ``C``."""
 
     dark_count_prob: float
     detector_count: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.dark_count_prob < 1.0:
             raise ValueError("dark count probability must be in [0, 1)")
-        if self.detector_count < 1:
-            raise ValueError("detector count must be >= 1")
+        n = self.detector_count
+        if not (isinstance(n, int) and n >= 1):
+            raise ValueError(f"detector count must be an integer >= 1, got {n!r}")
 
 
 class SourceKind(Enum):
@@ -106,14 +107,14 @@ class SourceKind(Enum):
     POISSONIAN = "poissonian"
 
 
-@dataclass(frozen=True)
-class SourceModel:
+@checked
+class SourceModel(NamedTuple):
     """Photon-number statistics of the sender's source."""
 
     kind: SourceKind
     mean_photon_number: float | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind is SourceKind.POISSONIAN:
             mu = self.mean_photon_number
             if mu is None or not (math.isfinite(mu) and mu > 0.0):
@@ -132,8 +133,8 @@ class SourceModel:
         return cls(kind=SourceKind.POISSONIAN, mean_photon_number=mean_photon_number)
 
 
-@dataclass(frozen=True)
-class Scenario:
+@checked
+class Scenario(NamedTuple):
     """Complete parameter set for one operating point.
 
     ``e_x_sq`` is the intrinsic, distance-independent bit error rate of
@@ -146,7 +147,7 @@ class Scenario:
     detector: DetectorModel
     e_x_sq: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 <= self.e_x_sq <= 0.5:
             raise ValueError("e_x_sq must be in [0, 0.5]")
         if self.detector.detector_count != self.protocol.detector_count:
@@ -306,8 +307,7 @@ def intrinsic_error_from_decoy_with_slope(
     return (1.0 + k) * e_x_sq_raw / denominator, (1.0 + k) / denominator**2
 
 
-@dataclass(frozen=True)
-class NoDecoyEstimate:
+class NoDecoyEstimate(NamedTuple):
     """Worst-case single-photon statistics without decoy states."""
 
     omega1_lower: float
@@ -335,15 +335,15 @@ def worst_case_no_decoy(p_c: float, e_x: float, mu_bar: float) -> NoDecoyEstimat
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Sweep:
+class Sweep(NamedTuple):
     """Columns of a distance sweep, one array element per grid point.
 
     ``breakdown`` holds the breakdown columns; a field that is constant
     over the grid (``p_emp``, ``e_x_sq``, and for a single-photon source
     ``p_mq``) stays a float.  ``rate_old``
     (multi-photon discount only) and ``rate_new`` (dark counts credited)
-    are clamped at zero for display.
+    are clamped at zero for display.  A sweep equals only itself: an array
+    comparison has no single truth value to give a tuple comparison.
     """
 
     length_km: np.ndarray
@@ -351,6 +351,10 @@ class Sweep:
     breakdown: RateBreakdown
     rate_old: np.ndarray
     rate_new: np.ndarray
+
+    __eq__ = object.__eq__
+    __ne__ = object.__ne__
+    __hash__ = object.__hash__
 
 
 def distance_sweep(scn: Scenario, l_min: float, l_max: float, step: float) -> Sweep:

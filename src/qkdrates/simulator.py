@@ -42,8 +42,8 @@ headroom.
 from __future__ import annotations
 
 import math
+import operator
 import os
-from dataclasses import dataclass, fields
 from enum import IntEnum
 from typing import NamedTuple
 
@@ -85,9 +85,11 @@ class Category(IntEnum):
     DARK_COUNT = 4
 
 
-@dataclass(frozen=True)
-class EmpiricalStats:
-    """Tallies from one simulation run.  Merging shards is addition."""
+# Like every record of the package, the ones here are named tuples; the rule
+# and its reason are in qkdrates._record.
+class EmpiricalStats(NamedTuple):
+    """Tallies from one simulation run.  Merging shards is addition, field
+    by field (not the concatenation of tuples)."""
 
     n_pulses: int
     cat1_count: int = 0
@@ -103,12 +105,7 @@ class EmpiricalStats:
     empty_pulse_conclusive: int = 0
 
     def __add__(self, other: "EmpiricalStats") -> "EmpiricalStats":
-        return EmpiricalStats(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
-        )
+        return EmpiricalStats._make(map(operator.add, self, other))
 
     def category_count(self, cat: Category) -> int:
         return getattr(self, f"cat{int(cat)}_count")
@@ -447,9 +444,6 @@ def run_simulation(
     return sum(parts[1:], parts[0])
 
 
-# FieldComparison and DecoyRecovery are named tuples, not frozen dataclasses:
-# the CLI imports this module inside the command, and a frozen dataclass
-# costs about 1 ms there to generate and compile its methods.
 class FieldComparison(NamedTuple):
     """Empirical vs analytic value of one breakdown field."""
 

@@ -5,7 +5,6 @@ formula per quantity; the scalar calls are the reference for the array
 path.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -34,7 +33,7 @@ from qkdrates.scenario import (
     transmittance,
 )
 
-FIELDS = [f.name for f in dataclasses.fields(RateBreakdown)] + ["p_c"]
+FIELDS = [*RateBreakdown._fields, "p_c"]
 
 
 def five_rates(b, spec):
@@ -103,9 +102,7 @@ def test_float_in_float_out(scn, length):
 
 def no_conclusive_breakdown(length):
     scn = make_scenario(BB84, None, 0.2, -10.0, 0.01)
-    scn = dataclasses.replace(
-        scn, detector=DetectorModel(dark_count_prob=0.0, detector_count=2)
-    )
+    scn = scn._replace(detector=DetectorModel(dark_count_prob=0.0, detector_count=2))
     return breakdown(scn.at_length(length))
 
 
@@ -125,7 +122,7 @@ def breakdown_with_error_rate(e_x):
 
 
 # A Y interval above e_x + e_z: every e_x > 0 leaves no admissible Y rate.
-EMPTY_Y_INTERVAL = dataclasses.replace(BB84, y_lo_ratio=3.0, y_hi_ratio=4.0)
+EMPTY_Y_INTERVAL = BB84._replace(y_lo_ratio=3.0, y_hi_ratio=4.0)
 
 # (function, a feasible float, an infeasible float); the array holds both.
 INFEASIBLE = {

@@ -22,7 +22,8 @@ def load(name):
     path = BENCH / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
-    # dataclasses look the module up while the class body runs
+    # the dataclasses of workloads.py look the module up while the class
+    # body runs
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module

@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import dataclasses
 import io
 import re
 import time
@@ -16,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdrates.cli import (
+    _OPTIONS,
     SWEEP_HEADER,
     ConfigError,
     RunConfig,
@@ -31,7 +31,7 @@ from qkdrates.protocols import BB84, PBC00
 from qkdrates.scenario import EveKind, SourceKind, breakdown, transmittance
 from qkdrates.simulator import recover_single_photon_rates, run_simulation
 
-FIELDS = dataclasses.fields(RunConfig)
+FIELDS = _OPTIONS
 
 FIG1_CONFIG = """\
 [protocol]
@@ -74,11 +74,11 @@ class TestConfig:
     def test_round_trip(self, tmp_path):
         # every field in one file
         lines = []
-        for section in dict.fromkeys(f.metadata["section"] for f in FIELDS):
+        for section in dict.fromkeys(f.section for f in FIELDS):
             lines.append(f"[{section}]")
             for f in FIELDS:
-                if f.metadata["section"] == section:
-                    lines.append(f"{f.metadata['key']} = {SAMPLES[f.name][0]}")
+                if f.section == section:
+                    lines.append(f"{f.key} = {SAMPLES[f.name][0]}")
         cfg = load_config(write_config(tmp_path, "\n".join(lines) + "\n"))
         assert cfg == RunConfig(**{name: value for name, (_, value) in SAMPLES.items()})
 
@@ -484,9 +484,7 @@ class TestDecoyCommand:
         assert code == 0
         assert len(calls) == 1
         cfg = _resolve_config(_build_parser().parse_args(["decoy", *argv]))
-        scn = config_scenario(
-            dataclasses.replace(cfg, source_kind=SourceKind.POISSONIAN)
-        )
+        scn = config_scenario(cfg._replace(source_kind=SourceKind.POISSONIAN))
         stats = run_simulation(scn, EveKind.NONE, 100_000, 6)
         got, truth = recover_single_photon_rates(stats, scn), breakdown(scn)
         lines = out.splitlines()
@@ -528,7 +526,7 @@ class TestFlagPrecedence:
 
     def test_config_replaces_defaults(self, tmp_path):
         cfg = load_config(write_config(tmp_path, "[link]\nlength_km = 7\n"))
-        assert cfg == dataclasses.replace(RunConfig(), length_km=7.0)
+        assert cfg == RunConfig()._replace(length_km=7.0)
 
 
 # Config text for every RunConfig field and the value it parses to, each
@@ -597,26 +595,26 @@ class TestFieldTable:
     @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
     def test_ini_round_trip(self, tmp_path, f):
         text, value = SAMPLES[f.name]
-        section, key = f.metadata["section"], f.metadata["key"]
+        section, key = f.section, f.key
         cfg = load_config(write_config(tmp_path, f"[{section}]\n{key} = {text}\n"))
-        assert cfg == dataclasses.replace(RunConfig(), **{f.name: value})
+        assert cfg == RunConfig()._replace(**{f.name: value})
 
     @pytest.mark.parametrize(
         "f, command",
-        [(f, command) for f in FIELDS for command in f.metadata["commands"]],
+        [(f, command) for f in FIELDS for command in f.commands],
         ids=lambda v: getattr(v, "name", v),
     )
     def test_flag_round_trip(self, f, command):
         text, value = SAMPLES[f.name]
         args = _build_parser().parse_args([command, f"{_flag(f)}={text}"])
         cfg = _resolve_config(args)
-        assert cfg == dataclasses.replace(RunConfig(), **{f.name: value})
+        assert cfg == RunConfig()._replace(**{f.name: value})
 
     @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
     def test_bad_value_exits_2_from_flag_and_file(self, capsys, tmp_path, f):
         bad, reason = BAD_VALUES.get(f.name, BAD_FLOAT)
-        command = f.metadata["commands"][0]
-        section, key = f.metadata["section"], f.metadata["key"]
+        command = f.commands[0]
+        section, key = f.section, f.key
         path = write_config(tmp_path, f"[{section}]\n{key} = {bad}\n")
         for argv, where in (
             ([command, f"{_flag(f)}={bad}"], _flag(f)),
@@ -651,7 +649,7 @@ class TestFieldTable:
 
     @pytest.mark.parametrize(
         "f, command",
-        [(f, command) for f in FIELDS for command in f.metadata["commands"]],
+        [(f, command) for f in FIELDS for command in f.commands],
         ids=lambda v: getattr(v, "name", v),
     )
     def test_every_flag_changes_the_output(self, capsys, tmp_path, f, command):
@@ -791,7 +789,7 @@ def cli_calls(draw):
     """A subcommand and a few of its table flags, ``--n-pulses`` capped at
     1e4 so that every simulation stays small."""
     command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
-    fields = [f for f in FIELDS if command in f.metadata["commands"]]
+    fields = [f for f in FIELDS if command in f.commands]
     chosen = draw(st.lists(st.sampled_from(fields), max_size=4, unique=True))
     argv = [command]
     for f in fields:

@@ -1,7 +1,5 @@
 """Tests for entropy primitives and the worst-case conditional entropy."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from conftest import brute_force_worst_case
@@ -141,7 +139,7 @@ class TestWorstCaseConditionalEntropy:
     def test_empty_admissible_interval_raises(self):
         # a Y interval above e_x + e_z leaves every outcome distribution
         # with a negative probability
-        spec = dataclasses.replace(BB84, name="custom", y_lo_ratio=3.0, y_hi_ratio=4.0)
+        spec = BB84._replace(name="custom", y_lo_ratio=3.0, y_hi_ratio=4.0)
         assert worst_case_conditional_phase_entropy(spec, 0.0) == 0.0
         with pytest.raises(InfeasibleRatesError, match="interval empty"):
             worst_case_conditional_phase_entropy(spec, 0.1)

@@ -1,12 +1,16 @@
-"""The package and the scalar commands load neither numpy nor the simulator.
+"""The package and the scalar commands load neither numpy nor the simulator,
+nor ``dataclasses`` and the ``inspect`` it pulls in.
 
 numpy takes most of the start-up time of a CLI call, and ``rate`` and
 ``threshold`` do pure float math, so only the code that needs arrays
-imports it.  Likewise only a call that reads a config file imports
-``configparser``.  Each check runs in a fresh interpreter, where nothing is
-imported yet.
+imports it.  The records are named tuples, so nothing needs ``dataclasses``.
+Likewise only a call that reads a config file imports ``configparser``.
+Each check runs in a fresh interpreter and counts only the modules that a
+bare interpreter does not already hold: site hooks preload some on some
+machines.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -15,7 +19,7 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-HEAVY = ("numpy", "qkdrates.simulator")
+HEAVY = ("numpy", "qkdrates.simulator", "dataclasses", "inspect")
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -29,19 +33,28 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
     )
 
 
+@functools.cache
+def preloaded() -> frozenset:
+    """The modules a bare interpreter holds before it runs any code."""
+    result = run_python("-c", "import sys; print(*sys.modules, sep='\\n')")
+    return frozenset(result.stdout.splitlines())
+
+
 @pytest.mark.parametrize(
     "code",
     [
         "import qkdrates",
+        "import qkdrates.cli",
         "from qkdrates.cli import main; main(['rate'])",
         "from qkdrates.cli import main; main(['threshold', '0.05'])",
         "from qkdrates.cli import main\n"
         "try:\n    main(['simulate', '--help'])\nexcept SystemExit:\n    pass",
     ],
-    ids=["package", "rate", "threshold", "simulate-help"],
+    ids=["package", "cli", "rate", "threshold", "simulate-help"],
 )
 def test_heavy_modules_not_loaded(code):
-    check = f"import sys\n{code}\nprint([m for m in {HEAVY!r} if m in sys.modules])"
+    heavy = [m for m in HEAVY if m not in preloaded()]
+    check = f"import sys\n{code}\nprint([m for m in {heavy!r} if m in sys.modules])"
     result = run_python("-c", check)
     assert result.stdout.splitlines()[-1] == "[]"
 
@@ -58,11 +71,18 @@ def test_configparser_loaded_only_to_read_a_config_file(argv, loaded):
     assert result.stdout.splitlines()[-1] == str(loaded)
 
 
+def importtime_names(code: str) -> list[str]:
+    """The modules ``python -X importtime -c code`` reports importing."""
+    result = run_python("-X", "importtime", "-c", code)
+    return [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
+
+
 def test_importtime_lists_no_numpy():
-    result = run_python("-X", "importtime", "-c", "import qkdrates.cli")
-    imported = [line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()]
+    bare = set(importtime_names("pass"))
+    imported = [m for m in importtime_names("import qkdrates.cli") if m not in bare]
     assert "qkdrates.cli" in imported
-    assert [name for name in imported if name.split(".")[0] == "numpy"] == []
+    roots = ("numpy", "dataclasses", "inspect")
+    assert [name for name in imported if name.split(".")[0] in roots] == []
 
 
 def test_simulator_names_resolve_on_use():

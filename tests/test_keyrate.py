@@ -191,12 +191,14 @@ class TestShorPreskillRate:
             else:
                 hi = mid
         assert (lo + hi) / 2 == pytest.approx(ZERO_DARK_THRESHOLDS[name], abs=5e-4)
+        # the bisection is the independent reference for the library's root
+        assert abs(keyrate.zero_dark_threshold(spec) - (lo + hi) / 2) <= 1e-15
 
     @pytest.mark.parametrize("name", list(ZERO_DARK_THRESHOLDS))
     def test_zero_dark_threshold_solver(self, name):
         # the gllp reach's threshold, found by Brent's method to a few ulps
         spec = next(s for s in protocol_catalog() if s.name == name)
-        got = keyrate._zero_dark_threshold(spec)
+        got = keyrate.zero_dark_threshold(spec)
         with mpmath.workdps(50):
             assert abs(got - exact_zero_dark_threshold(spec)) <= 1e-15
         assert got == pytest.approx(ZERO_DARK_THRESHOLDS[name], abs=5e-4)
@@ -696,3 +698,18 @@ class TestBreakdownValidation:
                 p_emp=0.0, p_sq=1.0, p_mq=0.0, p_dk=0.0,
                 omega0=0.7, omega1=0.7, e_x=0.0, e_x_sq=0.0,
             )
+
+    @pytest.mark.parametrize(
+        "field", ["p_emp", "p_sq", "p_mq", "p_dk", "omega0", "omega1", "e_x", "e_x_sq"]
+    )
+    @pytest.mark.parametrize("array", [False, True], ids=["float", "array"])
+    def test_rejects_nan(self, field, array):
+        # NaN compares false, so a check written as "value < bound" let it by
+        # and the rates came out NaN
+        good = dict(
+            p_emp=0.0, p_sq=0.5, p_mq=0.0, p_dk=1e-6,
+            omega0=0.0, omega1=1.0, e_x=0.02, e_x_sq=0.01,
+        )  # fmt: skip
+        value = np.array([good[field], math.nan]) if array else math.nan
+        with pytest.raises(ValueError):
+            RateBreakdown(**{**good, field: value})

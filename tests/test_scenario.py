@@ -65,6 +65,15 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             DetectorModel(1.0, 2)
 
+    @pytest.mark.parametrize("bad", [2.5, 2.0, math.inf, math.nan, 0, -1, "2", None])
+    def test_detector_count_is_a_positive_integer(self, bad):
+        with pytest.raises(ValueError, match="detector count"):
+            DetectorModel(1e-6, bad)
+
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_detector_count_accepts_positive_integers(self, count):
+        assert DetectorModel(1e-6, count).detector_count == count
+
     def test_poisson_needs_mu(self):
         with pytest.raises(ValueError):
             SourceModel(kind=SourceKind.POISSONIAN)

@@ -12,31 +12,32 @@ derives them from the protocol relations.
 Sampling is event-sparse.  Pulses are independent and most of them are
 silent (no photon arrives and no detector fires), so a batch draws only how
 many of its pulses carry an arrival and how many of the rest a dark fire,
-as two Binomial counts.  Each event then draws, as Bernoulli trials with
-the exact conditional probabilities of the Poisson and Binomial laws, only
-the classes the tally reads: whether it had no photon, one, or more (by
-Poisson thinning into arrived and lost photons), and for a dark event
-whether one detector fired or more.  Sifting and bit flips are Bernoulli
-trials too, so the cost follows the number of events rather than pulses,
-and nothing is drawn from the analytic breakdown it checks.  A Bernoulli
-draw whose rarer outcome is unlikely places only those outcomes, as
-Geometric gaps between them; any other takes one random byte per trial,
-and the part of its probability that whole bytes cannot express goes to a
-second, rare trial placed by gaps, so each event still gets its own exact
-outcome.
+as two Binomial counts.  Every event then gets its own Bernoulli trial for
+each step the tally reads, with the exact conditional probabilities of the
+Poisson and Binomial laws: sifting, whether two or more photons were
+emitted (by Poisson thinning into arrived and lost photons), the
+eavesdropper's and the channel's bit flips, whether a dark event fired one
+detector or more, and a dark count's photon class and bit.  Events are
+exchangeable and trials independent, so a trial is drawn only for the
+events that reach it (a discarded arrival draws no photon class or flip)
+and only its number of successes is kept.  So the cost follows the number
+of events rather than pulses, and nothing is drawn from the analytic
+breakdown it checks.
 
-Each batch is counted as it is drawn.  An arrival's trials are masks over
-the batch's arrivals, counted and combined in place, so no per-arrival
-record is stored; the few dark events are binned by photon class and bit
-error.  A trial whose probability is 0 or 1 draws no random numbers, and
-the common ones (sifting at a conclusive factor of 1, the flip of an absent
-eavesdropper, photon loss over no distance) write no mask either.
+A trial whose rarer outcome has probability below ``_GAP_MAX_P`` counts
+only those outcomes, from the Geometric gaps between them.  Any other gives
+each event an 8-bit uniform number, bit-sliced: bit ``j`` of every event's
+number lies in one 64-bit random word per 64 events, so one AND or OR of
+two words compares 64 events' numbers with a threshold at once, and a
+threshold's trailing zero bits need no word (a fair trial takes one bit per
+event).  The part of the probability that 8 bits cannot express goes to a
+second, rare trial of the events that failed, counted by gaps.  No per-event
+mask or record is stored: the random words of one trial are the largest
+array a batch holds.
 
 Pulses are processed in fixed-size batches, each driven by its own PCG64
 stream spawned from ``(seed, batch_index)`` by a ``SeedSequence``, so
 results are bit-identical whether batches run serially or in parallel.
-Each thread of a run reuses one set of scratch masks, allocated once with
-headroom.
 """
 
 from __future__ import annotations
@@ -71,10 +72,15 @@ __all__ = [
 ]
 
 DEFAULT_BATCH_SIZE = 1_000_000
-# Below this probability of the rarer outcome only the rare outcomes are
-# placed, by Geometric gaps.  From 3e4 to 1e6 trials gaps and random bytes
-# break even near 0.02; up to 0.03 the gaps cost at most 1.3 times the bytes.
-_GAP_MAX_P = 0.03
+# Below this probability of the rarer outcome a trial is counted from
+# Geometric gaps alone.  Measured from 1e2 to 1e6 trials (Python 3.11,
+# numpy 2.4.6, 2 cores), gaps and slices cost the same near 0.02 at 1e6
+# trials and near 0.025 at 1e5; below 3e4 trials gaps cost at most 0.8
+# times as much up to 0.04, as slicing has a fixed cost of some 20 us.  It
+# sits at the 1e5 break-even, below which gaps cost at most 1.3 times as
+# much at 1e6 trials.  It must be at least 1/256, so that a sliced trial
+# has a threshold k >= 1.
+_GAP_MAX_P = 0.025
 
 
 class Category(IntEnum):
@@ -132,93 +138,61 @@ class EmpiricalStats(NamedTuple):
         return self.error_count / n if n else 0.0
 
 
-class _Scratch:
-    """Scratch masks of one thread, reused batch after batch.
+def _successes(rng: np.random.Generator, m: int, p: float) -> int:
+    """Number of successes of ``m`` independent Bernoulli(``p``) trials, one
+    per event.
 
-    A mask is allocated when it is first asked for, with headroom for the
-    spread of its size between batches, so a thread maps and faults its
-    memory in once per run rather than once per batch; the masks go when the
-    scratch does, at the end of the run.
-    """
-
-    __slots__ = ("_buffers",)
-
-    def __init__(self) -> None:
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def take(self, name: str, n: int, dtype: type = np.bool_) -> np.ndarray:
-        """The first ``n`` entries of buffer ``name``, holding whatever an
-        earlier batch left there."""
-        buf = self._buffers.get(name)
-        if buf is None or buf.size < n:
-            # a batch's event counts are Binomial, with a standard deviation
-            # below sqrt(n): 8 sqrt(n) of headroom holds the run's later
-            # batches, and as only touched pages are resident, costs little
-            buf = self._buffers[name] = np.empty(n + 8 * math.isqrt(n), dtype)
-        return buf[:n]
-
-
-def _bernoulli(
-    rng: np.random.Generator, n: int, p: float, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Mask of ``n`` independent Bernoulli(``p``) trials, written into the
-    bool array ``out`` of ``n`` entries when one is given.
-
-    When the rarer outcome has probability below ``_GAP_MAX_P`` only its
-    positions are drawn (:func:`_bernoulli_gaps`); otherwise each trial takes
-    one random byte (:func:`_bernoulli_bytes`).  ``p`` of 0 or 1, or ``n =
-    0``, draws nothing.
-    """
-    if out is None:
-        out = np.empty(n, dtype=bool)
-    if min(p, 1.0 - p) >= _GAP_MAX_P:
-        return _bernoulli_bytes(rng, p, out)
-    return _bernoulli_gaps(rng, p, out)
-
-
-def _bernoulli_bytes(rng: np.random.Generator, p: float, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with Bernoulli(``p``) trials, one random byte ``b`` each.
-
-    The bytes are the generator's raw 64-bit words, eight trials to a word.
-    On the rarer side ``r = min(p, 1 - p)``, with ``k = floor(256 r)``, a
-    trial succeeds when ``b < k`` and otherwise through an independent trial
-    of probability ``q = (256 r - k) / (256 - k)``, below 1/128 as ``k <=
-    128``, placed by :func:`_place_gaps`.  So it succeeds with probability
-    ``k/256 + (1 - k/256) q = r``, exact to the rounding of ``q``; the mask
-    is inverted when ``p > 0.5``.
-    """
-    n = out.size
-    rare = min(p, 1.0 - p)
-    b = rng.bit_generator.random_raw(-(-n // 8)).view(np.uint8)[:n]
-    scaled = 256.0 * rare  # exact: a power-of-two scale
-    k = int(scaled)
-    np.less(b, k, out=out)
-    _place_gaps(rng, (scaled - k) / (256 - k), out)
-    if p > 0.5:
-        np.logical_not(out, out=out)
-    return out
-
-
-def _bernoulli_gaps(rng: np.random.Generator, p: float, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` with Bernoulli(``p``) trials by placing only the rarer
-    outcomes (:func:`_place_gaps`)."""
-    out.fill(False)
-    _place_gaps(rng, min(p, 1.0 - p), out)
-    if p > 0.5:
-        np.logical_not(out, out=out)
-    return out
-
-
-def _place_gaps(rng: np.random.Generator, q: float, out: np.ndarray) -> None:
-    """Set the entries of ``out`` at which Bernoulli(``q``) trials succeed,
-    leaving the others as they are; ``q`` of 0, or an empty ``out``, draws
+    On the rarer side ``r = min(p, 1 - p)``, below ``_GAP_MAX_P``, only the
+    rare outcomes are counted (:func:`_gap_count`).  Otherwise, with ``k =
+    floor(256 r)``, an event succeeds when its uniform 8-bit number ``u`` is
+    below ``k``, and otherwise through an independent trial of probability
+    ``q = (256 r - k) / (256 - k)``, below 1/128 as ``k <= 128``, counted
+    over the events that failed.  So it succeeds with probability ``k/256 +
+    (1 - k/256) q = r``, exact to the rounding of ``q``; the count is taken
+    from ``m`` when ``p > 0.5``.  ``p`` of 0 or 1, or ``m = 0``, draws
     nothing.
 
+    The numbers are bit-sliced: event ``j`` is bit ``j % 64`` of word ``j //
+    64`` in each of the generator's raw word rows, the first row holding bit
+    ``t`` of every ``u``, where ``t`` is the lowest set bit of ``k``, and the
+    following rows the bits above it.  The bits below ``t`` cannot change
+    whether ``u < k``, so they are not drawn.
+    """
+    rare = min(p, 1.0 - p)
+    if rare == 0.0 or m == 0:
+        return m if p > 0.5 else 0
+    if rare < _GAP_MAX_P:
+        hits = _gap_count(rng, m, rare)
+    else:
+        scaled = 256.0 * rare  # exact: a power-of-two scale
+        k = int(scaled)
+        low = (k & -k).bit_length() - 1
+        rows = rng.bit_generator.random_raw((8 - low, -(-m // 64)))
+        # whether u >= k, from the lowest row up: where k has a 1, u needs a
+        # 1 there and u >= k on the bits below (AND); where k has a 0,
+        # either suffices (OR)
+        at_least = rows[0]
+        for bit, row in enumerate(rows[1:], low + 1):
+            if k >> bit & 1:
+                np.bitwise_and(at_least, row, out=at_least)
+            else:
+                np.bitwise_or(at_least, row, out=at_least)
+        if m % 64:
+            at_least[-1] &= (1 << m % 64) - 1  # the bits past the last event
+        failed = int(np.bitwise_count(at_least).sum())
+        hits = m - failed + _gap_count(rng, failed, (scaled - k) / (256 - k))
+    return m - hits if p > 0.5 else hits
+
+
+def _gap_count(rng: np.random.Generator, n: int, q: float) -> int:
+    """Number of successes of ``n`` Bernoulli(``q``) trials; ``q`` of 0, or
+    ``n = 0``, draws nothing.
+
     The gaps between successive successes of iid trials are iid Geometric,
-    so their positions are cumulative sums of Geometric gaps, drawn in
+    so the successes lie at cumulative sums of Geometric gaps, drawn in
     chunks until they pass the last trial.
     """
-    n = out.size
+    hits = 0
     if q > 0.0 and n > 0:
         chunk = int(n * q + 5.0 * math.sqrt(n * q)) + 1
         last = -1  # the position before the first trial
@@ -226,12 +200,12 @@ def _place_gaps(rng: np.random.Generator, q: float, out: np.ndarray) -> None:
             # numpy's Geometric saturates at 2**63 - 1 for tiny q, so gaps
             # are capped before the sum; a gap of n + 1 (not n) from the
             # start still lands past the last trial
-            positions = rng.geometric(q, chunk)
-            np.minimum(positions, n + 1, out=positions)
-            np.cumsum(positions, out=positions)
-            positions += last
-            out[positions[: np.searchsorted(positions, n)]] = True
-            last = int(positions[-1])
+            gaps = rng.geometric(q, chunk)
+            np.minimum(gaps, n + 1, out=gaps)
+            past_last = np.add.accumulate(gaps, out=gaps)
+            hits += int(past_last.searchsorted(n - last))
+            last += int(past_last[-1])
+    return hits
 
 
 def _poisson_steps(lam: float) -> tuple[float, float]:
@@ -302,102 +276,98 @@ def _draws(scn: Scenario, eve: EveKind) -> _Draws:
     )
 
 
-def _count_batch(
-    d: _Draws, size: int, rng: np.random.Generator, scratch: _Scratch
-) -> EmpiricalStats:
+def _count_batch(d: _Draws, size: int, rng: np.random.Generator) -> EmpiricalStats:
     """Draw one batch of ``size`` pulses and count its conclusive results.
 
     Pulses are independent, so only the number of pulses with an event is
-    drawn per batch; everything else is drawn per event, by :func:`_bernoulli`
-    trials that settle the photon class and fire class rather than the
-    counts.  Each trial's outcome lives in a scratch mask only until it is
-    counted.  Draw order:
+    drawn per batch; everything else is per-event trials, each counted by
+    :func:`_successes` over the events that reach it.  Draw order:
 
     1. the number of arrival pulses, Binomial(``size``, ``d.arrival``);
     2. the number of dark events among the other pulses,
        Binomial(``size - arrivals``, ``d.dark_fire``);
-    3. per arrival (Poisson source), by Poisson thinning, whether two or
-       more photons arrived given that one did, then whether one or more
-       was lost; the pulse is multi-photon when either trial succeeds;
-    4. per arrival, sifting, an eavesdropper flip and an intrinsic flip; the
-       flips are independent of sifting and count only on kept arrivals;
-    5. per dark event, whether two or more detectors fired given that one
-       did and, for a Poisson source, whether a photon was lost and, if so,
-       whether a second one was;
-    6. per single fire, dark sifting, then the random bit of the kept ones.
+    3. per arrival, sifting;
+    4. per kept arrival, by Poisson thinning, whether two or more photons
+       arrived given that one did, then, for those where not, whether one
+       or more was lost: the pulse is multi-photon when either succeeds;
+    5. per kept single-photon, then per kept multi-photon arrival, an
+       eavesdropper flip, then an intrinsic flip of the flipped ones and of
+       the others: a bit error is one flip but not both;
+    6. per dark event, whether two or more detectors fired given that one
+       did; per single fire, dark sifting;
+    7. per kept dark count (Poisson source), whether a photon was lost and,
+       for those where so, whether a second one was; a single-photon
+       source's one photon was lost;
+    8. per kept dark count with no, one, then two or more photons, its bit.
 
-    A draw with probability 0 or 1 takes no random numbers, so the stream
-    depends on the scenario but not on how batches are scheduled, on what
-    the scratch held before, or on which such draws skip their mask too
-    (sifting at a conclusive factor of 1, no eavesdropper, no photon loss).
+    A trial with probability 0 or 1, or with no events, draws no random
+    numbers, so the stream depends on the scenario and the earlier counts
+    but not on how batches are scheduled.
     """
     n = int(rng.binomial(size, d.arrival))
     n_dark = int(rng.binomial(size - n, d.dark_fire)) if d.dark_fire > 0.0 else 0
 
     # a kept arrival is SINGLE_QUBIT, or MULTI_QUBIT if more than one photon
-    # was emitted; the lost trial borrows the mask the flips overwrite later
-    multi = kept = eve_flips = None
-    if d.poisson:
-        multi = _bernoulli(rng, n, d.multi_arrived, scratch.take("multi", n))
-        if d.lost > 0.0:
-            multi |= _bernoulli(rng, n, d.lost, scratch.take("errors", n))
-    if d.keep < 1.0:
-        kept = _bernoulli(rng, n, d.keep, scratch.take("kept", n))
-        if multi is not None:
-            multi &= kept
-    if d.eve_flip > 0.0:
-        eve_flips = _bernoulli(rng, n, d.eve_flip, scratch.take("eve", n))
-    errors = _bernoulli(rng, n, d.flip, scratch.take("errors", n))
-    if eve_flips is not None:
-        errors ^= eve_flips
-    if kept is not None:
-        errors &= kept
-    n_kept = n if kept is None else int(np.count_nonzero(kept))
-    n_errors = int(np.count_nonzero(errors))
-    n_multi = n_multi_errors = 0
-    if multi is not None:
-        n_multi = int(np.count_nonzero(multi))
-        np.logical_and(errors, multi, out=errors)
-        n_multi_errors = int(np.count_nonzero(errors))
+    # was emitted
+    kept = _successes(rng, n, d.keep)
+    multi = _successes(rng, kept, d.multi_arrived)
+    multi += _successes(rng, kept - multi, d.lost)
+    single = kept - multi
+    single_errors = _flips(rng, single, d)
+    multi_errors = _flips(rng, multi, d)
 
     # dark events: an empty pulse emitted only photons that were lost
-    mask = _bernoulli(rng, n_dark, d.multi_fire, scratch.take("dark", n_dark))
-    single = np.flatnonzero(np.logical_not(mask, out=mask))
-    if d.poisson:
-        photons = scratch.take("dark_photons", n_dark, np.int8)
-        again = np.flatnonzero(_bernoulli(rng, n_dark, d.lost, photons.view(np.bool_)))
-        lost_again = _bernoulli(rng, again.size, d.lost_again, mask[: again.size])
-        photons[again[lost_again]] = 2
-    dark_kept = single[_bernoulli(rng, single.size, d.dark_keep, mask[: single.size])]
-    bits = _bernoulli(rng, dark_kept.size, 0.5, mask[: dark_kept.size])
-    # dark counts by photon class (0, 1 or 2) and bit error; a single-photon
-    # source's one photon was lost
-    classes = photons[dark_kept] if d.poisson else 1
-    dark = np.bincount(classes * 2 + bits, minlength=6).reshape(3, 2)
+    fired_once = n_dark - _successes(rng, n_dark, d.multi_fire)
+    dark = _successes(rng, fired_once, d.dark_keep)
+    lost = _successes(rng, dark, d.lost) if d.poisson else dark
+    lost_again = _successes(rng, lost, d.lost_again)
+    # dark counts by photon class (0, 1 or 2), and their bit errors
+    classes = (dark - lost, lost - lost_again, lost_again)
+    dark_errors = [_successes(rng, group, 0.5) for group in classes]
 
-    n_single, n_single_errors = n_kept - n_multi, n_errors - n_multi_errors
     return EmpiricalStats(
         n_pulses=size,
-        cat1_count=n_single,
-        cat1_errors=n_single_errors,
-        cat2_count=n_multi,
-        cat2_errors=n_multi_errors,
-        cat4_count=int(dark_kept.size),
-        cat4_errors=int(dark[:, 1].sum()),
-        single_pulse_conclusive=n_single + int(dark[1].sum()),
-        single_pulse_errors=n_single_errors + int(dark[1, 1]),
-        empty_pulse_conclusive=int(dark[0].sum()),
+        cat1_count=single,
+        cat1_errors=single_errors,
+        cat2_count=multi,
+        cat2_errors=multi_errors,
+        cat4_count=dark,
+        cat4_errors=sum(dark_errors),
+        single_pulse_conclusive=single + classes[1],
+        single_pulse_errors=single_errors + dark_errors[1],
+        empty_pulse_conclusive=classes[0],
     )
+
+
+def _flips(rng: np.random.Generator, m: int, d: _Draws) -> int:
+    """Bit errors of ``m`` kept arrivals: an eavesdropper flip, then an
+    intrinsic flip of the eavesdropper-flipped ones and then of the others,
+    an error where exactly one flip succeeded."""
+    flipped = _successes(rng, m, d.eve_flip)
+    unflipped = _successes(rng, flipped, d.flip)
+    return flipped - unflipped + _successes(rng, m - flipped, d.flip)
 
 
 def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
     """The generator of one batch: PCG64 seeded by a ``SeedSequence`` spawned
     at ``(seed, batch_index)``, so every batch has its own independent
     stream, whichever thread draws it."""
-    if seed < 0:
-        raise ValueError("seed must be >= 0")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))
     return np.random.Generator(np.random.PCG64(seq))
+
+
+def _count_arg(name: str, value: object, low: int) -> int:
+    """``value`` as an int of at least ``low``, or a ValueError naming
+    ``name``; a bool is not a count."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
 
 
 def run_simulation(
@@ -413,11 +383,13 @@ def run_simulation(
     Deterministic for fixed ``(scn, eve, n_pulses, seed, batch_size)``;
     ``workers`` only parallelizes independent batches and never changes the
     result; at most ``min(workers, os.cpu_count(), batches)`` threads run.
+    ``n_pulses``, ``batch_size`` and ``workers`` must be integers of at least
+    1 and ``seed`` one of at least 0, or a ValueError names the argument.
     """
-    if n_pulses < 1:
-        raise ValueError("n_pulses must be >= 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    n_pulses = _count_arg("n_pulses", n_pulses, 1)
+    batch_size = _count_arg("batch_size", batch_size, 1)
+    seed = _count_arg("seed", seed, 0)
+    workers = _count_arg("workers", workers, 1)
     # batch indices: a batch's size follows from its index when it is drawn
     n_batches = -(-n_pulses // batch_size)
     jobs = range(n_batches)
@@ -425,12 +397,10 @@ def run_simulation(
     draws = _draws(scn, eve)
 
     def run_share(share: range) -> EmpiricalStats:
-        # one set of scratch masks per thread, reused by each of its batches
-        scratch = _Scratch()
         total = EmpiricalStats(n_pulses=0)
         for index in share:
             size = min(batch_size, n_pulses - index * batch_size)
-            total += _count_batch(draws, size, _batch_rng(seed, index), scratch)
+            total += _count_batch(draws, size, _batch_rng(seed, index))
         return total
 
     if threads <= 1:

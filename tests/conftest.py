@@ -109,57 +109,129 @@ def reference_max_distance(scn, rate_fn="improved", cap_km=1e4, tol_km=0.01):
     return lo
 
 
+def byte_rule(p):
+    """``k`` and ``q`` of the sliced route on the rarer side ``r``: an event
+    whose 8-bit number is below ``k = floor(256 r)`` succeeds, any other
+    through a trial of probability ``q = (256 r - k) / (256 - k)``."""
+    r = min(p, 1 - p)
+    k = math.floor(256 * r)
+    return k, (256 * r - k) / (256 - k)
+
+
+def sliced_numbers(rng, m, k):
+    """Each of ``m`` events' 8-bit number as the sliced route draws it for a
+    threshold ``k``, with the bits below ``k``'s lowest set bit, which are
+    not drawn, read as 0.
+
+    Bit ``low + i`` of event ``j``'s number is bit ``j % 64`` of word ``j //
+    64`` of the ``i``-th row of raw words; the rows are unpacked bit by bit.
+    """
+    low = (k & -k).bit_length() - 1
+    words = -(-m // 64)
+    raw = rng.bit_generator.random_raw((8 - low) * words).astype("<u8")
+    bits = np.unpackbits(raw.view(np.uint8), bitorder="little")
+    bits = bits.reshape(8 - low, 64 * words)[:, :m].astype(np.int64)
+    return (bits << np.arange(low, 8)[:, None]).sum(axis=0)
+
+
+def gap_positions(rng, n, q):
+    """The trials among ``n`` at which Bernoulli(``q``) trials succeed, as
+    the gap route places them: cumulative sums of Geometric gaps, drawn in
+    chunks of ``floor(n q + 5 sqrt(n q)) + 1`` until they pass trial ``n -
+    1``, each gap capped at ``n + 1``."""
+    found = [np.zeros(0, np.int64)]
+    if q > 0 and n > 0:
+        chunk = int(n * q + 5.0 * math.sqrt(n * q)) + 1
+        last = -1
+        while last < n:
+            positions = last + np.cumsum(np.minimum(rng.geometric(q, chunk), n + 1))
+            found.append(positions[positions < n])
+            last = int(positions[-1])
+    return np.concatenate(found)
+
+
+def reference_trials(rng, m, p):
+    """Outcomes of ``m`` Bernoulli(``p``) trials, one per event, re-derived
+    from the stream ``simulator._successes`` counts: the rare outcomes of
+    a rarer side below ``simulator._GAP_MAX_P`` placed by gaps, else each
+    event's sliced number against ``k``, then the second trial's gaps mapped
+    onto the events that failed, in order."""
+    r = min(p, 1 - p)
+    rare = np.zeros(m, bool)
+    if r > 0 and m > 0:
+        if r < simulator._GAP_MAX_P:
+            rare[gap_positions(rng, m, r)] = True
+        else:
+            k, q = byte_rule(p)
+            rare = sliced_numbers(rng, m, k) < k
+            failed = np.flatnonzero(~rare)
+            rare[failed[gap_positions(rng, failed.size, q)]] = True
+    return ~rare if p > 0.5 else rare
+
+
 def sample_events(scn, eve, size, rng):
     """Per-event reference sampler: the events of one batch of ``size``
     pulses, with each event's photon class, category and bit error stored.
 
-    It makes the draws of ``simulator._count_batch`` in the same order, by
-    ``simulator._bernoulli``, but works out every probability itself and
-    keeps every outcome: ``n_arrivals`` arrival events first, then the dark
-    events, in arrays ``emitted`` (photon class: 0 for no photon, 1 for one,
-    2 for two or more), ``category`` and ``bit_error``.  Silent pulses are
-    not stored.  On one stream, ``full_key_tally`` of its events equals the
-    simulator's count of the batch.
+    It draws the trials of ``simulator._count_batch`` in the same order and
+    over the same events, but works out every probability itself and
+    re-derives every event's outcome from the stream
+    (:func:`reference_trials`): ``n_arrivals`` arrival events first, then
+    the dark events, in arrays ``emitted`` (photon class: 0 for no photon, 1
+    for one, 2 for two or more, -1 where a Poisson pulse's class was not
+    drawn, as for a discarded event), ``category`` and ``bit_error``.
+    Silent pulses are not stored.  On one stream, ``full_key_tally`` of its
+    events equals the simulator's count of the batch.
     """
     eta = transmittance(scn.link)
     c = scn.detector.dark_count_prob
     n_det = scn.detector.detector_count
     poisson = scn.source.kind is SourceKind.POISSONIAN
     mu = scn.source.mean_photon_number
+    flip = scn.e_x_sq
 
-    def bernoulli(n, p):
-        return simulator._bernoulli(rng, n, p)
+    def trial(events, p):
+        """The events, in order, whose trial succeeds."""
+        return events[reference_trials(rng, events.size, p)]
 
     n_arr = int(rng.binomial(size, -math.expm1(-mu * eta) if poisson else eta))
     n_dark = 0
     if c > 0.0:
         n_dark = int(rng.binomial(size - n_arr, -math.expm1(n_det * math.log1p(-c))))
-    arr, dark = slice(0, n_arr), slice(n_arr, None)
-    emitted = np.ones(n_arr + n_dark, np.int8)
+    # a single-photon pulse emitted one photon, known without a draw
+    emitted = np.full(n_arr + n_dark, -1 if poisson else 1, np.int8)
     category = np.zeros(n_arr + n_dark, np.int8)
     bit_error = np.zeros(n_arr + n_dark, bool)
 
-    multi = np.zeros(n_arr, bool)
+    kept = trial(np.arange(n_arr), scn.protocol.conclusive_factor(scn.e_x_sq))
+    multi = np.zeros(0, np.int64)
     if poisson:
         lost, lost_again = simulator._poisson_steps(mu * (1.0 - eta))
-        multi = bernoulli(n_arr, simulator._poisson_steps(mu * eta)[1])
-        multi |= bernoulli(n_arr, lost)
-        emitted[arr] += multi
-    kept = bernoulli(n_arr, scn.protocol.conclusive_factor(scn.e_x_sq))
-    category[arr] = np.where(multi, Category.MULTI_QUBIT, Category.SINGLE_QUBIT) * kept
-    eve_flips = bernoulli(n_arr, eve.flip_probability(scn.protocol.basis_count))
-    bit_error[arr] = (eve_flips ^ bernoulli(n_arr, scn.e_x_sq)) & kept
+        arrived_two = trial(kept, simulator._poisson_steps(mu * eta)[1])
+        multi = np.union1d(arrived_two, trial(np.setdiff1d(kept, arrived_two), lost))
+        emitted[kept] = 1
+        emitted[multi] = 2
+    single = np.setdiff1d(kept, multi)
+    category[single] = Category.SINGLE_QUBIT
+    category[multi] = Category.MULTI_QUBIT
+    for group in (single, multi):
+        flipped = trial(group, eve.flip_probability(scn.protocol.basis_count))
+        bit_error[flipped] = True
+        bit_error[trial(flipped, flip)] = False
+        bit_error[trial(np.setdiff1d(group, flipped), flip)] = True
 
-    multi_fire = bernoulli(n_dark, simulator._multi_fire_probability(n_det, c))
-    single = n_arr + np.flatnonzero(~multi_fire)
-    if poisson:
-        emitted[dark] = bernoulli(n_dark, lost)
-        again = n_arr + np.flatnonzero(emitted[dark])
-        emitted[again[bernoulli(again.size, lost_again)]] = 2
-    keep = scn.protocol.dark_conclusive_multiplier / n_det
-    dark_kept = single[bernoulli(single.size, keep)]
+    dark = n_arr + np.arange(n_dark)
+    multi_fire = trial(dark, simulator._multi_fire_probability(n_det, c))
+    fired_once = np.setdiff1d(dark, multi_fire)
+    dark_kept = trial(fired_once, scn.protocol.dark_conclusive_multiplier / n_det)
     category[dark_kept] = Category.DARK_COUNT
-    bit_error[dark_kept] = bernoulli(dark_kept.size, 0.5)
+    if poisson:
+        emitted[dark_kept] = 0
+        photon_lost = trial(dark_kept, lost)
+        emitted[photon_lost] = 1
+        emitted[trial(photon_lost, lost_again)] = 2
+    for photons in (0, 1, 2):
+        bit_error[trial(dark_kept[emitted[dark_kept] == photons], 0.5)] = True
     return SimpleNamespace(
         n_arrivals=n_arr, emitted=emitted, category=category, bit_error=bit_error
     )
@@ -168,18 +240,20 @@ def sample_events(scn, eve, size, rng):
 def full_key_tally(n_pulses, events):
     """Reference tally of one batch of ``sample_events``.
 
-    Bins every event by the full key (category, bit error, photon class) in
-    one ``bincount``, independent of the counting the simulator does as it
-    draws.
+    Bins every conclusive event by the full key (category, bit error, photon
+    class) in one ``bincount``, independent of the counting the simulator
+    does as it draws.
     """
-    key = (events.category * 2 + events.bit_error) * 3 + events.emitted
-    counts = np.bincount(key, minlength=len(Category) * 6).reshape(len(Category), 2, 3)
+    conclusive = events.category > 0
+    key = (events.category[conclusive] - 1) * 2 + events.bit_error[conclusive]
+    key = key * 3 + events.emitted[conclusive]
+    counts = np.bincount(key, minlength=(len(Category) - 1) * 6)
+    counts = counts.reshape(len(Category) - 1, 2, 3)
     values = {"n_pulses": n_pulses}
     for cat in list(Category)[1:]:
-        values[f"cat{int(cat)}_count"] = int(counts[cat].sum())
-        values[f"cat{int(cat)}_errors"] = int(counts[cat, 1].sum())
-    conclusive = counts[1:]
-    values["single_pulse_conclusive"] = int(conclusive[:, :, 1].sum())
-    values["single_pulse_errors"] = int(conclusive[:, 1, 1].sum())
-    values["empty_pulse_conclusive"] = int(conclusive[:, :, 0].sum())
+        values[f"cat{int(cat)}_count"] = int(counts[cat - 1].sum())
+        values[f"cat{int(cat)}_errors"] = int(counts[cat - 1, 1].sum())
+    values["single_pulse_conclusive"] = int(counts[:, :, 1].sum())
+    values["single_pulse_errors"] = int(counts[:, 1, 1].sum())
+    values["empty_pulse_conclusive"] = int(counts[:, :, 0].sum())
     return EmpiricalStats(**values)

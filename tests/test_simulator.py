@@ -8,7 +8,14 @@ from concurrent.futures import ThreadPoolExecutor
 import mpmath
 import numpy as np
 import pytest
-from conftest import full_key_tally, sample_events
+from conftest import (
+    byte_rule,
+    full_key_tally,
+    gap_positions,
+    reference_trials,
+    sample_events,
+    sliced_numbers,
+)
 
 from qkdrates import simulator
 from qkdrates.cli import main
@@ -42,12 +49,11 @@ def make_scenario(spec=BB84, source=None, length=50.0, c=1e-5, e_x_sq=0.05):
     )
 
 
-def count_batch(scn, eve, size, seed, scratch=None):
+def count_batch(scn, eve, size, seed):
     """Counts of one batch of ``size`` pulses, as ``run_simulation`` draws
-    them, into ``scratch`` (fresh masks when none is given)."""
+    them."""
     draws = simulator._draws(scn, eve)
-    rng = np.random.default_rng(seed)
-    return simulator._count_batch(draws, size, rng, scratch or simulator._Scratch())
+    return simulator._count_batch(draws, size, np.random.default_rng(seed))
 
 
 def reference_events(scn, eve, size, seed):
@@ -99,6 +105,32 @@ class TestDeterminism:
     def test_rejects_nonpositive_batch_size(self, batch_size):
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             run_simulation(make_scenario(), EveKind.NONE, 1_000, 0, batch_size)
+
+    @pytest.mark.parametrize(
+        ("name", "value", "reason"),
+        [
+            ("n_pulses", 1e5, "an integer"), ("n_pulses", 0, ">= 1"),
+            ("n_pulses", True, "an integer"), ("batch_size", 2.0, "an integer"),
+            ("seed", -1, ">= 0"), ("seed", 1.5, "an integer"),
+            ("seed", False, "an integer"), ("workers", 0, ">= 1"),
+            ("workers", -3, ">= 1"), ("workers", "2", "an integer"),
+        ],
+    )  # fmt: skip
+    def test_rejects_bad_arguments(self, name, value, reason, monkeypatch):
+        # each is caught before anything is drawn
+        monkeypatch.setattr(simulator, "_count_batch", None)
+        args = {"n_pulses": 1_000, "seed": 0, "batch_size": 1_000, "workers": 1}
+        with pytest.raises(ValueError, match=f"^{name} must be {reason}"):
+            run_simulation(make_scenario(), EveKind.NONE, **{**args, name: value})
+
+    def test_accepts_numpy_integers(self):
+        scn = make_scenario()
+        want = run_simulation(scn, EveKind.NONE, 20_000, seed=3, batch_size=5_000)
+        got = run_simulation(
+            scn, EveKind.NONE, np.int64(20_000), seed=np.uint32(3),
+            batch_size=np.int32(5_000), workers=np.int8(2),
+        )  # fmt: skip
+        assert got == want
 
     def test_thread_count_capped(self, monkeypatch):
         seen = []
@@ -159,68 +191,60 @@ WORKSPACE_SCENARIOS = [
 
 
 class TestWorkspace:
-    """Reused scratch masks must count what fresh ones count."""
+    """A batch holds no state beyond its own draws, and little memory."""
 
     @pytest.mark.parametrize(
         ("warm", "drawn"), itertools.permutations(WORKSPACE_SCENARIOS, 2)
     )
     def test_warmed_equals_fresh(self, warm, drawn):
+        # a batch counted after another scenario's batch counts what the
+        # reference sampler counts: nothing carries over between batches
         eve = EveKind.INTERCEPT_RESEND
-        scratch = simulator._Scratch()
         source, c, length = warm
         warm_scn = make_scenario(PBC00, source=source, c=c, length=length)
-        count_batch(warm_scn, eve, 40_000, 5, scratch)
+        count_batch(warm_scn, eve, 40_000, 5)
         source, c, length = drawn
         scn = make_scenario(PBC00, source=source, c=c, length=length)
-        fresh = count_batch(scn, eve, 20_000, 6)
-        assert count_batch(scn, eve, 20_000, 6, scratch) == fresh
-        assert fresh == full_key_tally(20_000, reference_events(scn, eve, 20_000, 6))
+        want = full_key_tally(20_000, reference_events(scn, eve, 20_000, 6))
+        assert count_batch(scn, eve, 20_000, 6) == want
 
     @pytest.mark.parametrize(
         "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
     )
     def test_reuse_changes_no_tally(self, source):
-        # fresh masks per batch, one scratch serially, and two threads
+        # each batch counted on its own, one thread serially, and two threads
         scn, eve = make_scenario(source=source, length=0.0, c=1e-3), EveKind.NONE
         n, seed, batch = 500_000, 12, 100_000
         draws = simulator._draws(scn, eve)
         fresh = EmpiricalStats(n_pulses=0)
         for index in range(n // batch):
             rng = simulator._batch_rng(seed, index)
-            fresh += simulator._count_batch(draws, batch, rng, simulator._Scratch())
+            fresh += simulator._count_batch(draws, batch, rng)
         serial = run_simulation(scn, eve, n, seed=seed, batch_size=batch)
         threaded = run_simulation(scn, eve, n, seed=seed, batch_size=batch, workers=2)
         assert fresh == serial == threaded
 
     def test_warm_batch_allocation_bounded(self):
-        # warmed scratch counts a 1e6-pulse batch at 0 km with only the
-        # random bytes of one Bernoulli draw fresh at a time, and keeps its
-        # masks although the Poissonian batch has more arrivals (393 520)
-        # than its warm-up (393 177): tracemalloc's peak is 1.07 MB
-        # single-photon and 0.42 MB Poissonian (numpy 2.4.6), against 28.0
-        # and 12.5 MB when every batch allocated its arrays afresh
+        # a 1e6-pulse PBC00 batch at 0 km, where every single-photon pulse
+        # arrives, holds at most one trial's random words at a time: 8 rows
+        # of 15 625 words are 1.0 MB.  tracemalloc's peak is 0.83 MB
+        # single-photon (sifting's 6 rows) and 0.35 MB Poissonian (numpy
+        # 2.4.6), against 1.07 and 0.42 MB with warmed per-event masks and
+        # 28.0 and 12.5 MB when every batch stored its events
         eve, n = EveKind.NONE, 1_000_000
         for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5)):
             scn = make_scenario(PBC00, source=source, length=0.0)
-            draws, scratch = simulator._draws(scn, eve), simulator._Scratch()
-            simulator._count_batch(draws, n, np.random.default_rng(1), scratch)
-            buffers = dict(scratch._buffers)
+            draws = simulator._draws(scn, eve)
+            # a first batch pays for what numpy sets up on first use
+            simulator._count_batch(draws, n, np.random.default_rng(1))
             rng = np.random.default_rng(2)
             tracemalloc.start()
             try:
-                simulator._count_batch(draws, n, rng, scratch)
+                simulator._count_batch(draws, n, rng)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 1_500_000, source
-            # every single-photon pulse arrives at 0 km; Poissonian ones grow
-            # (a batch's first draw is its number of arrivals)
-            warm, grown = (
-                np.random.default_rng(s).binomial(n, draws.arrival) for s in (1, 2)
-            )
-            assert grown > warm or grown == n
-            assert scratch._buffers.keys() == buffers.keys()
-            assert all(scratch._buffers[k] is buf for k, buf in buffers.items())
+            assert peak <= 1_100_000, source
 
 
 class TestPulseInvariants:
@@ -234,15 +258,19 @@ class TestPulseInvariants:
         assert (ev.emitted[single] == 1).all()
         multi = cat == Category.MULTI_QUBIT
         assert (ev.emitted[multi] == 2).all()
-        # arrivals come first, emitted a photon and are never dark counts
-        assert (ev.emitted[arr] >= 1).all()
+        # arrivals come first and are never dark counts
         assert (cat[arr] != Category.DARK_COUNT).all()
         # the rest are dark events, which are never qubits
         is_dark = cat == Category.DARK_COUNT
         assert not (single | multi)[dark].any()
-        assert ev.emitted.dtype == np.int8 and np.isin(ev.emitted, (0, 1, 2)).all()
-        assert not ev.bit_error[cat == Category.NOT_CONCLUSIVE].any()
+        # a photon class is drawn for conclusive events alone
+        discarded = cat == Category.NOT_CONCLUSIVE
+        assert ev.emitted.dtype == np.int8
+        assert (ev.emitted[discarded] == -1).all()
+        assert np.isin(ev.emitted[~discarded], (0, 1, 2)).all()
+        assert not ev.bit_error[discarded].any()
         assert single.any() and multi.any() and is_dark.any() and ev.bit_error.any()
+        assert discarded[dark].any()
         assert (ev.emitted[dark] == 0).any() and (ev.emitted[dark] == 2).any()
 
     @pytest.mark.parametrize("spec", [BB84, PBC00])
@@ -473,14 +501,18 @@ class TestClassDraws:
         counted = count_batch(scn, EveKind.NONE, 400_000, 97)
         assert counted == full_key_tally(400_000, events)
         arrival_pmf, dark_pmf = photon_class_pmfs(mu, transmittance(scn.link))
+        # a class is drawn for kept events only, and sifting is independent
+        # of it
         arr, dark = slice(0, events.n_arrivals), slice(events.n_arrivals, None)
-        assert events.n_arrivals > 0 and events.emitted[dark].size > 0
-        assert_matches_pmf(events.emitted[arr], arrival_pmf)
-        assert_matches_pmf(events.emitted[dark] + 1, dark_pmf)
+        arrived, dark = events.emitted[arr], events.emitted[dark]
+        arrived, dark = arrived[arrived >= 0], dark[dark >= 0]
+        assert arrived.size > 0 and dark.size > 0
+        assert_matches_pmf(arrived, arrival_pmf)
+        assert_matches_pmf(dark + 1, dark_pmf)
 
 
 class TestBernoulli:
-    """``_bernoulli`` on both routes: one random byte per trial, and
+    """``_successes`` on both routes: bit-sliced 8-bit numbers, and
     Geometric gaps between the rarer outcomes."""
 
     N = 1_000_000
@@ -488,16 +520,32 @@ class TestBernoulli:
 
     @pytest.mark.parametrize("p", P_VALUES)
     def test_count(self, p):
-        mask = simulator._bernoulli(np.random.default_rng(41), self.N, p)
-        assert mask.dtype == bool and mask.size == self.N
+        count = simulator._successes(np.random.default_rng(41), self.N, p)
         se = math.sqrt(self.N * p * (1 - p))
-        assert abs(np.count_nonzero(mask) - self.N * p) <= 5 * se
+        assert abs(count - self.N * p) <= 5 * se
+
+    @pytest.mark.parametrize("p", [1e-3, 0.01, 0.05, 0.2, 0.5 - 0.3 / 256, 0.9])
+    def test_binomial_moments(self, p):
+        # the counts of 2000 runs of 10 000 trials against the Binomial mean
+        # and variance, on each route; 5-sigma bounds from the spread of a
+        # sample mean and of a sample variance (with a Binomial's kurtosis)
+        m, runs = 10_000, 2000
+        rng = np.random.default_rng(79)
+        counts = np.array([simulator._successes(rng, m, p) for _ in range(runs)])
+        mean, var = m * p, m * p * (1 - p)
+        assert abs(counts.mean() - mean) <= 5 * math.sqrt(var / runs)
+        excess_kurtosis = (1 - 6 * p * (1 - p)) / var
+        var_se = var * math.sqrt((2 + excess_kurtosis) / runs)
+        assert abs(counts.var(ddof=1) - var) <= 5 * var_se
 
     @pytest.mark.parametrize("p", P_VALUES)
     def test_gaps_are_geometric(self, p):
+        # the per-event outcomes behind a count, re-derived from its stream:
         # gaps between successive successes are iid Geometric(p)
-        mask = simulator._bernoulli(np.random.default_rng(43), self.N, p)
-        gaps = np.diff(np.flatnonzero(mask))
+        outcomes = reference_trials(np.random.default_rng(43), self.N, p)
+        count = simulator._successes(np.random.default_rng(43), self.N, p)
+        assert count == np.count_nonzero(outcomes)
+        gaps = np.diff(np.flatnonzero(outcomes))
         m = gaps.size
         assert abs(gaps.mean() - 1 / p) <= 5 * math.sqrt(1 - p) / p / math.sqrt(m)
         # the count of unit gaps is Binomial(m, p); 1 more for tiny m * p
@@ -506,11 +554,15 @@ class TestBernoulli:
 
     @pytest.mark.parametrize("p", [1e-4, 0.05, 0.3, 0.95])
     def test_first_and_last_trial(self, p):
-        # short runs, where a gap from the start often passes the end
-        rng, n, runs = np.random.default_rng(47), 8, 4000
+        # short runs, where a gap from the start often passes the end and
+        # most of the one word is padding
+        reference, drawn = np.random.default_rng(47), np.random.default_rng(47)
+        n, runs = 8, 4000
         hits = np.zeros(n, dtype=np.int64)
         for _ in range(runs):
-            hits += simulator._bernoulli(rng, n, p)
+            outcomes = reference_trials(reference, n, p)
+            assert simulator._successes(drawn, n, p) == np.count_nonzero(outcomes)
+            hits += outcomes
         bound = 5 * math.sqrt(runs * p * (1 - p)) + 1
         assert abs(hits[0] - runs * p) <= bound
         assert abs(hits[-1] - runs * p) <= bound
@@ -519,68 +571,84 @@ class TestBernoulli:
         ("p", "want"), [(0.0, False), (1e-300, False), (1.0, True), (1 - 2**-53, True)]
     )
     def test_degenerate_probabilities(self, p, want):
-        mask = simulator._bernoulli(np.random.default_rng(53), self.N, p)
-        assert mask.size == self.N and (mask == want).all()
+        count = simulator._successes(np.random.default_rng(53), self.N, p)
+        assert count == (self.N if want else 0)
 
     @pytest.mark.parametrize("p", [0.0, 1e-4, 0.5, 0.95, 1.0])
     def test_empty_request_draws_nothing(self, p):
         rng = np.random.default_rng(59)
         state = rng.bit_generator.state
-        assert simulator._bernoulli(rng, 0, p).size == 0
+        assert simulator._successes(rng, 0, p) == 0
         assert rng.bit_generator.state == state
 
-    @pytest.mark.parametrize("p", P_VALUES)
+    @pytest.mark.parametrize("p", P_VALUES + [0.2, 0.75])
     def test_route(self, p):
-        # a common outcome takes one raw byte per trial, then gap-placed
-        # trials for what the bytes leave over; a rare one only the gaps
+        # a common outcome counts the sliced numbers below k, for an odd k
+        # (0.2: 51), an even one (0.3: 76) or 128 (0.5), then the gap-placed
+        # trials of what 8 bits leave over; a rare one only the gaps
         rng = np.random.default_rng(61)
-        raw = rng.bit_generator.random_raw(-(-self.N // 8)).view(np.uint8)[: self.N]
         k, q = byte_rule(p)
-        by_bytes = simulator._bernoulli_gaps(rng, q, np.empty(self.N, bool))
-        by_bytes |= raw < k
-        if p > 0.5:
-            by_bytes = ~by_bytes
+        if min(p, 1 - p) >= simulator._GAP_MAX_P:
+            failed = np.count_nonzero(sliced_numbers(rng, self.N, k) >= k)
+            rare = self.N - failed + gap_positions(rng, failed, q).size
+        else:
+            rare = gap_positions(rng, self.N, min(p, 1 - p)).size
         drawn = np.random.default_rng(61)
-        mask = simulator._bernoulli(drawn, self.N, p)
-        on_bytes = min(p, 1 - p) >= simulator._GAP_MAX_P
-        assert np.array_equal(mask, by_bytes) == on_bytes
-        assert (drawn.bit_generator.state == rng.bit_generator.state) == on_bytes
+        count = simulator._successes(drawn, self.N, p)
+        assert count == (self.N - rare if p > 0.5 else rare)
+        assert drawn.bit_generator.state == rng.bit_generator.state
+
+    @pytest.mark.parametrize(
+        ("p", "rows"), [(0.5, 1), (0.25, 2), (0.375, 3), (51 / 256, 8)]
+    )
+    def test_rows_drawn(self, p, rows):
+        # 256 p is whole, so there is no second trial, and k's trailing
+        # zero bits take no row: k = 128, 64, 96 and 51
+        words = -(-self.N // 64)
+        drawn, raw = np.random.default_rng(83), np.random.default_rng(83)
+        simulator._successes(drawn, self.N, p)
+        raw.bit_generator.random_raw(rows * words)
+        assert drawn.bit_generator.state == raw.bit_generator.state
+
+    @pytest.mark.parametrize("m", [1, 13, 63, 64, 65, 127, 1000, 99_999])
+    @pytest.mark.parametrize("p", [0.2, 0.5, 0.7])
+    def test_partial_last_word(self, m, p):
+        # fewer than 64 events, or a count that leaves part of the last word
+        # as padding, whose bits never count
+        reference, drawn = np.random.default_rng(m), np.random.default_rng(m)
+        for _ in range(20):
+            want = np.count_nonzero(reference_trials(reference, m, p))
+            assert simulator._successes(drawn, m, p) == want
 
     @pytest.mark.parametrize("p", [0.5, 1 / 256, 255.5 / 256])
-    def test_byte_ties(self, p):
-        # on the rarer side, with k and q of byte_rule, a byte below k
+    def test_byte_ties(self, p, monkeypatch):
+        # on the rarer side, with k and q of byte_rule, a number below k
         # succeeds and any other succeeds with probability q: never when
-        # 256 p is whole, so no tie is settled apart
-        raw = np.random.default_rng(71).bit_generator.random_raw(-(-self.N // 8))
-        raw = raw.view(np.uint8)[: self.N]
+        # 256 p is whole, so no tie is settled apart.  With the gap route
+        # starting at 1/256, k = 1 is sliced; at k = 0 every event takes
+        # the second trial
+        monkeypatch.setattr(simulator, "_GAP_MAX_P", 1 / 256)
         k, q = byte_rule(p)
-        out = np.empty(self.N, dtype=bool)
-        mask = simulator._bernoulli_bytes(np.random.default_rng(71), p, out)
-        assert mask is out
-        rare = ~mask if p > 0.5 else mask
-        assert rare[raw < k].all()
-        rest = raw >= k
-        trials, hits = rest.sum(), rare[rest].sum()
+        outcomes = reference_trials(np.random.default_rng(71), self.N, p)
+        count = simulator._successes(np.random.default_rng(71), self.N, p)
+        assert count == np.count_nonzero(outcomes)
+        rare = ~outcomes if p > 0.5 else outcomes
+        if k:
+            numbers = sliced_numbers(np.random.default_rng(71), self.N, k)
+            assert rare[numbers < k].all()
+            rare = rare[numbers >= k]
+        trials, hits = rare.size, np.count_nonzero(rare)
         assert abs(hits - trials * q) <= 5 * math.sqrt(trials * q * (1 - q))
 
-    @pytest.mark.parametrize("p", [0.5 - 0.3 / 256, 255.5 / 256])
+    @pytest.mark.parametrize("p", [0.5 - 0.3 / 256, 255.5 / 256, 1 - 40.5 / 256])
     def test_count_off_the_byte_grid(self, p):
-        # 256 p not whole: the gap-placed trials carry the fraction, at
-        # 8e6 trials enough to see a remainder lost or mis-scaled
+        # 256 p not whole: the second trial carries the fraction (or, at
+        # 255.5/256, the gap route the whole rare side), at 8e6 trials
+        # enough to see a remainder lost or mis-scaled
         n = 8_000_000
-        rng, out = np.random.default_rng(73), np.empty(n, dtype=bool)
-        mask = simulator._bernoulli_bytes(rng, p, out)
+        count = simulator._successes(np.random.default_rng(73), n, p)
         se = math.sqrt(n * p * (1 - p))
-        assert abs(np.count_nonzero(mask) - n * p) <= 5 * se
-
-
-def byte_rule(p):
-    """``k`` and ``q`` of the byte route on the rarer side ``r``: a byte
-    below ``k = floor(256 r)`` succeeds, any other through a trial of
-    probability ``q = (256 r - k) / (256 - k)``."""
-    r = min(p, 1 - p)
-    k = math.floor(256 * r)
-    return k, (256 * r - k) / (256 - k)
+        assert abs(count - n * p) <= 5 * se
 
 
 class TestCountingTally:

@@ -23,8 +23,6 @@ range, so a last-bit difference would move the multi-photon rate by about
 zeros and NaN.
 """
 
-from __future__ import annotations
-
 import math
 import sys
 

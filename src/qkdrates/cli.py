@@ -15,8 +15,6 @@ member) and rejects anything else, naming the field and the reason.  Exit
 codes: 0 success, 1 check or inversion failure, 2 invalid input.
 """
 
-from __future__ import annotations
-
 import argparse
 import math
 import sys

@@ -13,8 +13,6 @@ outcome probabilities the three error rates determine.
 Every function here takes Python floats or, elementwise, numpy arrays.
 """
 
-from __future__ import annotations
-
 from ._elementwise import any_, entropy_term, first_failing, maximum, minimum
 from .protocols import ProtocolSpec
 

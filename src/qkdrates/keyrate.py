@@ -19,8 +19,6 @@ expressions take Python floats or, elementwise, numpy arrays; the two
 solvers work on floats.
 """
 
-from __future__ import annotations
-
 import math
 from typing import NamedTuple
 
@@ -261,24 +259,28 @@ def max_distance(
     ``rate_fn`` selects ``"gllp"`` or ``"improved"``.  Returns ``math.inf``
     when the rate is still positive at ``cap_km`` and 0.0 when it is
     non-positive already at zero length.  Otherwise the result has a
-    positive rate, and the search found a non-positive one at most
-    ``tol_km`` further out; a length with no conclusive results at all has
-    no positive rate.  ``tol_km`` and ``cap_km`` must be positive; the
-    search also ends when its bracket is a few float spacings wide.
+    positive rate, and the rate is non-positive at most ``tol_km`` further
+    out; a length with no conclusive results at all has no positive rate.
+    ``tol_km`` and ``cap_km`` must be positive; the search also ends when
+    its bracket is a few float spacings wide.
 
-    The search starts where the single-photon signal falls to the dark-count
-    floor, ``ln(p_sq(0) / p_dk(cap_km)) / A`` with ``A`` the attenuation in
-    nepers per km, read off the two end-point breakdowns; without a floor
-    (``C = 0``, or ``p_sq(0)`` underflowed) it starts at 1 km.  A single-photon
-    margin vanishes where ``1 - 2 e_x`` falls to the threshold's root ``y*``
-    (``1 - 2 e0`` for gllp, ``e0`` the zero-dark threshold), which is at
-    ``ln(1 + R p_sq(0) / p_dk(cap_km)) / A`` with ``R = (1 - 2 e_x_sq)/y* - 1``;
-    with a floor it starts ``tol_km/2`` short of that and steps ``tol_km``,
-    or returns ``math.inf`` if ``y* = 0``.  From there it walks in doubling
-    steps, right while the rate is positive and left while it is not, until
-    the sign changes, and then narrows that bracket by Brent's method on the
-    margin ``rate / p_c``.  Where the margin changes sign more than once, as
-    it can without dark counts, the walk decides which crossing is returned.
+    Both end points are read first.  With a dark-count floor (``C > 0`` and
+    ``p_sq(0)`` not underflowed) and a single-photon source the reach has a
+    closed form, so no search runs: the margin depends on the dark-count
+    share alone and vanishes where ``1 - 2 e_x`` falls to the threshold's
+    root ``y*`` (``1 - 2 e0`` for gllp, ``e0`` the zero-dark threshold),
+    which is at ``ln(1 + R p_sq(0) / p_dk(cap_km)) / A`` with ``R = (1 -
+    2 e_x_sq)/y* - 1`` and ``A`` the attenuation in nepers per km.  The result
+    is ``tol_km/2`` short of that, or 0.0 if that is negative, and
+    ``math.inf`` if ``y* = 0``.
+
+    Otherwise a search starts where the single-photon signal falls to the
+    floor, ``ln(p_sq(0) / p_dk(cap_km)) / A``, or at 1 km without a floor.
+    It walks in doubling steps, right while the rate is positive and left
+    while it is not, until the sign changes, and then narrows that bracket
+    by Brent's method on the margin ``rate / p_c``.  Where the margin changes
+    sign more than once, as it can without dark counts, the walk decides
+    which crossing is returned.
     """
     # deferred: scenario imports this module
     from .scenario import _DB_TO_NEPER, NoConclusiveResultsError, SourceKind, breakdown
@@ -320,10 +322,9 @@ def max_distance(
                 return math.inf
             # p_dk / p_sq at the crossing; None: the f = 0 margin rounds below 0
             ratio = 0.0 if y is None else (1.0 - 2.0 * scn.e_x_sq) / y - 1.0
-            start = math.log1p(ratio * near.p_sq / far.p_dk) * step - 0.5 * tol_km
-            step = tol_km
-        else:
-            start = math.log(near.p_sq / far.p_dk) * step
+            reach = math.log1p(ratio * near.p_sq / far.p_dk) * step
+            return max(reach - 0.5 * tol_km, 0.0)
+        start = math.log(near.p_sq / far.p_dk) * step
     else:
         start = step = 1.0
     lo, hi = 0.0, cap_km

@@ -7,8 +7,6 @@ interval (a single point for the six-state protocol, whose full tomography
 fixes all three rates to be equal).
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 __all__ = [

@@ -16,8 +16,6 @@ as for a single float, and :func:`distance_sweep` uses that to evaluate a
 whole grid in one pass.
 """
 
-from __future__ import annotations
-
 import math
 from enum import Enum
 from typing import TYPE_CHECKING, NamedTuple
@@ -346,11 +344,11 @@ class Sweep(NamedTuple):
     comparison has no single truth value to give a tuple comparison.
     """
 
-    length_km: np.ndarray
-    eta: np.ndarray
+    length_km: "np.ndarray"
+    eta: "np.ndarray"
     breakdown: RateBreakdown
-    rate_old: np.ndarray
-    rate_new: np.ndarray
+    rate_old: "np.ndarray"
+    rate_new: "np.ndarray"
 
     __eq__ = object.__eq__
     __ne__ = object.__ne__

@@ -40,14 +40,14 @@ stream spawned from ``(seed, batch_index)`` by a ``SeedSequence``, so
 results are bit-identical whether batches run serially or in parallel.
 """
 
-from __future__ import annotations
-
 import math
 import operator
 import os
 from enum import IntEnum
 from typing import NamedTuple
 
+# numpy loads numpy.random on first use, so the annotations that name it
+# are quoted: importing this module leaves that to the first batch
 import numpy as np
 
 from .scenario import (
@@ -71,15 +71,15 @@ __all__ = [
     "tally_csv",
 ]
 
-DEFAULT_BATCH_SIZE = 1_000_000
+# Pulses per batch.  Fixed, as the tallies of a run depend on it.
+_BATCH_SIZE = 1_000_000
 # Below this probability of the rarer outcome a trial is counted from
 # Geometric gaps alone.  Measured from 1e2 to 1e6 trials (Python 3.11,
 # numpy 2.4.6, 2 cores), gaps and slices cost the same near 0.02 at 1e6
 # trials and near 0.025 at 1e5; below 3e4 trials gaps cost at most 0.8
 # times as much up to 0.04, as slicing has a fixed cost of some 20 us.  It
 # sits at the 1e5 break-even, below which gaps cost at most 1.3 times as
-# much at 1e6 trials.  It must be at least 1/256, so that a sliced trial
-# has a threshold k >= 1.
+# much at 1e6 trials.
 _GAP_MAX_P = 0.025
 
 
@@ -138,19 +138,19 @@ class EmpiricalStats(NamedTuple):
         return self.error_count / n if n else 0.0
 
 
-def _successes(rng: np.random.Generator, m: int, p: float) -> int:
+def _successes(rng: "np.random.Generator", m: int, p: float) -> int:
     """Number of successes of ``m`` independent Bernoulli(``p``) trials, one
     per event.
 
-    On the rarer side ``r = min(p, 1 - p)``, below ``_GAP_MAX_P``, only the
-    rare outcomes are counted (:func:`_gap_count`).  Otherwise, with ``k =
-    floor(256 r)``, an event succeeds when its uniform 8-bit number ``u`` is
-    below ``k``, and otherwise through an independent trial of probability
-    ``q = (256 r - k) / (256 - k)``, below 1/128 as ``k <= 128``, counted
-    over the events that failed.  So it succeeds with probability ``k/256 +
-    (1 - k/256) q = r``, exact to the rounding of ``q``; the count is taken
-    from ``m`` when ``p > 0.5``.  ``p`` of 0 or 1, or ``m = 0``, draws
-    nothing.
+    On the rarer side ``r = min(p, 1 - p)``, with ``k = floor(256 r)``, or
+    ``k = 0`` below ``_GAP_MAX_P``, an event succeeds when its uniform 8-bit
+    number ``u`` is below ``k``, and otherwise through an independent trial
+    of probability ``q = (256 r - k) / (256 - k)``, below 1/128 as ``k <=
+    128``, counted over the events that failed (:func:`_gap_count`).  So it
+    succeeds with probability ``k/256 + (1 - k/256) q = r``, exact to the
+    rounding of ``q``; the count is taken from ``m`` when ``p > 0.5``.  With
+    ``k = 0`` no number is drawn and ``q = r`` exactly, so only the rare
+    outcomes are counted.  ``p`` of 0 or 1, or ``m = 0``, draws nothing.
 
     The numbers are bit-sliced: event ``j`` is bit ``j % 64`` of word ``j //
     64`` in each of the generator's raw word rows, the first row holding bit
@@ -161,11 +161,10 @@ def _successes(rng: np.random.Generator, m: int, p: float) -> int:
     rare = min(p, 1.0 - p)
     if rare == 0.0 or m == 0:
         return m if p > 0.5 else 0
-    if rare < _GAP_MAX_P:
-        hits = _gap_count(rng, m, rare)
-    else:
-        scaled = 256.0 * rare  # exact: a power-of-two scale
-        k = int(scaled)
+    scaled = 256.0 * rare  # exact: a power-of-two scale
+    k = 0 if rare < _GAP_MAX_P else int(scaled)
+    failed = m  # with k = 0 no number is below k, and q = rare
+    if k:
         low = (k & -k).bit_length() - 1
         rows = rng.bit_generator.random_raw((8 - low, -(-m // 64)))
         # whether u >= k, from the lowest row up: where k has a 1, u needs a
@@ -180,11 +179,11 @@ def _successes(rng: np.random.Generator, m: int, p: float) -> int:
         if m % 64:
             at_least[-1] &= (1 << m % 64) - 1  # the bits past the last event
         failed = int(np.bitwise_count(at_least).sum())
-        hits = m - failed + _gap_count(rng, failed, (scaled - k) / (256 - k))
+    hits = m - failed + _gap_count(rng, failed, (scaled - k) / (256 - k))
     return m - hits if p > 0.5 else hits
 
 
-def _gap_count(rng: np.random.Generator, n: int, q: float) -> int:
+def _gap_count(rng: "np.random.Generator", n: int, q: float) -> int:
     """Number of successes of ``n`` Bernoulli(``q``) trials; ``q`` of 0, or
     ``n = 0``, draws nothing.
 
@@ -243,9 +242,9 @@ class _Draws(NamedTuple):
 
     arrival: float  # a pulse carries an arrival
     dark_fire: float  # a detector fires in the dark (0 when C = 0)
-    poisson: bool
     multi_arrived: float  # two or more photons arrived, given one did
-    lost: float  # one or more photons were lost
+    lost: float  # one or more photons were lost, given an arrival
+    dark_lost: float  # one or more photons were lost, given no arrival
     lost_again: float  # two or more were lost, given one was
     keep: float  # sifting keeps an arrival
     eve_flip: float
@@ -264,9 +263,9 @@ def _draws(scn: Scenario, eve: EveKind) -> _Draws:
     return _Draws(
         arrival=-math.expm1(-mu * eta) if poisson else eta,
         dark_fire=-math.expm1(n_det * math.log1p(-c)) if c > 0.0 else 0.0,
-        poisson=poisson,
         multi_arrived=_poisson_steps(mu * eta)[1] if poisson else 0.0,
         lost=lost,
+        dark_lost=lost if poisson else 1.0,
         lost_again=lost_again,
         keep=scn.protocol.conclusive_factor(scn.e_x_sq),
         eve_flip=eve.flip_probability(scn.protocol.basis_count),
@@ -276,7 +275,7 @@ def _draws(scn: Scenario, eve: EveKind) -> _Draws:
     )
 
 
-def _count_batch(d: _Draws, size: int, rng: np.random.Generator) -> EmpiricalStats:
+def _count_batch(d: _Draws, size: int, rng: "np.random.Generator") -> EmpiricalStats:
     """Draw one batch of ``size`` pulses and count its conclusive results.
 
     Pulses are independent, so only the number of pulses with an event is
@@ -295,9 +294,9 @@ def _count_batch(d: _Draws, size: int, rng: np.random.Generator) -> EmpiricalSta
        the others: a bit error is one flip but not both;
     6. per dark event, whether two or more detectors fired given that one
        did; per single fire, dark sifting;
-    7. per kept dark count (Poisson source), whether a photon was lost and,
-       for those where so, whether a second one was; a single-photon
-       source's one photon was lost;
+    7. per kept dark count, whether a photon was lost and, for those where
+       so, whether a second one was; a single-photon source's one photon
+       was lost, with probability 1, which draws nothing;
     8. per kept dark count with no, one, then two or more photons, its bit.
 
     A trial with probability 0 or 1, or with no events, draws no random
@@ -319,7 +318,7 @@ def _count_batch(d: _Draws, size: int, rng: np.random.Generator) -> EmpiricalSta
     # dark events: an empty pulse emitted only photons that were lost
     fired_once = n_dark - _successes(rng, n_dark, d.multi_fire)
     dark = _successes(rng, fired_once, d.dark_keep)
-    lost = _successes(rng, dark, d.lost) if d.poisson else dark
+    lost = _successes(rng, dark, d.dark_lost)
     lost_again = _successes(rng, lost, d.lost_again)
     # dark counts by photon class (0, 1 or 2), and their bit errors
     classes = (dark - lost, lost - lost_again, lost_again)
@@ -339,7 +338,7 @@ def _count_batch(d: _Draws, size: int, rng: np.random.Generator) -> EmpiricalSta
     )
 
 
-def _flips(rng: np.random.Generator, m: int, d: _Draws) -> int:
+def _flips(rng: "np.random.Generator", m: int, d: _Draws) -> int:
     """Bit errors of ``m`` kept arrivals: an eavesdropper flip, then an
     intrinsic flip of the eavesdropper-flipped ones and then of the others,
     an error where exactly one flip succeeded."""
@@ -348,7 +347,7 @@ def _flips(rng: np.random.Generator, m: int, d: _Draws) -> int:
     return flipped - unflipped + _successes(rng, m - flipped, d.flip)
 
 
-def _batch_rng(seed: int, batch_index: int) -> np.random.Generator:
+def _batch_rng(seed: int, batch_index: int) -> "np.random.Generator":
     """The generator of one batch: PCG64 seeded by a ``SeedSequence`` spawned
     at ``(seed, batch_index)``, so every batch has its own independent
     stream, whichever thread draws it."""
@@ -375,23 +374,21 @@ def run_simulation(
     eve: EveKind = EveKind.NONE,
     n_pulses: int = 1_000_000,
     seed: int = 0,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     workers: int = 1,
 ) -> EmpiricalStats:
     """Simulate ``n_pulses`` pulses and return merged tallies.
 
-    Deterministic for fixed ``(scn, eve, n_pulses, seed, batch_size)``;
-    ``workers`` only parallelizes independent batches and never changes the
-    result; at most ``min(workers, os.cpu_count(), batches)`` threads run.
-    ``n_pulses``, ``batch_size`` and ``workers`` must be integers of at least
-    1 and ``seed`` one of at least 0, or a ValueError names the argument.
+    Deterministic for fixed ``(scn, eve, n_pulses, seed)``; ``workers`` only
+    parallelizes independent batches of a million pulses and never changes
+    the result; at most ``min(workers, os.cpu_count(), batches)`` threads
+    run.  ``n_pulses`` and ``workers`` must be integers of at least 1 and
+    ``seed`` one of at least 0, or a ValueError names the argument.
     """
     n_pulses = _count_arg("n_pulses", n_pulses, 1)
-    batch_size = _count_arg("batch_size", batch_size, 1)
     seed = _count_arg("seed", seed, 0)
     workers = _count_arg("workers", workers, 1)
     # batch indices: a batch's size follows from its index when it is drawn
-    n_batches = -(-n_pulses // batch_size)
+    n_batches = -(-n_pulses // _BATCH_SIZE)
     jobs = range(n_batches)
     threads = min(workers, os.cpu_count() or 1, n_batches)
     draws = _draws(scn, eve)
@@ -399,7 +396,7 @@ def run_simulation(
     def run_share(share: range) -> EmpiricalStats:
         total = EmpiricalStats(n_pulses=0)
         for index in share:
-            size = min(batch_size, n_pulses - index * batch_size)
+            size = min(_BATCH_SIZE, n_pulses - index * _BATCH_SIZE)
             total += _count_batch(draws, size, _batch_rng(seed, index))
         return total
 

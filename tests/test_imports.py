@@ -94,3 +94,11 @@ def test_simulator_names_resolve_on_use():
         "print(run_simulation is direct)"
     )
     assert run_python("-c", code).stdout.splitlines()[-1] == "True"
+
+
+def test_simulator_import_leaves_numpy_random_to_the_first_batch():
+    # numpy loads numpy.random on first use, which takes about 14 ms; a
+    # simulator annotation that names it must not trigger that at import
+    code = "import sys\nimport qkdrates.simulator\nprint('numpy.random' in sys.modules)"
+    result = run_python("-c", code)
+    assert result.stdout.splitlines()[-1] == str("numpy.random" in preloaded())

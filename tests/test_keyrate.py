@@ -655,33 +655,59 @@ class TestMaxDistance:
         assert 10.3 < got < 10.5
         assert abs(got - reference_max_distance(scn, "gllp")) <= 0.01
 
-    def test_breakdowns_per_solve(self, monkeypatch):
-        # the benchmark's 48 reach scenarios; doubling from 1 km and
-        # bisecting took 25.8 on average, so a return to it fails here.  A
-        # single-photon solve starts at the exact crossing: the two end
-        # points, then one step of tol_km past the start brackets the root.
-        calls = 0
+    @staticmethod
+    def count_breakdowns(monkeypatch):
+        """Count the calls to ``scenario.breakdown`` in a one-element list."""
+        calls = [0]
 
         def counted(scn):
-            nonlocal calls
-            calls += 1
+            calls[0] += 1
             return breakdown(scn)
 
         monkeypatch.setattr(scenario, "breakdown", counted)
+        return calls
+
+    def test_breakdowns_per_solve(self, monkeypatch):
+        # the benchmark's 48 reach scenarios; doubling from 1 km and
+        # bisecting took 25.8 on average, so a return to it fails here.  A
+        # single-photon reach is the closed form from the threshold, so the
+        # two end points are its only breakdowns.
+        calls = self.count_breakdowns(monkeypatch)
         counts = {"single-photon": [], "poissonian": []}
         for spec in protocol_catalog():
             for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5)):
                 for dark in (1e-7, 1e-6, 1e-5, 1e-4):
                     for rate_fn in ("gllp", "improved"):
-                        calls = 0
+                        calls[0] = 0
                         scn = fig1_scenario(spec, dark=dark, source=source)
                         assert 0.0 < max_distance(scn, rate_fn) < math.inf
-                        counts[source.kind.value].append(calls)
-        assert counts["single-photon"] == [4] * 24
+                        counts[source.kind.value].append(calls[0])
+        assert counts["single-photon"] == [2] * 24
         poisson = counts["poissonian"]
         assert len(poisson) == 24
         assert sum(poisson) / len(poisson) <= 12.0, poisson
         assert max(poisson) <= 18, poisson
+
+    def test_single_photon_solve_reads_only_end_points(self, monkeypatch):
+        # random single-photon links with a dark-count floor: every finite
+        # reach is returned from the two end-point breakdowns, with no search
+        calls = self.count_breakdowns(monkeypatch)
+        rng = np.random.default_rng(24)
+        finite = 0
+        for _ in range(400):
+            spec = protocol_catalog()[int(rng.integers(3))]
+            scn = fig1_scenario(
+                spec,
+                e_x_sq=float(10.0 ** rng.uniform(-4.0, math.log10(0.3))),
+                dark=float(10.0 ** rng.uniform(-9.0, math.log10(0.25))),
+                attenuation=float(rng.uniform(0.05, 1.0)),
+            )
+            for rate_fn in ("gllp", "improved"):
+                calls[0] = 0
+                if 0.0 < max_distance(scn, rate_fn) < math.inf:
+                    finite += 1
+                    assert calls[0] == 2, (scn, rate_fn)
+        assert finite > 400
 
 
 class TestBreakdownValidation:

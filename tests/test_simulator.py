@@ -75,24 +75,21 @@ class TestDeterminism:
         assert a != b
 
     def test_workers_bit_identical(self):
+        # three batches of a million pulses
         scn = make_scenario(source=SourceModel.poissonian(0.5))
-        serial = run_simulation(scn, EveKind.NONE, 500_000, seed=9, batch_size=100_000)
-        threaded = run_simulation(
-            scn, EveKind.NONE, 500_000, seed=9, batch_size=100_000, workers=4
-        )
+        serial = run_simulation(scn, EveKind.NONE, 3_000_000, seed=9)
+        threaded = run_simulation(scn, EveKind.NONE, 3_000_000, seed=9, workers=4)
         assert serial == threaded
 
     def test_partial_last_batch(self):
-        # 250_001 pulses in batches of 100_000: two full batches and 50_001
+        # 2_050_001 pulses in batches of a million: two full batches and 50_001
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
         eve = EveKind.NONE
-        whole = run_simulation(scn, eve, 250_001, seed=4, batch_size=100_000)
-        prefix = run_simulation(scn, eve, 200_000, seed=4, batch_size=100_000)
-        threaded = run_simulation(
-            scn, eve, 250_001, seed=4, batch_size=100_000, workers=2
-        )
+        whole = run_simulation(scn, eve, 2_050_001, seed=4)
+        prefix = run_simulation(scn, eve, 2_000_000, seed=4)
+        threaded = run_simulation(scn, eve, 2_050_001, seed=4, workers=2)
         assert whole == threaded
-        assert whole.n_pulses == 250_001
+        assert whole.n_pulses == 2_050_001
         last = {
             name: getattr(whole, name) - getattr(prefix, name)
             for name in EmpiricalStats._fields
@@ -101,34 +98,29 @@ class TestDeterminism:
         assert all(value >= 0 for value in last.values())
         assert 0 < sum(last[f"cat{i}_count"] for i in range(1, 5)) < 50_001
 
-    @pytest.mark.parametrize("batch_size", [0, -1])
-    def test_rejects_nonpositive_batch_size(self, batch_size):
-        with pytest.raises(ValueError, match="batch_size must be >= 1"):
-            run_simulation(make_scenario(), EveKind.NONE, 1_000, 0, batch_size)
-
     @pytest.mark.parametrize(
         ("name", "value", "reason"),
         [
             ("n_pulses", 1e5, "an integer"), ("n_pulses", 0, ">= 1"),
-            ("n_pulses", True, "an integer"), ("batch_size", 2.0, "an integer"),
-            ("seed", -1, ">= 0"), ("seed", 1.5, "an integer"),
-            ("seed", False, "an integer"), ("workers", 0, ">= 1"),
-            ("workers", -3, ">= 1"), ("workers", "2", "an integer"),
+            ("n_pulses", True, "an integer"), ("seed", -1, ">= 0"),
+            ("seed", 1.5, "an integer"), ("seed", False, "an integer"),
+            ("workers", 0, ">= 1"), ("workers", -3, ">= 1"),
+            ("workers", "2", "an integer"),
         ],
     )  # fmt: skip
     def test_rejects_bad_arguments(self, name, value, reason, monkeypatch):
         # each is caught before anything is drawn
         monkeypatch.setattr(simulator, "_count_batch", None)
-        args = {"n_pulses": 1_000, "seed": 0, "batch_size": 1_000, "workers": 1}
+        args = {"n_pulses": 1_000, "seed": 0, "workers": 1}
         with pytest.raises(ValueError, match=f"^{name} must be {reason}"):
             run_simulation(make_scenario(), EveKind.NONE, **{**args, name: value})
 
     def test_accepts_numpy_integers(self):
         scn = make_scenario()
-        want = run_simulation(scn, EveKind.NONE, 20_000, seed=3, batch_size=5_000)
+        want = run_simulation(scn, EveKind.NONE, 2_000_000, seed=3)
         got = run_simulation(
-            scn, EveKind.NONE, np.int64(20_000), seed=np.uint32(3),
-            batch_size=np.int32(5_000), workers=np.int8(2),
+            scn, EveKind.NONE, np.int64(2_000_000), seed=np.uint32(3),
+            workers=np.int8(2),
         )  # fmt: skip
         assert got == want
 
@@ -143,21 +135,19 @@ class TestDeterminism:
         monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recording)
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
         scn = make_scenario()
-        serial = run_simulation(scn, EveKind.NONE, 50_000, seed=3, batch_size=10_000)
+        batch = simulator._BATCH_SIZE
+        serial = run_simulation(scn, EveKind.NONE, 5 * batch, seed=3)
         for workers, batches, want in ((10_000, 5, [3]), (10_000, 2, [2]), (2, 5, [2])):
             seen.clear()
             stats = run_simulation(
-                scn, EveKind.NONE, batches * 10_000, seed=3,
-                batch_size=10_000, workers=workers,
-            )  # fmt: skip
+                scn, EveKind.NONE, batches * batch, seed=3, workers=workers
+            )
             assert seen == want
             if batches == 5:
                 assert stats == serial
         monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
         seen.clear()
-        assert run_simulation(
-            scn, EveKind.NONE, 50_000, seed=3, batch_size=10_000, workers=8
-        ) == serial
+        assert run_simulation(scn, EveKind.NONE, 5 * batch, seed=3, workers=8) == serial
         assert seen == []
 
     def test_batch_plan_memory_bounded(self, monkeypatch):
@@ -214,14 +204,15 @@ class TestWorkspace:
     def test_reuse_changes_no_tally(self, source):
         # each batch counted on its own, one thread serially, and two threads
         scn, eve = make_scenario(source=source, length=0.0, c=1e-3), EveKind.NONE
-        n, seed, batch = 500_000, 12, 100_000
+        seed, batch = 12, simulator._BATCH_SIZE
+        n = 2 * batch
         draws = simulator._draws(scn, eve)
         fresh = EmpiricalStats(n_pulses=0)
         for index in range(n // batch):
             rng = simulator._batch_rng(seed, index)
             fresh += simulator._count_batch(draws, batch, rng)
-        serial = run_simulation(scn, eve, n, seed=seed, batch_size=batch)
-        threaded = run_simulation(scn, eve, n, seed=seed, batch_size=batch, workers=2)
+        serial = run_simulation(scn, eve, n, seed=seed)
+        threaded = run_simulation(scn, eve, n, seed=seed, workers=2)
         assert fresh == serial == threaded
 
     def test_warm_batch_allocation_bounded(self):

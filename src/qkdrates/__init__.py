@@ -45,7 +45,7 @@ from .scenario import (
 
 # The simulator needs numpy, so it is imported on first use of one of these
 # names: the rate commands never load either.
-_SIMULATOR_NAMES = frozenset(("Category", "EmpiricalStats", "run_simulation"))
+_SIMULATOR_NAMES = frozenset(("EmpiricalStats", "run_simulation"))
 
 
 def __getattr__(name: str):
@@ -58,7 +58,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "BB84",
-    "Category",
     "DecoyInversionError",
     "DetectorModel",
     "EmpiricalStats",

@@ -129,14 +129,30 @@ def rate_gllp(b: RateBreakdown, spec: ProtocolSpec) -> float:
     ``p_c * [omega0 + omega1 - H(e_x) - omega1 * H(e_z^1 | e_x^1)]`` where
     the conditional entropy is the protocol worst case at the
     single-photon-pulse error rate.  The last term vanishes where
-    ``omega1 = 0``; an array breakdown needs ``omega1`` positive everywhere
-    or zero everywhere (every ``breakdown`` has it positive).
+    ``omega1 = 0``, element by element for an array breakdown.
     """
     value = b.omega0 + b.omega1 - binary_entropy(b.e_x)
-    if any_(b.omega1 > 0.0):
-        e_x_1 = single_photon_class_error(b)
-        value -= b.omega1 * worst_case_conditional_phase_entropy(spec, e_x_1)
+    single = b.omega1 > 0.0
+    if all_(single):
+        return b.p_c * (value - _single_photon_term(b, spec))
+    if any_(single):
+        # only an array gets here: omega1 underflows to 0 at some elements
+        # (a subnormal single-photon probability), so the term is taken at
+        # the others alone
+        import numpy as np
+
+        *fields, single = np.broadcast_arrays(*b, single)
+        part = RateBreakdown._make(field[single] for field in fields)
+        term = np.zeros(single.shape)
+        term[single] = _single_photon_term(part, spec)
+        value = value - term
     return b.p_c * value
+
+
+def _single_photon_term(b: RateBreakdown, spec: ProtocolSpec) -> float:
+    """``omega1 * H(e_z^1 | e_x^1)`` at the single-photon-pulse error rate."""
+    e_x_1 = single_photon_class_error(b)
+    return b.omega1 * worst_case_conditional_phase_entropy(spec, e_x_1)
 
 
 def rate_bob(b: RateBreakdown, spec: ProtocolSpec) -> float:

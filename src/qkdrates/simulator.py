@@ -3,7 +3,7 @@ breakdowns.
 
 Each pulse goes through emission, channel loss, optional intercept-resend
 eavesdropping, the intrinsic error channel, sifting, and dark counts, and
-ends in one of four conclusive categories or is discarded.  Sifting is a
+ends in one of three conclusive categories or is discarded.  Sifting is a
 Bernoulli keep/discard at the protocol's conclusive rate rather than
 explicit basis bookkeeping, which is exact in the asymptotic-bias limit the
 rate formulas assume.  Phase errors are not sampled; the analytic side
@@ -43,7 +43,6 @@ results are bit-identical whether batches run serially or in parallel.
 import math
 import operator
 import os
-from enum import IntEnum
 from typing import NamedTuple
 
 # numpy loads numpy.random on first use, so the annotations that name it
@@ -61,7 +60,6 @@ from .scenario import (
 )
 
 __all__ = [
-    "Category",
     "EmpiricalStats",
     "FieldComparison",
     "DecoyRecovery",
@@ -83,14 +81,6 @@ _BATCH_SIZE = 1_000_000
 _GAP_MAX_P = 0.025
 
 
-class Category(IntEnum):
-    NOT_CONCLUSIVE = 0
-    SINGLE_QUBIT = 1
-    MULTI_QUBIT = 2
-    EMPTY_QUBIT = 3
-    DARK_COUNT = 4
-
-
 # Like every record of the package, the ones here are named tuples; the rule
 # and its reason are in qkdrates._record.
 class EmpiricalStats(NamedTuple):
@@ -98,14 +88,12 @@ class EmpiricalStats(NamedTuple):
     by field (not the concatenation of tuples)."""
 
     n_pulses: int
-    cat1_count: int = 0
-    cat1_errors: int = 0
-    cat2_count: int = 0
-    cat2_errors: int = 0
-    cat3_count: int = 0
-    cat3_errors: int = 0
-    cat4_count: int = 0
-    cat4_errors: int = 0
+    single_qubit: int = 0
+    single_qubit_errors: int = 0
+    multi_qubit: int = 0
+    multi_qubit_errors: int = 0
+    dark_count: int = 0
+    dark_count_errors: int = 0
     single_pulse_conclusive: int = 0
     single_pulse_errors: int = 0
     empty_pulse_conclusive: int = 0
@@ -113,23 +101,15 @@ class EmpiricalStats(NamedTuple):
     def __add__(self, other: "EmpiricalStats") -> "EmpiricalStats":
         return EmpiricalStats._make(map(operator.add, self, other))
 
-    def category_count(self, cat: Category) -> int:
-        return getattr(self, f"cat{int(cat)}_count")
-
-    def category_errors(self, cat: Category) -> int:
-        return getattr(self, f"cat{int(cat)}_errors")
-
     @property
     def conclusive_count(self) -> int:
-        return self.cat1_count + self.cat2_count + self.cat3_count + self.cat4_count
+        return self.single_qubit + self.multi_qubit + self.dark_count
 
     @property
     def error_count(self) -> int:
-        return self.cat1_errors + self.cat2_errors + self.cat3_errors + self.cat4_errors
-
-    def rate(self, cat: Category) -> float:
-        """Per-pulse conclusive rate of one category."""
-        return self.category_count(cat) / self.n_pulses
+        return (
+            self.single_qubit_errors + self.multi_qubit_errors + self.dark_count_errors
+        )
 
     @property
     def e_x_hat(self) -> float:
@@ -306,8 +286,8 @@ def _count_batch(d: _Draws, size: int, rng: "np.random.Generator") -> EmpiricalS
     n = int(rng.binomial(size, d.arrival))
     n_dark = int(rng.binomial(size - n, d.dark_fire)) if d.dark_fire > 0.0 else 0
 
-    # a kept arrival is SINGLE_QUBIT, or MULTI_QUBIT if more than one photon
-    # was emitted
+    # a kept arrival is a single-photon qubit, or a multi-photon one if more
+    # than one photon was emitted
     kept = _successes(rng, n, d.keep)
     multi = _successes(rng, kept, d.multi_arrived)
     multi += _successes(rng, kept - multi, d.lost)
@@ -326,12 +306,12 @@ def _count_batch(d: _Draws, size: int, rng: "np.random.Generator") -> EmpiricalS
 
     return EmpiricalStats(
         n_pulses=size,
-        cat1_count=single,
-        cat1_errors=single_errors,
-        cat2_count=multi,
-        cat2_errors=multi_errors,
-        cat4_count=dark,
-        cat4_errors=sum(dark_errors),
+        single_qubit=single,
+        single_qubit_errors=single_errors,
+        multi_qubit=multi,
+        multi_qubit_errors=multi_errors,
+        dark_count=dark,
+        dark_count_errors=sum(dark_errors),
         single_pulse_conclusive=single + classes[1],
         single_pulse_errors=single_errors + dark_errors[1],
         empty_pulse_conclusive=classes[0],
@@ -432,7 +412,7 @@ def _z_score(empirical: float, analytic: float, trials: float) -> float:
 
 
 def compare_to_analytic(stats: EmpiricalStats, scn: Scenario) -> list[FieldComparison]:
-    """Z-scores of empirical category rates and error rate against the
+    """Z-scores of empirical rates by origin and the error rate against the
     analytic breakdown, using binomial standard errors at the analytic
     values (over all pulses for a rate, over the expected conclusive count
     for the error rate).
@@ -444,10 +424,10 @@ def compare_to_analytic(stats: EmpiricalStats, scn: Scenario) -> list[FieldCompa
     b = analytic_breakdown(scn)
     n = stats.n_pulses
     rows = (
-        ("p_sq", stats.rate(Category.SINGLE_QUBIT), b.p_sq, n),
-        ("p_mq", stats.rate(Category.MULTI_QUBIT), b.p_mq, n),
-        ("p_emp", stats.rate(Category.EMPTY_QUBIT), b.p_emp, n),
-        ("p_dk", stats.rate(Category.DARK_COUNT), b.p_dk, n),
+        ("p_sq", stats.single_qubit / n, b.p_sq, n),
+        ("p_mq", stats.multi_qubit / n, b.p_mq, n),
+        ("p_emp", 0.0, b.p_emp, n),  # the channel puts no qubit on an empty pulse
+        ("p_dk", stats.dark_count / n, b.p_dk, n),
         ("e_x", stats.e_x_hat, b.e_x, b.p_c * n),
     )
     return [
@@ -500,9 +480,11 @@ def recover_single_photon_rates(stats: EmpiricalStats, scn: Scenario) -> DecoyRe
 
 
 def tally_csv(stats: EmpiricalStats) -> str:
-    """Raw per-category tallies as CSV (columns: category,count,bit_errors)."""
-    lines = ["category,count,bit_errors"]
-    for cat in list(Category)[1:]:
-        name = cat.name.lower()
-        lines.append(f"{name},{stats.category_count(cat)},{stats.category_errors(cat)}")
-    return "\n".join(lines) + "\n"
+    """Raw tallies by origin as CSV (columns: category,count,bit_errors)."""
+    rows = (
+        ("category", "count", "bit_errors"),
+        ("single_qubit", stats.single_qubit, stats.single_qubit_errors),
+        ("multi_qubit", stats.multi_qubit, stats.multi_qubit_errors),
+        ("dark_count", stats.dark_count, stats.dark_count_errors),
+    )
+    return "".join(f"{name},{count},{errors}\n" for name, count, errors in rows)

@@ -14,7 +14,12 @@ from qkdrates.scenario import (
     breakdown,
     transmittance,
 )
-from qkdrates.simulator import Category, EmpiricalStats
+from qkdrates.simulator import EmpiricalStats
+
+# The reference sampler's event labels: discarded, then the simulator's
+# three conclusive origins, in the order of their tally fields.
+DISCARDED, SINGLE_QUBIT, MULTI_QUBIT, DARK_COUNT = range(4)
+ORIGINS = ("single_qubit", "multi_qubit", "dark_count")
 
 _acceptance_lines: list[str] = []
 
@@ -200,7 +205,7 @@ def sample_events(scn, eve, size, rng):
         n_dark = int(rng.binomial(size - n_arr, -math.expm1(n_det * math.log1p(-c))))
     # a single-photon pulse emitted one photon, known without a draw
     emitted = np.full(n_arr + n_dark, -1 if poisson else 1, np.int8)
-    category = np.zeros(n_arr + n_dark, np.int8)
+    category = np.full(n_arr + n_dark, DISCARDED, np.int8)
     bit_error = np.zeros(n_arr + n_dark, bool)
 
     kept = trial(np.arange(n_arr), scn.protocol.conclusive_factor(scn.e_x_sq))
@@ -212,8 +217,8 @@ def sample_events(scn, eve, size, rng):
         emitted[kept] = 1
         emitted[multi] = 2
     single = np.setdiff1d(kept, multi)
-    category[single] = Category.SINGLE_QUBIT
-    category[multi] = Category.MULTI_QUBIT
+    category[single] = SINGLE_QUBIT
+    category[multi] = MULTI_QUBIT
     for group in (single, multi):
         flipped = trial(group, eve.flip_probability(scn.protocol.basis_count))
         bit_error[flipped] = True
@@ -224,7 +229,7 @@ def sample_events(scn, eve, size, rng):
     multi_fire = trial(dark, simulator._multi_fire_probability(n_det, c))
     fired_once = np.setdiff1d(dark, multi_fire)
     dark_kept = trial(fired_once, scn.protocol.dark_conclusive_multiplier / n_det)
-    category[dark_kept] = Category.DARK_COUNT
+    category[dark_kept] = DARK_COUNT
     if poisson:
         emitted[dark_kept] = 0
         photon_lost = trial(dark_kept, lost)
@@ -244,15 +249,15 @@ def full_key_tally(n_pulses, events):
     class) in one ``bincount``, independent of the counting the simulator
     does as it draws.
     """
-    conclusive = events.category > 0
+    conclusive = events.category != DISCARDED
     key = (events.category[conclusive] - 1) * 2 + events.bit_error[conclusive]
     key = key * 3 + events.emitted[conclusive]
-    counts = np.bincount(key, minlength=(len(Category) - 1) * 6)
-    counts = counts.reshape(len(Category) - 1, 2, 3)
+    counts = np.bincount(key, minlength=len(ORIGINS) * 6)
+    counts = counts.reshape(len(ORIGINS), 2, 3)
     values = {"n_pulses": n_pulses}
-    for cat in list(Category)[1:]:
-        values[f"cat{int(cat)}_count"] = int(counts[cat - 1].sum())
-        values[f"cat{int(cat)}_errors"] = int(counts[cat - 1, 1].sum())
+    for i, name in enumerate(ORIGINS):
+        values[name] = int(counts[i].sum())
+        values[f"{name}_errors"] = int(counts[i, 1].sum())
     values["single_pulse_conclusive"] = int(counts[:, :, 1].sum())
     values["single_pulse_errors"] = int(counts[:, 1, 1].sum())
     values["empty_pulse_conclusive"] = int(counts[:, :, 0].sum())

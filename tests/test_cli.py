@@ -402,7 +402,7 @@ class TestSimulateCommand:
         assert code == 0
         lines = tally.read_text().splitlines()
         assert lines[0] == "category,count,bit_errors"
-        assert len(lines) == 5
+        assert len(lines) == 4
 
     @pytest.mark.parametrize(
         "flags",

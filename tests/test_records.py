@@ -110,11 +110,11 @@ def test_fields_cannot_be_assigned(record):
 
 
 def test_stats_merge_by_field():
-    a = EmpiricalStats(n_pulses=10, cat1_count=2, cat4_errors=1)
-    b = EmpiricalStats(n_pulses=5, cat1_count=1, empty_pulse_conclusive=3)
+    a = EmpiricalStats(n_pulses=10, single_qubit=2, dark_count_errors=1)
+    b = EmpiricalStats(n_pulses=5, single_qubit=1, empty_pulse_conclusive=3)
     merged = a + b
     assert merged == EmpiricalStats(
-        n_pulses=15, cat1_count=3, cat4_errors=1, empty_pulse_conclusive=3
+        n_pulses=15, single_qubit=3, dark_count_errors=1, empty_pulse_conclusive=3
     )
     assert sum([b, a], EmpiricalStats(n_pulses=0)) == merged
 

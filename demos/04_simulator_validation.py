@@ -1,9 +1,9 @@
 """Pulse-level Monte Carlo versus the closed-form breakdown.
 
 Two million pulses per scenario through emission, loss, sifting, and dark
-counts; every analytic category rate should land within a few standard
-errors of its empirical tally.  The intercept-resend attack serves as an
-independent sanity check with a known error rate.
+counts; every analytic rate by origin, and the error rate, should land
+within a few standard errors of its empirical tally.  The intercept-resend
+attack serves as an independent sanity check with a known error rate.
 """
 
 from qkdrates import (

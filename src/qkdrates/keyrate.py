@@ -52,17 +52,17 @@ _LN2 = math.log(2.0)
 class RateBreakdown(NamedTuple):
     """Conclusive-result rates split by physical origin.
 
-    ``p_sq``, ``p_mq``, ``p_emp``, ``p_dk`` are the per-pulse rates of
-    conclusive results from single-photon qubits, multi-photon qubits,
-    qubits received on empty pulses, and dark counts.  ``omega0`` and
-    ``omega1`` are the fractions of conclusive results originating from
-    empty and single-photon pulses.  ``e_x`` is the bit error rate over all
+    ``p_sq``, ``p_mq``, ``p_dk`` are the per-pulse rates of conclusive
+    results from single-photon qubits, multi-photon qubits and dark counts,
+    the three origins an honest channel produces.  ``omega0`` and ``omega1``
+    are the fractions of conclusive results originating from empty and
+    single-photon pulses; on an honest channel every result on an empty
+    pulse is a dark count.  ``e_x`` is the bit error rate over all
     conclusive results and ``e_x_sq`` the rate restricted to single-photon
     qubit results.  Fields may be numpy arrays (or floats) that broadcast
     together; each check then applies to every element, and a NaN fails it.
     """
 
-    p_emp: float
     p_sq: float
     p_mq: float
     p_dk: float
@@ -73,7 +73,7 @@ class RateBreakdown(NamedTuple):
 
     def _check(self) -> None:
         # each test is written to hold for good values, so that NaN fails it
-        for field in ("p_emp", "p_sq", "p_mq", "p_dk"):
+        for field in ("p_sq", "p_mq", "p_dk"):
             if not all_(getattr(self, field) >= -_TOL):
                 raise ValueError(f"{field} is negative or NaN")
         if not all_(self.p_c > 0.0):
@@ -92,7 +92,7 @@ class RateBreakdown(NamedTuple):
     @property
     def p_c(self) -> float:
         """Total conclusive rate."""
-        return self.p_emp + self.p_sq + self.p_mq + self.p_dk
+        return self.p_sq + self.p_mq + self.p_dk
 
 
 def single_photon_class_error(b: RateBreakdown) -> float:

@@ -4,9 +4,12 @@ A :class:`Scenario` bundles protocol, source, fiber link, and detector
 parameters and fully determines a :class:`~qkdrates.keyrate.RateBreakdown`
 for an honest (eavesdropper-free) channel.  Dark counts use the linearized
 conclusive rate ``m*C`` per pulse with no arriving photon, ``m`` the
-protocol's dark conclusive multiplier; simultaneous fires of two detectors
-are discarded.  :class:`EveKind` is the eavesdropper the simulator can
-put on the channel.
+protocol's dark conclusive multiplier.  That is the first-order term of the
+rate the simulator draws: it keeps exact single fires, ``m*C*(1-C)**(n-1)``
+for ``n`` detectors, and discards a pulse on which two fire, so the two
+differ by about ``(n-1)*C`` relative.  Both ignore a dark fire on a pulse
+that also carries an arrival.  :class:`EveKind` is the eavesdropper the
+simulator can put on the channel.
 
 :func:`breakdown` is one formula for both sources: a single-photon source
 is the Poissonian one with every pulse carrying exactly one photon.  A
@@ -193,8 +196,8 @@ def breakdown(scn: Scenario) -> RateBreakdown:
     * single-photon qubit results: ``cf * P_1 * eta``,
     * multi-photon qubit results: ``cf * sum_{k>=2} P_k (1 - (1-eta)^k)``,
     * dark counts: ``m*C`` times the no-arrival probability (``1 - eta``
-      or ``exp(-eta*mu)``),
-    * empty-pulse qubit results: zero on an honest channel.
+      or ``exp(-eta*mu)``); an honest channel puts no qubit on an empty
+      pulse, so there is no fourth origin.
 
     Single-photon and empty-pulse conclusive fractions follow from splitting
     the dark counts by emitted photon number: ``omega1 * p_c = p_sq +
@@ -230,16 +233,7 @@ def breakdown(scn: Scenario) -> RateBreakdown:
     omega1 = (p_sq + m * c * p1 * (1.0 - eta)) / p_c
     omega0 = m * c * p0 / p_c
     e_x = ((p_sq + p_mq) * scn.e_x_sq + p_dk * 0.5) / p_c
-    return RateBreakdown(
-        p_emp=0.0,
-        p_sq=p_sq,
-        p_mq=p_mq,
-        p_dk=p_dk,
-        omega0=omega0,
-        omega1=omega1,
-        e_x=e_x,
-        e_x_sq=scn.e_x_sq,
-    )
+    return RateBreakdown(p_sq, p_mq, p_dk, omega0, omega1, e_x, scn.e_x_sq)
 
 
 def decoy_invert(
@@ -336,9 +330,9 @@ def worst_case_no_decoy(p_c: float, e_x: float, mu_bar: float) -> NoDecoyEstimat
 class Sweep(NamedTuple):
     """Columns of a distance sweep, one array element per grid point.
 
-    ``breakdown`` holds the breakdown columns; a field that is constant
-    over the grid (``p_emp``, ``e_x_sq``, and for a single-photon source
-    ``p_mq``) stays a float.  ``rate_old``
+    ``breakdown`` holds the breakdown columns, the three origins' rates
+    among them; a field that is constant over the grid (``e_x_sq``, and for
+    a single-photon source ``p_mq``) stays a float.  ``rate_old``
     (multi-photon discount only) and ``rate_new`` (dark counts credited)
     are clamped at zero for display.  A sweep equals only itself: an array
     comparison has no single truth value to give a tuple comparison.

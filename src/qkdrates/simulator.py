@@ -412,10 +412,10 @@ def _z_score(empirical: float, analytic: float, trials: float) -> float:
 
 
 def compare_to_analytic(stats: EmpiricalStats, scn: Scenario) -> list[FieldComparison]:
-    """Z-scores of empirical rates by origin and the error rate against the
-    analytic breakdown, using binomial standard errors at the analytic
-    values (over all pulses for a rate, over the expected conclusive count
-    for the error rate).
+    """Z-scores of the empirical rates by origin (``p_sq``, ``p_mq``,
+    ``p_dk``) and of the error rate ``e_x`` against the analytic breakdown,
+    using binomial standard errors at the analytic values (over all pulses
+    for a rate, over the expected conclusive count for the error rate).
 
     A field whose analytic value is exactly 0 or 1 has no binomial spread:
     it scores 0 when the empirical value equals it (after clamping the
@@ -426,7 +426,6 @@ def compare_to_analytic(stats: EmpiricalStats, scn: Scenario) -> list[FieldCompa
     rows = (
         ("p_sq", stats.single_qubit / n, b.p_sq, n),
         ("p_mq", stats.multi_qubit / n, b.p_mq, n),
-        ("p_emp", 0.0, b.p_emp, n),  # the channel puts no qubit on an empty pulse
         ("p_dk", stats.dark_count / n, b.p_dk, n),
         ("e_x", stats.e_x_hat, b.e_x, b.p_c * n),
     )

@@ -109,7 +109,7 @@ def no_conclusive_breakdown(length):
 
 def inconsistent_breakdown(p_sq):
     b = RateBreakdown(
-        p_emp=0.0, p_sq=p_sq, p_mq=0.0, p_dk=0.1,
+        p_sq=p_sq, p_mq=0.0, p_dk=0.1,
         omega0=0.0, omega1=0.5, e_x=0.1, e_x_sq=0.1,
     )  # fmt: skip
     return single_photon_class_error(b)
@@ -117,7 +117,7 @@ def inconsistent_breakdown(p_sq):
 
 def breakdown_with_error_rate(e_x):
     return RateBreakdown(
-        p_emp=0.0, p_sq=0.5, p_mq=0.0, p_dk=0.1,
+        p_sq=0.5, p_mq=0.0, p_dk=0.1,
         omega0=0.0, omega1=1.0, e_x=e_x, e_x_sq=0.1,
     )  # fmt: skip
 

@@ -404,6 +404,16 @@ class TestSimulateCommand:
         assert lines[0] == "category,count,bit_errors"
         assert len(lines) == 4
 
+    def test_report_layout(self, capsys):
+        # perfbench/checks.py parses these rows by name, p_emp included
+        code, out, _ = run_cli(capsys, *self.ARGS)
+        assert code == 0
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines[2:-1]] == [
+            "p_sq", "p_mq", "p_emp", "p_dk", "e_x",
+        ]  # fmt: skip
+        assert lines[4] == "p_emp      0.000000e+00   0.000000e+00          0"
+
     @pytest.mark.parametrize(
         "flags",
         [
@@ -759,6 +769,26 @@ class TestNoConclusiveResults:
         assert code == 2
         assert out == ""
         assert "no conclusive results" in err
+        assert "Traceback" not in err
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--out"],
+            ["sweep", "--length-max-km", "10", "--out"],
+            ["simulate", "--n-pulses", "1000", "--tally-out"],
+        ],
+        ids=lambda a: a[0],
+    )
+    @pytest.mark.parametrize("target", ["directory", "missing-parent"])
+    def test_exits_2_naming_the_path(self, capsys, tmp_path, argv, target):
+        path = str(tmp_path if target == "directory" else tmp_path / "no" / "x")
+        code, out, err = run_cli(capsys, *argv, path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and path in err
         assert "Traceback" not in err
 
 

@@ -143,7 +143,7 @@ def exact_single_photon_reach(scn, rate_fn):
 
 def pure_single_photon(p_sq=1.0, e=0.0):
     return RateBreakdown(
-        p_emp=0.0, p_sq=p_sq, p_mq=0.0, p_dk=0.0,
+        p_sq=p_sq, p_mq=0.0, p_dk=0.0,
         omega0=0.0, omega1=1.0, e_x=e, e_x_sq=e,
     )
 
@@ -153,7 +153,7 @@ def single_photon_with_darks(e_x_sq, dark_fraction, p_c=1.0):
     p_sq = p_c - p_dk
     e_x = (p_sq * e_x_sq + p_dk * 0.5) / p_c
     return RateBreakdown(
-        p_emp=0.0, p_sq=p_sq, p_mq=0.0, p_dk=p_dk,
+        p_sq=p_sq, p_mq=0.0, p_dk=p_dk,
         omega0=0.0, omega1=1.0, e_x=e_x, e_x_sq=e_x_sq,
     )
 
@@ -212,7 +212,7 @@ class TestGllpRate:
 
     def test_no_extractable_fraction(self):
         b = RateBreakdown(
-            p_emp=0.0, p_sq=0.0, p_mq=0.5, p_dk=0.0,
+            p_sq=0.0, p_mq=0.5, p_dk=0.0,
             omega0=0.0, omega1=0.0, e_x=0.1, e_x_sq=0.1,
         )
         assert rate_gllp(b, BB84) == pytest.approx(-0.5 * binary_entropy(0.1))
@@ -232,7 +232,7 @@ class TestBobAndAliceRates:
 
     def test_all_dark_counts_vanishes(self):
         b = RateBreakdown(
-            p_emp=0.0, p_sq=0.0, p_mq=0.0, p_dk=0.3,
+            p_sq=0.0, p_mq=0.0, p_dk=0.3,
             omega0=0.0, omega1=1.0, e_x=0.5, e_x_sq=0.0,
         )
         assert rate_bob(b, BB84) == pytest.approx(0.0, abs=1e-12)
@@ -244,7 +244,7 @@ class TestBobAndAliceRates:
 
     def test_alice_equals_bob_when_omega0_matches_darks(self):
         b = RateBreakdown(
-            p_emp=0.0, p_sq=0.6, p_mq=0.0, p_dk=0.1,
+            p_sq=0.6, p_mq=0.0, p_dk=0.1,
             omega0=0.1 / 0.7, omega1=0.6 / 0.7, e_x=0.08, e_x_sq=0.02,
         )
         assert rate_alice(b, BB84) == pytest.approx(rate_bob(b, BB84), abs=1e-12)
@@ -252,11 +252,11 @@ class TestBobAndAliceRates:
     def test_bob_minus_alice_identity(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
-            p = rng.dirichlet(np.ones(4)) * rng.uniform(0.1, 1.0)
+            p = rng.dirichlet(np.ones(3)) * rng.uniform(0.1, 1.0)
             omega0 = rng.uniform(0.0, 0.3)
             omega1 = rng.uniform(0.0, 1.0 - omega0)
             b = RateBreakdown(
-                p_emp=p[0], p_sq=p[1], p_mq=p[2], p_dk=p[3],
+                p_sq=p[0], p_mq=p[1], p_dk=p[2],
                 omega0=omega0, omega1=omega1,
                 e_x=rng.uniform(0, 0.5), e_x_sq=rng.uniform(0, 0.5),
             )
@@ -321,7 +321,7 @@ class TestImprovedRate:
 
     @given(
         spec=st.sampled_from(protocol_catalog()),
-        p=st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+        p=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(
             lambda p: sum(p) > 0.0
         ),
         omega=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).map(
@@ -332,7 +332,7 @@ class TestImprovedRate:
     )
     def test_equals_max_of_alice_and_bob(self, spec, p, omega, e_x, e_x_sq):
         b = RateBreakdown(
-            p_emp=p[0], p_sq=p[1], p_mq=p[2], p_dk=p[3],
+            p_sq=p[0], p_mq=p[1], p_dk=p[2],
             omega0=omega[0], omega1=omega[1], e_x=e_x, e_x_sq=e_x_sq,
         )  # fmt: skip
         assert rate_improved(b, spec) == max(rate_alice(b, spec), rate_bob(b, spec))
@@ -714,26 +714,26 @@ class TestBreakdownValidation:
     def test_rejects_zero_conclusive_rate(self):
         with pytest.raises(ValueError):
             RateBreakdown(
-                p_emp=0.0, p_sq=0.0, p_mq=0.0, p_dk=0.0,
+                p_sq=0.0, p_mq=0.0, p_dk=0.0,
                 omega0=0.0, omega1=0.0, e_x=0.0, e_x_sq=0.0,
             )
 
     def test_rejects_bad_omegas(self):
         with pytest.raises(ValueError):
             RateBreakdown(
-                p_emp=0.0, p_sq=1.0, p_mq=0.0, p_dk=0.0,
+                p_sq=1.0, p_mq=0.0, p_dk=0.0,
                 omega0=0.7, omega1=0.7, e_x=0.0, e_x_sq=0.0,
             )
 
     @pytest.mark.parametrize(
-        "field", ["p_emp", "p_sq", "p_mq", "p_dk", "omega0", "omega1", "e_x", "e_x_sq"]
+        "field", ["p_sq", "p_mq", "p_dk", "omega0", "omega1", "e_x", "e_x_sq"]
     )
     @pytest.mark.parametrize("array", [False, True], ids=["float", "array"])
     def test_rejects_nan(self, field, array):
         # NaN compares false, so a check written as "value < bound" let it by
         # and the rates came out NaN
         good = dict(
-            p_emp=0.0, p_sq=0.5, p_mq=0.0, p_dk=1e-6,
+            p_sq=0.5, p_mq=0.0, p_dk=1e-6,
             omega0=0.0, omega1=1.0, e_x=0.02, e_x_sq=0.01,
         )  # fmt: skip
         value = np.array([good[field], math.nan]) if array else math.nan

@@ -132,7 +132,7 @@ class TestSinglePhotonBreakdown:
         if as_array:
             length = np.array([length, 0.0, 400.0])
         b = breakdown(make_scenario(spec, length=length, c=c))
-        assert np.all(abs(b.p_emp + b.p_sq + b.p_mq + b.p_dk - b.p_c) <= 1e-15)
+        assert np.all(abs(b.p_sq + b.p_mq + b.p_dk - b.p_c) <= 1e-15)
         assert np.all(b.p_mq == 0.0)
         assert np.all(b.omega0 == 0.0)
         assert np.all(b.omega1 == 1.0)
@@ -190,7 +190,7 @@ class TestPoissonBreakdown:
             b = breakdown(scn)
             assert 0.0 <= b.omega0 and 0.0 <= b.omega1
             assert b.omega0 + b.omega1 <= 1.0 + 1e-12
-            assert b.p_emp + b.p_sq + b.p_mq + b.p_dk == pytest.approx(
+            assert b.p_sq + b.p_mq + b.p_dk == pytest.approx(
                 b.p_c, abs=1e-15
             )
 

@@ -335,6 +335,12 @@ class TestAnalyticsAgreement:
         assert float(rows["p_sq"][1]) == 1.0
         assert float(rows["p_sq"][2]) == 0.0
 
+    def test_compared_fields(self):
+        scn = make_scenario()
+        stats = run_simulation(scn, EveKind.NONE, 1_000, seed=1)
+        names = tuple(row.name for row in compare_to_analytic(stats, scn))
+        assert names == ("p_sq", "p_mq", "p_dk", "e_x")
+
     def test_analytic_rate_one_mismatch_is_inf(self):
         stats = run_simulation(make_scenario(length=10.0), EveKind.NONE, 20_000, seed=5)
         zs = {row.name: row.z for row in compare_to_analytic(stats, make_scenario(length=0.0))}

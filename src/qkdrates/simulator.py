@@ -25,15 +25,16 @@ of events rather than pulses, and nothing is drawn from the analytic
 breakdown it checks.
 
 A trial whose rarer outcome has probability below ``_GAP_MAX_P`` counts
-only those outcomes, from the Geometric gaps between them.  Any other gives
-each event an 8-bit uniform number, bit-sliced: bit ``j`` of every event's
-number lies in one 64-bit random word per 64 events, so one AND or OR of
-two words compares 64 events' numbers with a threshold at once, and a
-threshold's trailing zero bits need no word (a fair trial takes one bit per
-event).  The part of the probability that 8 bits cannot express goes to a
-second, rare trial of the events that failed, counted by gaps.  No per-event
-mask or record is stored: the random words of one trial are the largest
-array a batch holds.
+only those outcomes, from the Geometric gaps between them.  Any other
+compares each event's uniform bits, most significant first, with the binary
+digits of the probability, and stops at the first bit that differs (Knuth
+and Yao, 1976): each stage gives every still-undecided event one fresh bit,
+64 events to a random word, and a popcount of the stage's words settles
+about half of them, so a trial takes two random bits per event on average
+and succeeds with probability exactly its own.  The few events left
+undecided after the stages are counted by gaps.  No per-event mask or
+record is stored: the random words of one stage are the largest array a
+batch holds.
 
 Pulses are processed in fixed-size batches, each driven by its own PCG64
 stream spawned from ``(seed, batch_index)`` by a ``SeedSequence``, so
@@ -72,13 +73,18 @@ __all__ = [
 # Pulses per batch.  Fixed, as the tallies of a run depend on it.
 _BATCH_SIZE = 1_000_000
 # Below this probability of the rarer outcome a trial is counted from
-# Geometric gaps alone.  Measured from 1e2 to 1e6 trials (Python 3.11,
-# numpy 2.4.6, 2 cores), gaps and slices cost the same near 0.02 at 1e6
-# trials and near 0.025 at 1e5; below 3e4 trials gaps cost at most 0.8
-# times as much up to 0.04, as slicing has a fixed cost of some 20 us.  It
-# sits at the 1e5 break-even, below which gaps cost at most 1.3 times as
-# much at 1e6 trials.
+# Geometric gaps alone.  Measured against the staged route from 1e3 to 1e6
+# trials (Python 3.11, numpy 2.4.6, 2 cores, medians of 150 interleaved
+# calls), the two cost the same near 0.01 at 1e6 trials, near 0.025 at 1e5
+# (79 vs 77 us) and near 0.035 at 5e4; at 1e4 trials gaps still cost half
+# as much at 0.05.  It sits at the 1e5 break-even, below which gaps cost at
+# most 3 times as much at 1e6 trials (684 vs 219 us at 0.025).
 _GAP_MAX_P = 0.025
+# At most this many undecided events are counted by gaps, not by stages:
+# each stage costs some 4 us however few events it decides.  Summed over
+# the 12 scenarios of 1e7 pulses at 0 and 50 km (20 interleaved runs),
+# 512 and 1024 cost the same and 2048 cost 2% and 4096 10% more.
+_TAIL = 512
 
 
 # Like every record of the package, the ones here are named tuples; the rule
@@ -122,44 +128,45 @@ def _successes(rng: "np.random.Generator", m: int, p: float) -> int:
     """Number of successes of ``m`` independent Bernoulli(``p``) trials, one
     per event.
 
-    On the rarer side ``r = min(p, 1 - p)``, with ``k = floor(256 r)``, or
-    ``k = 0`` below ``_GAP_MAX_P``, an event succeeds when its uniform 8-bit
-    number ``u`` is below ``k``, and otherwise through an independent trial
-    of probability ``q = (256 r - k) / (256 - k)``, below 1/128 as ``k <=
-    128``, counted over the events that failed (:func:`_gap_count`).  So it
-    succeeds with probability ``k/256 + (1 - k/256) q = r``, exact to the
-    rounding of ``q``; the count is taken from ``m`` when ``p > 0.5``.  With
-    ``k = 0`` no number is drawn and ``q = r`` exactly, so only the rare
-    outcomes are counted.  ``p`` of 0 or 1, or ``m = 0``, draws nothing.
+    On the rarer side ``r = min(p, 1 - p)``, each event compares uniform
+    bits, most significant first, with the binary digits of ``r``: stage
+    ``i`` gives every still-undecided event one fresh bit, and where digit
+    ``i`` of ``r`` is 1 a 0 bit succeeds, where it is 0 a 1 bit fails, and
+    any other bit leaves the event undecided.  ``frac``, the digits of ``r``
+    not yet read, is doubled and reduced exactly in binary64, so an event
+    succeeds with probability exactly ``r``, and a fair trial takes one bit
+    per event; on average a trial takes two.  Once ``frac`` is 0 every
+    undecided event fails; once ``_TAIL`` or fewer are undecided they are
+    counted by :func:`_gap_count` at ``frac``, or when ``frac > 1/2`` from
+    the other side, at ``1 - frac``.  Below ``_GAP_MAX_P`` no stage is drawn
+    and the gaps count the rare outcomes of all ``m`` events.  The count is
+    taken from ``m`` when ``p > 0.5``.  ``p`` of 0 or 1, or ``m = 0``, draws
+    nothing.
 
-    The numbers are bit-sliced: event ``j`` is bit ``j % 64`` of word ``j //
-    64`` in each of the generator's raw word rows, the first row holding bit
-    ``t`` of every ``u``, where ``t`` is the lowest set bit of ``k``, and the
-    following rows the bits above it.  The bits below ``t`` cannot change
-    whether ``u < k``, so they are not drawn.
+    Each stage draws one raw word per 64 undecided events: the undecided
+    events, in their original order, take bit ``i % 64`` of word ``i //
+    64``, and the padding bits past the last of them are masked off.
     """
     rare = min(p, 1.0 - p)
     if rare == 0.0 or m == 0:
         return m if p > 0.5 else 0
-    scaled = 256.0 * rare  # exact: a power-of-two scale
-    k = 0 if rare < _GAP_MAX_P else int(scaled)
-    failed = m  # with k = 0 no number is below k, and q = rare
-    if k:
-        low = (k & -k).bit_length() - 1
-        rows = rng.bit_generator.random_raw((8 - low, -(-m // 64)))
-        # whether u >= k, from the lowest row up: where k has a 1, u needs a
-        # 1 there and u >= k on the bits below (AND); where k has a 0,
-        # either suffices (OR)
-        at_least = rows[0]
-        for bit, row in enumerate(rows[1:], low + 1):
-            if k >> bit & 1:
-                np.bitwise_and(at_least, row, out=at_least)
-            else:
-                np.bitwise_or(at_least, row, out=at_least)
-        if m % 64:
-            at_least[-1] &= (1 << m % 64) - 1  # the bits past the last event
-        failed = int(np.bitwise_count(at_least).sum())
-    hits = m - failed + _gap_count(rng, failed, (scaled - k) / (256 - k))
+    hits, left, frac = 0, m, rare
+    while left > _TAIL and frac and rare >= _GAP_MAX_P:
+        frac *= 2.0  # exact, like frac -= 1.0 below: frac < 1 before it
+        row = rng.bit_generator.random_raw(-(-left // 64))
+        if left % 64:
+            row[-1] &= (1 << left % 64) - 1  # the bits past the last event
+        ones = int(np.add.reduce(np.bitwise_count(row)))
+        if frac >= 1.0:  # the digit is 1: the zeros succeed
+            hits += left - ones
+            left = ones
+            frac -= 1.0
+        else:  # the digit is 0: the ones fail
+            left -= ones
+    if frac > 0.5:
+        hits += left - _gap_count(rng, left, 1.0 - frac)
+    else:
+        hits += _gap_count(rng, left, frac)
     return m - hits if p > 0.5 else hits
 
 

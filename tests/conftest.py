@@ -114,31 +114,6 @@ def reference_max_distance(scn, rate_fn="improved", cap_km=1e4, tol_km=0.01):
     return lo
 
 
-def byte_rule(p):
-    """``k`` and ``q`` of the sliced route on the rarer side ``r``: an event
-    whose 8-bit number is below ``k = floor(256 r)`` succeeds, any other
-    through a trial of probability ``q = (256 r - k) / (256 - k)``."""
-    r = min(p, 1 - p)
-    k = math.floor(256 * r)
-    return k, (256 * r - k) / (256 - k)
-
-
-def sliced_numbers(rng, m, k):
-    """Each of ``m`` events' 8-bit number as the sliced route draws it for a
-    threshold ``k``, with the bits below ``k``'s lowest set bit, which are
-    not drawn, read as 0.
-
-    Bit ``low + i`` of event ``j``'s number is bit ``j % 64`` of word ``j //
-    64`` of the ``i``-th row of raw words; the rows are unpacked bit by bit.
-    """
-    low = (k & -k).bit_length() - 1
-    words = -(-m // 64)
-    raw = rng.bit_generator.random_raw((8 - low) * words).astype("<u8")
-    bits = np.unpackbits(raw.view(np.uint8), bitorder="little")
-    bits = bits.reshape(8 - low, 64 * words)[:, :m].astype(np.int64)
-    return (bits << np.arange(low, 8)[:, None]).sum(axis=0)
-
-
 def gap_positions(rng, n, q):
     """The trials among ``n`` at which Bernoulli(``q``) trials succeed, as
     the gap route places them: cumulative sums of Geometric gaps, drawn in
@@ -155,22 +130,42 @@ def gap_positions(rng, n, q):
     return np.concatenate(found)
 
 
+def stage_bits(rng, n):
+    """One stage's bit for each of ``n`` undecided events: bit ``i % 64`` of
+    word ``i // 64`` of ``ceil(n / 64)`` raw words, unpacked bit by bit."""
+    raw = rng.bit_generator.random_raw(-(-n // 64)).astype("<u8")
+    return np.unpackbits(raw.view(np.uint8), bitorder="little")[:n].astype(bool)
+
+
 def reference_trials(rng, m, p):
     """Outcomes of ``m`` Bernoulli(``p``) trials, one per event, re-derived
-    from the stream ``simulator._successes`` counts: the rare outcomes of
-    a rarer side below ``simulator._GAP_MAX_P`` placed by gaps, else each
-    event's sliced number against ``k``, then the second trial's gaps mapped
-    onto the events that failed, in order."""
+    from the stream ``simulator._successes`` counts.
+
+    On the rarer side ``r``, at or above ``simulator._GAP_MAX_P``, each stage
+    doubles ``frac`` (at first ``r``) and gives the undecided events, in
+    their original order, one bit each (:func:`stage_bits`): at ``frac >=
+    1`` the zeros succeed and ``frac`` loses 1, else the ones fail.  Once
+    ``frac`` is 0, or ``simulator._TAIL`` or fewer events are undecided, the
+    gaps at ``frac`` mark the undecided events that succeed, or at ``1 -
+    frac`` those that fail when ``frac > 1/2``.  Below ``_GAP_MAX_P`` the
+    gaps at ``r`` mark the rare outcomes of all ``m`` events."""
     r = min(p, 1 - p)
     rare = np.zeros(m, bool)
-    if r > 0 and m > 0:
-        if r < simulator._GAP_MAX_P:
-            rare[gap_positions(rng, m, r)] = True
+    undecided, frac = np.arange(m), r
+    staged = r >= simulator._GAP_MAX_P
+    while staged and undecided.size > simulator._TAIL and frac:
+        frac *= 2
+        bits = stage_bits(rng, undecided.size)
+        if frac >= 1:
+            rare[undecided[~bits]] = True
+            undecided, frac = undecided[bits], frac - 1
         else:
-            k, q = byte_rule(p)
-            rare = sliced_numbers(rng, m, k) < k
-            failed = np.flatnonzero(~rare)
-            rare[failed[gap_positions(rng, failed.size, q)]] = True
+            undecided = undecided[~bits]
+    if frac > 0.5:
+        rare[undecided] = True
+        rare[undecided[gap_positions(rng, undecided.size, 1 - frac)]] = False
+    else:
+        rare[undecided[gap_positions(rng, undecided.size, frac)]] = True
     return ~rare if p > 0.5 else rare
 
 

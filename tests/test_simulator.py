@@ -13,13 +13,14 @@ from conftest import (
     DISCARDED,
     MULTI_QUBIT,
     SINGLE_QUBIT,
-    byte_rule,
     full_key_tally,
     gap_positions,
     reference_trials,
     sample_events,
-    sliced_numbers,
+    stage_bits,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkdrates import simulator
 from qkdrates.cli import main
@@ -221,11 +222,10 @@ class TestWorkspace:
 
     def test_warm_batch_allocation_bounded(self):
         # a 1e6-pulse PBC00 batch at 0 km, where every single-photon pulse
-        # arrives, holds at most one trial's random words at a time: 8 rows
-        # of 15 625 words are 1.0 MB.  tracemalloc's peak is 0.83 MB
-        # single-photon (sifting's 6 rows) and 0.35 MB Poissonian (numpy
-        # 2.4.6), against 1.07 and 0.42 MB with warmed per-event masks and
-        # 28.0 and 12.5 MB when every batch stored its events
+        # arrives, holds at most one stage's random words at a time: 15 625
+        # words are 125 KB.  tracemalloc's peak is 0.21 MB single-photon and
+        # 0.11 MB Poissonian (numpy 2.4.6); one stored per-event mask would
+        # add 1 MB
         eve, n = EveKind.NONE, 1_000_000
         for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5)):
             scn = make_scenario(PBC00, source=source, length=0.0)
@@ -239,7 +239,7 @@ class TestWorkspace:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 1_100_000, source
+            assert peak <= 300_000, source
 
 
 class TestPulseInvariants:
@@ -520,9 +520,44 @@ class TestClassDraws:
         assert_matches_pmf(dark + 1, dark_pmf)
 
 
+class _RawSpy:
+    """A generator stand-in that records the size of each raw-word draw.  It
+    has no ``geometric``, so a gap count on it raises."""
+
+    def __init__(self, rng):
+        self.rng, self.sizes, self.bit_generator = rng, [], self
+
+    def random_raw(self, size):
+        self.sizes.append(size)
+        return self.rng.bit_generator.random_raw(size)
+
+
+# m and p of the property test: the word and tail boundaries, and dyadic
+# values, values near 1/2 and 1, and values either side of _GAP_MAX_P
+_TAIL, _GAP = simulator._TAIL, simulator._GAP_MAX_P
+TRIAL_SIZES = st.sampled_from([1, 63, 64, 65, _TAIL - 1, _TAIL, _TAIL + 1])
+TRIAL_PROBABILITIES = st.one_of(
+    st.sampled_from(
+        [
+            0.5 - 2**-40,
+            0.5 + 2**-40,
+            1 - 2**-53,
+            _GAP,
+            math.nextafter(_GAP, 0),
+            1 - _GAP,
+            math.nextafter(1 - _GAP, 1),
+        ]
+    ),
+    st.integers(0, 2**12).map(lambda j: j / 2**12),
+    st.floats(0.0, 1.0),
+)
+
+
 class TestBernoulli:
-    """``_successes`` on both routes: bit-sliced 8-bit numbers, and
-    Geometric gaps between the rarer outcomes."""
+    """``_successes`` on both routes: stages that compare each event's
+    uniform bits with the binary digits of the probability, then Geometric
+    gaps for the few events left undecided; and, below ``_GAP_MAX_P``,
+    Geometric gaps between the rarer outcomes alone."""
 
     N = 1_000_000
     P_VALUES = [1e-4, 0.05, 0.3, 0.5, 0.95]
@@ -592,32 +627,47 @@ class TestBernoulli:
 
     @pytest.mark.parametrize("p", P_VALUES + [0.2, 0.75])
     def test_route(self, p):
-        # a common outcome counts the sliced numbers below k, for an odd k
-        # (0.2: 51), an even one (0.3: 76) or 128 (0.5), then the gap-placed
-        # trials of what 8 bits leave over; a rare one only the gaps
+        # a rare outcome is placed by gaps alone; a common one by stages,
+        # each a row of one word per 64 undecided events, then gaps at the
+        # digits left over
         rng = np.random.default_rng(61)
-        k, q = byte_rule(p)
-        if min(p, 1 - p) >= simulator._GAP_MAX_P:
-            failed = np.count_nonzero(sliced_numbers(rng, self.N, k) >= k)
-            rare = self.N - failed + gap_positions(rng, failed, q).size
+        r = min(p, 1 - p)
+        if r < simulator._GAP_MAX_P:
+            rare = gap_positions(rng, self.N, r).size
+            want = self.N - rare if p > 0.5 else rare
         else:
-            rare = gap_positions(rng, self.N, min(p, 1 - p)).size
+            want = np.count_nonzero(reference_trials(rng, self.N, p))
         drawn = np.random.default_rng(61)
-        count = simulator._successes(drawn, self.N, p)
-        assert count == (self.N - rare if p > 0.5 else rare)
+        assert simulator._successes(drawn, self.N, p) == want
         assert drawn.bit_generator.state == rng.bit_generator.state
 
     @pytest.mark.parametrize(
         ("p", "rows"), [(0.5, 1), (0.25, 2), (0.375, 3), (51 / 256, 8)]
     )
     def test_rows_drawn(self, p, rows):
-        # 256 p is whole, so there is no second trial, and k's trailing
-        # zero bits take no row: k = 128, 64, 96 and 51
-        words = -(-self.N // 64)
-        drawn, raw = np.random.default_rng(83), np.random.default_rng(83)
-        simulator._successes(drawn, self.N, p)
-        raw.bit_generator.random_raw(rows * words)
-        assert drawn.bit_generator.state == raw.bit_generator.state
+        # p = j / 2**rows: its digits end by stage ``rows``, where every
+        # undecided event fails, so no gap is drawn (the spy has none) and a
+        # fair trial takes one row of one bit per event
+        spy = _RawSpy(np.random.default_rng(83))
+        simulator._successes(spy, self.N, p)
+        assert 1 <= len(spy.sizes) <= rows
+        assert spy.sizes[0] == -(-self.N // 64)
+        replay = np.random.default_rng(83)
+        replay.bit_generator.random_raw(sum(spy.sizes))
+        assert spy.rng.bit_generator.state == replay.bit_generator.state
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.one_of(TRIAL_SIZES, st.integers(0, 20_000)),
+        p=TRIAL_PROBABILITIES,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(m=_TAIL + 1, p=0.5, seed=0)
+    def test_equals_reference(self, m, p, seed):
+        reference, drawn = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = np.count_nonzero(reference_trials(reference, m, p))
+        assert simulator._successes(drawn, m, p) == want
+        assert drawn.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("m", [1, 13, 63, 64, 65, 127, 1000, 99_999])
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.7])
@@ -630,30 +680,31 @@ class TestBernoulli:
             assert simulator._successes(drawn, m, p) == want
 
     @pytest.mark.parametrize("p", [0.5, 1 / 256, 255.5 / 256])
-    def test_byte_ties(self, p, monkeypatch):
-        # on the rarer side, with k and q of byte_rule, a number below k
-        # succeeds and any other succeeds with probability q: never when
-        # 256 p is whole, so no tie is settled apart.  With the gap route
-        # starting at 1/256, k = 1 is sliced; at k = 0 every event takes
-        # the second trial
+    def test_digit_ties(self, p, monkeypatch):
+        # on the rarer side r, the first stage settles an event whose bit
+        # differs from r's first binary digit: a 0 under a 1 succeeds, a 1
+        # under a 0 fails.  A tie goes on, and succeeds with probability 2 r
+        # less the digit: never at 1/2.  With the gap route starting at
+        # 1/256, r = 1/256 is staged and 1/512 counted by gaps alone
         monkeypatch.setattr(simulator, "_GAP_MAX_P", 1 / 256)
-        k, q = byte_rule(p)
         outcomes = reference_trials(np.random.default_rng(71), self.N, p)
         count = simulator._successes(np.random.default_rng(71), self.N, p)
         assert count == np.count_nonzero(outcomes)
         rare = ~outcomes if p > 0.5 else outcomes
-        if k:
-            numbers = sliced_numbers(np.random.default_rng(71), self.N, k)
-            assert rare[numbers < k].all()
-            rare = rare[numbers >= k]
+        q = min(p, 1 - p)
+        if q >= simulator._GAP_MAX_P:
+            digit = int(2 * q >= 1)
+            settled = stage_bits(np.random.default_rng(71), self.N) != digit
+            assert (rare[settled] == bool(digit)).all()
+            rare, q = rare[~settled], 2 * q - digit
         trials, hits = rare.size, np.count_nonzero(rare)
         assert abs(hits - trials * q) <= 5 * math.sqrt(trials * q * (1 - q))
 
     @pytest.mark.parametrize("p", [0.5 - 0.3 / 256, 255.5 / 256, 1 - 40.5 / 256])
     def test_count_off_the_byte_grid(self, p):
-        # 256 p not whole: the second trial carries the fraction (or, at
-        # 255.5/256, the gap route the whole rare side), at 8e6 trials
-        # enough to see a remainder lost or mis-scaled
+        # 256 p not whole: the digits past the eighth reach the stages and
+        # the tail's gaps (at 255.5/256 the gap route takes the whole rare
+        # side), at 8e6 trials enough to see a digit lost or mis-scaled
         n = 8_000_000
         count = simulator._successes(np.random.default_rng(73), n, p)
         se = math.sqrt(n * p * (1 - p))

@@ -288,7 +288,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, tally_out: str | None) ->
     )
     if tally_out is not None:
         _emit(tally_csv(stats), tally_out)
-    comparisons = compare_to_analytic(stats, scn)
+    comparisons = compare_to_analytic(stats, scn, cfg.eve)
     lines = [
         f"pulses {cfg.n_pulses}  seed {cfg.seed}  protocol {scn.protocol.name}",
         f"{'field':8} {'empirical':>14} {'analytic':>14} {'z':>10}",

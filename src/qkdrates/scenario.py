@@ -187,8 +187,9 @@ def transmittance(link: LinkModel):
     return exp(-link.attenuation_db_per_km * _DB_TO_NEPER * link.length_km)
 
 
-def breakdown(scn: Scenario) -> RateBreakdown:
-    """Conclusive-rate decomposition for the scenario's source.
+def breakdown(scn: Scenario, eve: EveKind = EveKind.NONE) -> RateBreakdown:
+    """Conclusive-rate decomposition for the scenario's source, with the
+    eavesdropper ``eve`` on the channel.
 
     With emission probabilities ``P_k`` (``P_1 = 1`` for a single-photon
     source, ``P_k = exp(-mu) mu^k / k!`` for a Poissonian one):
@@ -206,6 +207,13 @@ def breakdown(scn: Scenario) -> RateBreakdown:
     exactly.  Multi-photon qubit results carry the same intrinsic error rate
     as single-photon ones; the rate formulas still grant the eavesdropper
     full information on them.
+
+    An eavesdropper flips every arriving qubit with probability ``q =
+    eve.flip_probability(basis_count)``, independently of the intrinsic
+    error channel, so the qubit error rate is ``e_q = e_x_sq + q * (1 - 2 *
+    e_x_sq)``, in ``e_x`` and in the ``e_x_sq`` field; with no eavesdropper
+    it is ``e_x_sq`` exactly.  The rates and the sifting factor
+    ``conclusive_factor(e_x_sq)`` do not change.
     """
     eta = transmittance(scn.link)
     c = scn.detector.dark_count_prob
@@ -232,8 +240,10 @@ def breakdown(scn: Scenario) -> RateBreakdown:
 
     omega1 = (p_sq + m * c * p1 * (1.0 - eta)) / p_c
     omega0 = m * c * p0 / p_c
-    e_x = ((p_sq + p_mq) * scn.e_x_sq + p_dk * 0.5) / p_c
-    return RateBreakdown(p_sq, p_mq, p_dk, omega0, omega1, e_x, scn.e_x_sq)
+    q = eve.flip_probability(scn.protocol.basis_count)
+    e_q = scn.e_x_sq + q * (1.0 - 2.0 * scn.e_x_sq)
+    e_x = ((p_sq + p_mq) * e_q + p_dk * 0.5) / p_c
+    return RateBreakdown(p_sq, p_mq, p_dk, omega0, omega1, e_x, e_q)
 
 
 def decoy_invert(

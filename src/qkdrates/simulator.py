@@ -33,10 +33,12 @@ and Yao, 1976): each stage gives every still-undecided event one fresh bit,
 about half of them, so a trial takes two random bits per event on average
 and succeeds with probability exactly its own.  The few events left
 undecided after the stages are counted by gaps.  No per-event mask or
-record is stored: the random words of one stage are the largest array a
-batch holds.
+record is stored, and a stage's words and a count's gaps are drawn in
+pieces of a fixed size, so the memory a batch holds does not grow with its
+number of events: at most 128 KB of words or 256 KB of gaps at a time.
 
-Pulses are processed in fixed-size batches, each driven by its own PCG64
+Pulses are processed in fixed-size batches of 2**24, so a run of up to
+16 777 216 pulses is one batch.  Each batch is driven by its own PCG64
 stream spawned from ``(seed, batch_index)`` by a ``SeedSequence``, so
 results are bit-identical whether batches run serially or in parallel.
 """
@@ -70,8 +72,21 @@ __all__ = [
     "tally_csv",
 ]
 
-# Pulses per batch.  Fixed, as the tallies of a run depend on it.
-_BATCH_SIZE = 1_000_000
+# Pulses per batch.  Fixed, as the tallies of a run depend on it.  Each
+# batch pays a fixed cost, a new stream and some 16 trials of 4-7 us each,
+# however few events it holds.  Over the benchmark's 12 scenarios at 1e7
+# pulses (Python 3.11, numpy 2.4.6, 2 cores, medians of 15 interleaved
+# runs), the six at 50 km took 13.9 ms in batches of 1e6 pulses, 6.1 ms in
+# batches of 2**22 and 3.6 ms in one of 2**24; the six at 0 km 22.4, 14.2
+# and 11.7 ms.  2**24 is the least power of two that holds 1e7 pulses.
+_BATCH_SIZE = 1 << 24
+# Raw words per draw of a stage, and Geometric gaps per chunk of a gap
+# count: the largest arrays a batch holds, whatever its size.  2**14 words
+# (128 KB) are one stage of 1 048 576 events; 2**15 gaps (256 KB) are more
+# than a chunk of 1e6 trials ever needs below _GAP_MAX_P (25 792), so runs
+# of up to 1e6 pulses draw what they drew before the caps.
+_STAGE_WORDS = 2**14
+_GAP_CHUNK = 2**15
 # Below this probability of the rarer outcome a trial is counted from
 # Geometric gaps alone.  Measured against the staged route from 1e3 to 1e6
 # trials (Python 3.11, numpy 2.4.6, 2 cores, medians of 150 interleaved
@@ -143,9 +158,10 @@ def _successes(rng: "np.random.Generator", m: int, p: float) -> int:
     taken from ``m`` when ``p > 0.5``.  ``p`` of 0 or 1, or ``m = 0``, draws
     nothing.
 
-    Each stage draws one raw word per 64 undecided events: the undecided
-    events, in their original order, take bit ``i % 64`` of word ``i //
-    64``, and the padding bits past the last of them are masked off.
+    Each stage draws one raw word per 64 undecided events
+    (:func:`_stage_ones`): the undecided events, in their original order,
+    take bit ``i % 64`` of word ``i // 64``, and the padding bits past the
+    last of them are masked off.
     """
     rare = min(p, 1.0 - p)
     if rare == 0.0 or m == 0:
@@ -153,10 +169,7 @@ def _successes(rng: "np.random.Generator", m: int, p: float) -> int:
     hits, left, frac = 0, m, rare
     while left > _TAIL and frac and rare >= _GAP_MAX_P:
         frac *= 2.0  # exact, like frac -= 1.0 below: frac < 1 before it
-        row = rng.bit_generator.random_raw(-(-left // 64))
-        if left % 64:
-            row[-1] &= (1 << left % 64) - 1  # the bits past the last event
-        ones = int(np.add.reduce(np.bitwise_count(row)))
+        ones = _stage_ones(rng.bit_generator, left)
         if frac >= 1.0:  # the digit is 1: the zeros succeed
             hits += left - ones
             left = ones
@@ -170,17 +183,35 @@ def _successes(rng: "np.random.Generator", m: int, p: float) -> int:
     return m - hits if p > 0.5 else hits
 
 
+def _stage_ones(bits: "np.random.BitGenerator", n: int) -> int:
+    """Number of 1 bits of one stage's ``n`` fresh bits: bit ``i % 64`` of
+    raw word ``i // 64`` for event ``i``.  The words are drawn in pieces of
+    at most ``_STAGE_WORDS``, in order, so they are the words one draw would
+    give; only the last piece holds padding bits past the last event, and
+    they are masked off."""
+    ones, words = 0, -(-n // 64)
+    while words > _STAGE_WORDS:
+        ones += int(np.add.reduce(np.bitwise_count(bits.random_raw(_STAGE_WORDS))))
+        words -= _STAGE_WORDS
+    row = bits.random_raw(words)
+    if n % 64:
+        row[-1] &= (1 << n % 64) - 1
+    return ones + int(np.add.reduce(np.bitwise_count(row)))
+
+
 def _gap_count(rng: "np.random.Generator", n: int, q: float) -> int:
     """Number of successes of ``n`` Bernoulli(``q``) trials; ``q`` of 0, or
     ``n = 0``, draws nothing.
 
     The gaps between successive successes of iid trials are iid Geometric,
     so the successes lie at cumulative sums of Geometric gaps, drawn in
-    chunks until they pass the last trial.
+    chunks until they pass the last trial: each chunk holds the expected
+    number of successes and five standard deviations more, or
+    ``_GAP_CHUNK`` gaps if that is fewer.
     """
     hits = 0
     if q > 0.0 and n > 0:
-        chunk = int(n * q + 5.0 * math.sqrt(n * q)) + 1
+        chunk = min(int(n * q + 5.0 * math.sqrt(n * q)) + 1, _GAP_CHUNK)
         last = -1  # the position before the first trial
         while last < n:
             # numpy's Geometric saturates at 2**63 - 1 for tiny q, so gaps
@@ -191,6 +222,7 @@ def _gap_count(rng: "np.random.Generator", n: int, q: float) -> int:
             past_last = np.add.accumulate(gaps, out=gaps)
             hits += int(past_last.searchsorted(n - last))
             last += int(past_last[-1])
+            del gaps, past_last  # one chunk at a time: freed before the next
     return hits
 
 
@@ -366,10 +398,11 @@ def run_simulation(
     """Simulate ``n_pulses`` pulses and return merged tallies.
 
     Deterministic for fixed ``(scn, eve, n_pulses, seed)``; ``workers`` only
-    parallelizes independent batches of a million pulses and never changes
-    the result; at most ``min(workers, os.cpu_count(), batches)`` threads
-    run.  ``n_pulses`` and ``workers`` must be integers of at least 1 and
-    ``seed`` one of at least 0, or a ValueError names the argument.
+    parallelizes independent batches of ``_BATCH_SIZE`` (2**24) pulses and
+    never changes the result; at most ``min(workers, os.cpu_count(),
+    batches)`` threads run.  ``n_pulses`` and ``workers`` must be integers
+    of at least 1 and ``seed`` one of at least 0, or a ValueError names the
+    argument.
     """
     n_pulses = _count_arg("n_pulses", n_pulses, 1)
     seed = _count_arg("seed", seed, 0)
@@ -418,17 +451,20 @@ def _z_score(empirical: float, analytic: float, trials: float) -> float:
     return deviation / math.sqrt(analytic * (1.0 - analytic))
 
 
-def compare_to_analytic(stats: EmpiricalStats, scn: Scenario) -> list[FieldComparison]:
+def compare_to_analytic(
+    stats: EmpiricalStats, scn: Scenario, eve: EveKind = EveKind.NONE
+) -> list[FieldComparison]:
     """Z-scores of the empirical rates by origin (``p_sq``, ``p_mq``,
-    ``p_dk``) and of the error rate ``e_x`` against the analytic breakdown,
-    using binomial standard errors at the analytic values (over all pulses
-    for a rate, over the expected conclusive count for the error rate).
+    ``p_dk``) and of the error rate ``e_x`` against the analytic breakdown
+    with the run's eavesdropper ``eve``, using binomial standard errors at
+    the analytic values (over all pulses for a rate, over the expected
+    conclusive count for the error rate).
 
     A field whose analytic value is exactly 0 or 1 has no binomial spread:
     it scores 0 when the empirical value equals it (after clamping the
     analytic value to [0, 1]) and ``inf`` otherwise.
     """
-    b = analytic_breakdown(scn)
+    b = analytic_breakdown(scn, eve)
     n = stats.n_pulses
     rows = (
         ("p_sq", stats.single_qubit / n, b.p_sq, n),

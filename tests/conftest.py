@@ -117,11 +117,12 @@ def reference_max_distance(scn, rate_fn="improved", cap_km=1e4, tol_km=0.01):
 def gap_positions(rng, n, q):
     """The trials among ``n`` at which Bernoulli(``q``) trials succeed, as
     the gap route places them: cumulative sums of Geometric gaps, drawn in
-    chunks of ``floor(n q + 5 sqrt(n q)) + 1`` until they pass trial ``n -
+    chunks of ``floor(n q + 5 sqrt(n q)) + 1``, or of
+    ``simulator._GAP_CHUNK`` if that is fewer, until they pass trial ``n -
     1``, each gap capped at ``n + 1``."""
     found = [np.zeros(0, np.int64)]
     if q > 0 and n > 0:
-        chunk = int(n * q + 5.0 * math.sqrt(n * q)) + 1
+        chunk = min(int(n * q + 5.0 * math.sqrt(n * q)) + 1, simulator._GAP_CHUNK)
         last = -1
         while last < n:
             positions = last + np.cumsum(np.minimum(rng.geometric(q, chunk), n + 1))

@@ -383,11 +383,14 @@ class TestSimulateCommand:
         assert code == 0
         assert "PASS" in out
 
-    def test_mismatch_exit_1(self, capsys):
-        # the analytic side models no eavesdropper
+    def test_intercept_resend_exit_0(self, capsys):
+        # the analytic side models the eavesdropper: with no dark counts,
+        # e_x is the bb84 qubit error 0.05 + 0.25 * (1 - 2 * 0.05)
         code, out, _ = run_cli(capsys, *self.ARGS, "--eve", "intercept-resend")
-        assert code == 1
-        assert "FAIL" in out
+        assert code == 0
+        assert "PASS" in out
+        rows = {line.split()[0]: line.split()[1:] for line in out.splitlines()}
+        assert float(rows["e_x"][1]) == 0.275
 
     def test_report_bytes_reproducible(self, tmp_path):
         path_a = tmp_path / "a.txt"

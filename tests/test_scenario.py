@@ -13,6 +13,7 @@ from qkdrates.protocols import BB84, PBC00, SIX_STATE, protocol_catalog
 from qkdrates.scenario import (
     DecoyInversionError,
     DetectorModel,
+    EveKind,
     NoConclusiveResultsError,
     LinkModel,
     Scenario,
@@ -193,6 +194,39 @@ class TestPoissonBreakdown:
             assert b.p_sq + b.p_mq + b.p_dk == pytest.approx(
                 b.p_c, abs=1e-15
             )
+
+
+class TestEavesdropperBreakdown:
+    """An intercept-resend eavesdropper flips each arriving qubit with
+    probability q, independently of the intrinsic flip: the qubit error is
+    e_x_sq + q (1 - 2 e_x_sq), and the rates do not move."""
+
+    @pytest.mark.parametrize(
+        ("spec", "q"), [(BB84, 0.25), (SIX_STATE, 1 / 3), (PBC00, 1 / 3)]
+    )
+    @pytest.mark.parametrize(
+        "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
+    )
+    def test_qubit_error(self, spec, q, source):
+        scn = make_scenario(spec, source=source, c=1e-4, e_x_sq=0.05)
+        honest = breakdown(scn)
+        attacked = breakdown(scn, EveKind.INTERCEPT_RESEND)
+        e_q = 0.05 + q * 0.9
+        assert attacked.e_x_sq == pytest.approx(e_q, rel=1e-15)
+        want = ((honest.p_sq + honest.p_mq) * e_q + honest.p_dk / 2) / honest.p_c
+        assert attacked.e_x == pytest.approx(want, rel=1e-15)
+        assert attacked._replace(e_x=0.0, e_x_sq=0.0) == honest._replace(
+            e_x=0.0, e_x_sq=0.0
+        )
+
+    def test_no_eavesdropper_is_the_default(self):
+        # e_q = e_x_sq exactly, for floats and arrays
+        scn = make_scenario(source=SourceModel.poissonian(0.5), e_x_sq=0.013)
+        assert breakdown(scn, EveKind.NONE) == breakdown(scn)
+        assert breakdown(scn).e_x_sq == 0.013
+        points = scn.at_length(np.linspace(0.0, 200.0, 5))
+        for got, want in zip(breakdown(points, EveKind.NONE), breakdown(points)):
+            assert np.array_equal(got, want)
 
 
 class TestDecoyInvert:

@@ -65,6 +65,13 @@ def reference_events(scn, eve, size, seed):
     return sample_events(scn, eve, size, np.random.default_rng(seed))
 
 
+@pytest.fixture
+def small_batches(monkeypatch):
+    """Batches of 100 000 pulses, so that a run of a few hundred thousand
+    pulses spans several batches."""
+    monkeypatch.setattr(simulator, "_BATCH_SIZE", 100_000)
+
+
 class TestDeterminism:
     def test_identical_runs(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5))
@@ -78,15 +85,17 @@ class TestDeterminism:
         b = run_simulation(scn, EveKind.NONE, 200_000, seed=2)
         assert a != b
 
+    @pytest.mark.usefixtures("small_batches")
     def test_workers_bit_identical(self):
-        # three batches of a million pulses
+        # thirty batches of 100 000 pulses
         scn = make_scenario(source=SourceModel.poissonian(0.5))
         serial = run_simulation(scn, EveKind.NONE, 3_000_000, seed=9)
         threaded = run_simulation(scn, EveKind.NONE, 3_000_000, seed=9, workers=4)
         assert serial == threaded
 
+    @pytest.mark.usefixtures("small_batches")
     def test_partial_last_batch(self):
-        # 2_050_001 pulses in batches of a million: two full batches and 50_001
+        # 2_050_001 pulses in batches of 100 000: twenty full batches and 50_001
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
         eve = EveKind.NONE
         whole = run_simulation(scn, eve, 2_050_001, seed=4)
@@ -120,7 +129,9 @@ class TestDeterminism:
         with pytest.raises(ValueError, match=f"^{name} must be {reason}"):
             run_simulation(make_scenario(), EveKind.NONE, **{**args, name: value})
 
+    @pytest.mark.usefixtures("small_batches")
     def test_accepts_numpy_integers(self):
+        # twenty batches of 100 000 pulses
         scn = make_scenario()
         want = run_simulation(scn, EveKind.NONE, 2_000_000, seed=3)
         got = run_simulation(
@@ -129,6 +140,7 @@ class TestDeterminism:
         )  # fmt: skip
         assert got == want
 
+    @pytest.mark.usefixtures("small_batches")
     def test_thread_count_capped(self, monkeypatch):
         seen = []
 
@@ -206,6 +218,7 @@ class TestWorkspace:
     @pytest.mark.parametrize(
         "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
     )
+    @pytest.mark.usefixtures("small_batches")
     def test_reuse_changes_no_tally(self, source):
         # each batch counted on its own, one thread serially, and two threads
         scn, eve = make_scenario(source=source, length=0.0, c=1e-3), EveKind.NONE
@@ -240,6 +253,32 @@ class TestWorkspace:
             finally:
                 tracemalloc.stop()
             assert peak <= 300_000, source
+
+    @pytest.mark.parametrize("e_x_sq", [0.05, 0.02])
+    @pytest.mark.parametrize(
+        "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
+    )
+    def test_full_batch_allocation_bounded(self, source, e_x_sq):
+        # a full batch of 2**24 pulses stays within the bound of a 1e6-pulse
+        # one.  At 0 km every single-photon pulse arrives: one draw of its
+        # sifting stage would take 2 MB of words and, at e_x_sq = 0.02 (below
+        # _GAP_MAX_P), one chunk of its flips' gaps 1.3 MB.  tracemalloc's
+        # peak is 0.19-0.26 MB (numpy 2.4.6), and 0.4-2.4 MB with either cap
+        # removed
+        eve, n = EveKind.NONE, simulator._BATCH_SIZE
+        scn = make_scenario(PBC00, source=source, length=0.0, e_x_sq=e_x_sq)
+        draws = simulator._draws(scn, eve)
+        # a first batch pays for what numpy sets up on first use
+        simulator._count_batch(draws, 1_000, np.random.default_rng(1))
+        rng = np.random.default_rng(2)
+        tracemalloc.start()
+        try:
+            stats = simulator._count_batch(draws, n, rng)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.conclusive_count > n // 10
+        assert peak <= 300_000
 
 
 class TestPulseInvariants:
@@ -365,6 +404,20 @@ class TestAnalyticsAgreement:
 
 
 class TestInterceptResend:
+    @pytest.mark.parametrize("spec", [BB84, SIX_STATE, PBC00])
+    @pytest.mark.parametrize(
+        "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
+    )
+    def test_analytic_agreement(self, spec, source):
+        # the analytic breakdown with the run's eavesdropper scores every
+        # field within 3 sigma; the honest one misses the attack's errors
+        scn, eve = make_scenario(spec, source=source), EveKind.INTERCEPT_RESEND
+        stats = run_simulation(scn, eve, 2_000_000, seed=19)
+        for row in compare_to_analytic(stats, scn, eve):
+            assert abs(row.z) <= 3.0, row
+        honest = {row.name: row.z for row in compare_to_analytic(stats, scn)}
+        assert honest["e_x"] > 3.0
+
     def test_bb84_quarter(self):
         scn = make_scenario(length=0.0, c=0.0, e_x_sq=0.0)
         stats = run_simulation(scn, EveKind.INTERCEPT_RESEND, 1_200_000, seed=11)
@@ -669,6 +722,30 @@ class TestBernoulli:
         assert simulator._successes(drawn, m, p) == want
         assert drawn.bit_generator.state == reference.bit_generator.state
 
+    @pytest.mark.parametrize("m", [1_000, 20_000])
+    @pytest.mark.parametrize("p", [0.01, 0.3, 0.5 - 0.3 / 256, 0.7, 0.99])
+    def test_small_pieces_equal_reference(self, m, p, monkeypatch):
+        # 2 words to a piece and 16 gaps to a chunk: a stage of 20 000
+        # events is drawn in 157 pieces and a gap count in several chunks,
+        # while the reference draws each stage at once
+        monkeypatch.setattr(simulator, "_STAGE_WORDS", 2)
+        monkeypatch.setattr(simulator, "_GAP_CHUNK", 16)
+        reference, drawn = np.random.default_rng(m), np.random.default_rng(m)
+        for _ in range(5):
+            want = np.count_nonzero(reference_trials(reference, m, p))
+            assert simulator._successes(drawn, m, p) == want
+        assert drawn.bit_generator.state == reference.bit_generator.state
+
+    def test_stage_drawn_in_pieces(self, monkeypatch):
+        # a fair trial is one stage: 1000 events take 16 words, drawn in
+        # pieces of at most _STAGE_WORDS, with the padding in the last one
+        monkeypatch.setattr(simulator, "_STAGE_WORDS", 3)
+        spy = _RawSpy(np.random.default_rng(89))
+        count = simulator._successes(spy, 1000, 0.5)
+        assert spy.sizes == [3] * 5 + [1]
+        outcomes = reference_trials(np.random.default_rng(89), 1000, 0.5)
+        assert count == np.count_nonzero(outcomes)
+
     @pytest.mark.parametrize("m", [1, 13, 63, 64, 65, 127, 1000, 99_999])
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.7])
     def test_partial_last_word(self, m, p):
@@ -728,6 +805,22 @@ class TestCountingTally:
                     want = full_key_tally(n, reference_events(scn, eve, n, seed))
                     assert count_batch(scn, eve, n, seed) == want, (length, c, eve)
                     seed += 1
+
+    @pytest.mark.parametrize(
+        "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
+    )
+    def test_small_pieces_equal_full_key_tally(self, source, monkeypatch):
+        # every stage and gap count of the batch split into pieces of 2
+        # words and chunks of 16 gaps
+        monkeypatch.setattr(simulator, "_STAGE_WORDS", 2)
+        monkeypatch.setattr(simulator, "_GAP_CHUNK", 16)
+        n, seed = 20_000, 97
+        for length, c in ((0.0, 1e-5), (50.0, 0.3)):
+            for eve in (EveKind.NONE, EveKind.INTERCEPT_RESEND):
+                scn = make_scenario(PBC00, source=source, length=length, c=c)
+                want = full_key_tally(n, reference_events(scn, eve, n, seed))
+                assert count_batch(scn, eve, n, seed) == want, (length, c, eve)
+                seed += 1
 
 
 class TestHighDarkRate:

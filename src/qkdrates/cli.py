@@ -13,12 +13,18 @@ parser turns the text into the value the library uses (a protocol name into
 its :class:`~qkdrates.protocols.ProtocolSpec`, a choice into its enum
 member) and rejects anything else, naming the field and the reason.  Exit
 codes: 0 success, 1 check or inversion failure, 2 invalid input.
+
+Each subcommand's ``argparse`` parser is built once per process, on its
+first call, and every later call of that subcommand in the process only
+parses with it.
 """
 
 import argparse
+import functools
 import math
 import sys
 from collections import namedtuple
+from collections.abc import Sequence
 from typing import Callable, NamedTuple
 
 from .keyrate import (
@@ -245,7 +251,9 @@ def cmd_rate(cfg: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def cmd_threshold(cfg: RunConfig, values: list[float], out_path: str | None) -> int:
+def cmd_threshold(
+    cfg: RunConfig, values: Sequence[float], out_path: str | None
+) -> int:
     lines = ["protocol,e_x_sq,threshold"]
     for e_x_sq in values:
         threshold = threshold_bit_error(cfg.protocol, e_x_sq)
@@ -349,7 +357,7 @@ def _declare(parser: argparse.ArgumentParser, command: str) -> argparse.Argument
             )
     if command == "threshold":
         parser.add_argument(
-            "e_x_sq_values", nargs="*", type=float, default=[0.0, 0.01, 0.1],
+            "e_x_sq_values", nargs="*", type=float, default=(0.0, 0.01, 0.1),
             help="intrinsic bit error rates (default: 0 0.01 0.1)",
         )  # fmt: skip
     if command == "simulate":
@@ -357,6 +365,13 @@ def _declare(parser: argparse.ArgumentParser, command: str) -> argparse.Argument
             "--tally-out", help="also write raw per-category tallies as CSV"
         )
     return parser
+
+
+@functools.cache
+def _command_parser(command: str) -> argparse.ArgumentParser:
+    """The parser of subcommand ``command`` alone, built once per process;
+    ``main`` passes only names in ``_COMMANDS``, so at most five are kept."""
+    return _declare(argparse.ArgumentParser(prog=f"qkdrates {command}"), command)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -388,8 +403,7 @@ def main(argv: list[str] | None = None) -> int:
     # that only the full parser reports leftover arguments as unrecognized
     command = argv[0] if argv else None
     if command in _COMMANDS:
-        parser = _declare(argparse.ArgumentParser(prog=f"qkdrates {command}"), command)
-        args, rest = parser.parse_known_args(argv[1:])
+        args, rest = _command_parser(command).parse_known_args(argv[1:])
     if command not in _COMMANDS or rest:
         args = _build_parser().parse_args(argv)
         command = args.command

@@ -20,6 +20,7 @@ from qkdrates.cli import (
     ConfigError,
     RunConfig,
     _build_parser,
+    _command_parser,
     _flag,
     _resolve_config,
     config_scenario,
@@ -742,6 +743,7 @@ class TestParserPerCommand:
         ids=lambda argv: argv[0],
     )  # fmt: skip
     def test_valid_call_builds_one_parser(self, capsys, argv):
+        _command_parser.cache_clear()
         built, init = [], argparse.ArgumentParser.__init__
 
         def recording(parser, *args, **kwargs):
@@ -753,12 +755,68 @@ class TestParserPerCommand:
             mock.patch.object(argparse.ArgumentParser, "__init__", recording),
             mock.patch("qkdrates.cli._build_parser", side_effect=full),
         ):
-            assert run_cli(capsys, *argv)[0] == 0
-        [parser] = built
+            first = run_cli(capsys, *argv)
+            assert first[0] == 0
+            [parser] = built
+            assert run_cli(capsys, *argv) == first
+        assert built == [parser], "a second identical call built a parser"
         assert parser.prog == f"qkdrates {argv[0]}"
         subparsers = argparse._SubParsersAction
         assert not any(isinstance(a, subparsers) for a in parser._actions)
         assert option_strings(parser) == COMMAND_FLAGS[argv[0]]
+
+
+def outcome(argv):
+    """Exit code, stdout and stderr of ``main(argv)``, which may exit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestSharedParser:
+    """A subcommand's parser serves every call of it in a process, so no
+    call may leave state in it that a later call reads."""
+
+    THRESHOLD_DEFAULTS = (
+        "protocol,e_x_sq,threshold\n"
+        "bb84,0,0.5\nbb84,0.01,0.4429798178\nbb84,0.1,0.1356976692\n"
+    )
+
+    @pytest.mark.parametrize(
+        "calls", [[["threshold", "0.05"], ["threshold"]],
+                  [["threshold"], ["threshold", "0.05"], ["threshold"]]],
+        ids=["values-then-defaults", "defaults-values-defaults"],
+    )  # fmt: skip
+    def test_threshold_defaults_survive_given_values(self, calls):
+        _command_parser.cache_clear()
+        for argv in calls:
+            code, out, err = outcome(argv)
+            assert (code, err) == (0, "")
+            if argv == ["threshold"]:
+                assert out == self.THRESHOLD_DEFAULTS
+            else:
+                assert out.splitlines()[1:] == ["bb84,0.05,0.2864463475"]
+
+    def test_tally_out_is_not_carried_to_the_next_call(self, tmp_path):
+        tally = tmp_path / "tally.csv"
+        argv = ["simulate", "--n-pulses", "1000"]
+        assert outcome([*argv, "--tally-out", str(tally)])[0] == 0
+        tally.unlink()
+        assert outcome(argv)[0] == 0
+        assert not tally.exists()
+
+    def test_rejected_call_leaves_the_parser_as_built(self):
+        _command_parser.cache_clear()
+        code, out, err = outcome(["rate", "--protocol"])
+        assert (code, out) == (2, "")
+        assert "expected one argument" in err
+        after = outcome(["rate"])
+        _command_parser.cache_clear()
+        assert after == outcome(["rate"])
 
 
 class TestNoConclusiveResults:
@@ -858,3 +916,13 @@ def test_fuzzed_flags_exit_cleanly(argv):
             code = exc.code
             assert code == 2, argv
     assert code in (0, 1, 2), argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(cli_calls())
+def test_warm_parser_answers_like_a_cold_one(argv):
+    # the parsers left by earlier examples are warm; the cold call builds anew
+    with mock.patch("qkdrates.scenario.MAX_SWEEP_ROWS", 500):
+        warm = outcome(argv)
+        _command_parser.cache_clear()
+        assert outcome(argv) == warm

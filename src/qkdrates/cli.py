@@ -14,18 +14,18 @@ its :class:`~qkdrates.protocols.ProtocolSpec`, a choice into its enum
 member) and rejects anything else, naming the field and the reason.  Exit
 codes: 0 success, 1 check or inversion failure, 2 invalid input.
 
-Each subcommand's ``argparse`` parser is built once per process, on its
-first call, and every later call of that subcommand in the process only
-parses with it.
+A plain call, one that gives each flag by its exact name and no value with
+a leading ``-``, is read straight from the flag table
+(:func:`_scan`) and builds no parser.  Any other call, help included, is
+parsed by the full ``argparse`` parser, which gives every usage, help and
+error message; a call both accept gives the same values from either.
 """
 
-import argparse
-import functools
 import math
 import sys
 from collections import namedtuple
 from collections.abc import Sequence
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
 from .keyrate import (
     rate_alice,
@@ -48,6 +48,9 @@ from .scenario import (
     distance_sweep,
     transmittance,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["RunConfig", "ConfigError", "load_config", "main"]
 
@@ -166,7 +169,27 @@ def _parse(option: _Option, raw: str, where: str):
         ) from exc
 
 
-def _flag(option: _Option) -> str:
+class _Flag(NamedTuple):
+    """A flag that sets no RunConfig field: its dest, the subcommands that
+    take it and its help text."""
+
+    name: str
+    commands: tuple[str, ...]
+    help: str
+
+
+# Every subcommand flag, in the order a subcommand's usage lists its own;
+# both the scanner and the full parser read them from here.
+_FLAGS = (
+    _Flag("config", _ALL, "INI config file path"),
+    _Flag("out", _ALL, "write output to file instead of stdout"),
+    *_OPTIONS,
+    _Flag("tally_out", ("simulate",), "also write raw per-category tallies as CSV"),
+)
+_THRESHOLD_DEFAULTS = (0.0, 0.01, 0.1)
+
+
+def _flag(option: _Option | _Flag) -> str:
     return "--" + option.name.replace("_", "-")
 
 
@@ -174,7 +197,10 @@ def load_config(path: str) -> RunConfig:
     """Parse an INI config file into a RunConfig."""
     import configparser
 
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    # no interpolation, so a "%" reaches the field's parser as plain text
+    parser = configparser.ConfigParser(
+        inline_comment_prefixes=(";", "#"), interpolation=None
+    )
     try:
         with open(path, encoding="utf-8") as handle:
             parser.read_file(handle)
@@ -266,12 +292,9 @@ def cmd_threshold(
 def cmd_sweep(cfg: RunConfig, out_path: str | None) -> int:
     # the grid replaces the length, so sweep never reads cfg.length_km
     scn = config_scenario(cfg._replace(length_km=0.0))
-    try:
-        sweep = distance_sweep(
-            scn, cfg.length_min_km, cfg.length_max_km, cfg.length_step_km
-        )
-    except ValueError as exc:
-        raise ConfigError(f"length range: {exc}") from exc
+    sweep = distance_sweep(
+        scn, cfg.length_min_km, cfg.length_max_km, cfg.length_step_km
+    )
     import numpy as np
 
     b = sweep.breakdown
@@ -340,42 +363,64 @@ def cmd_decoy(cfg: RunConfig, out_path: str | None) -> int:
     return 0
 
 
-def _declare(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+def _declare(parser: "argparse.ArgumentParser", command: str) -> None:
     """Give ``parser`` the flags and arguments of subcommand ``command``."""
     allowed = {
         "protocols": " | ".join(spec.name for spec in protocol_catalog()),
         "sources": " | ".join(kind.value for kind in SourceKind),
         "eves": " | ".join(kind.value for kind in EveKind),
     }
-    parser.add_argument("--config", help="INI config file path")
-    parser.add_argument("--out", help="write output to file instead of stdout")
-    for option in _OPTIONS:
-        if command in option.commands:
-            text = option.help
+    for flag in _FLAGS:
+        if command in flag.commands:
+            text = flag.help
             parser.add_argument(
-                _flag(option), dest=option.name, help=text and text.format(**allowed)
+                _flag(flag), dest=flag.name, help=text and text.format(**allowed)
             )
     if command == "threshold":
         parser.add_argument(
-            "e_x_sq_values", nargs="*", type=float, default=(0.0, 0.01, 0.1),
+            "e_x_sq_values", nargs="*", type=float, default=_THRESHOLD_DEFAULTS,
             help="intrinsic bit error rates (default: 0 0.01 0.1)",
         )  # fmt: skip
-    if command == "simulate":
-        parser.add_argument(
-            "--tally-out", help="also write raw per-category tallies as CSV"
-        )
-    return parser
 
 
-@functools.cache
-def _command_parser(command: str) -> argparse.ArgumentParser:
-    """The parser of subcommand ``command`` alone, built once per process;
-    ``main`` passes only names in ``_COMMANDS``, so at most five are kept."""
-    return _declare(argparse.ArgumentParser(prog=f"qkdrates {command}"), command)
+def _scan(command: str, tokens: Sequence[str]) -> dict | None:
+    """The values the full parser gives the call ``qkdrates command
+    *tokens``, if it is a plain call, else None.
+
+    A plain call names each flag of ``command`` exactly, as ``--flag value``
+    or ``--flag=value``, gives no value that starts with ``-``, and gives
+    ``threshold``'s values as one run of strings ``float`` accepts.  Repeated
+    flags keep the last value, as in the full parser.
+    """
+    dests = {_flag(flag): flag.name for flag in _FLAGS if command in flag.commands}
+    args = dict.fromkeys(dests.values())
+    values, run_ended = [], False
+    rest = iter(tokens)
+    for token in rest:
+        if token.startswith("-"):
+            flag, equals, value = token.partition("=")
+            if not equals:
+                value = next(rest, None)
+            if flag not in dests or value is None or value.startswith("-"):
+                return None
+            args[dests[flag]] = value
+            run_ended = bool(values)
+        elif command != "threshold" or run_ended:
+            return None
+        else:
+            try:
+                values.append(float(token))
+            except ValueError:
+                return None
+    if command == "threshold":
+        args["e_x_sq_values"] = values or _THRESHOLD_DEFAULTS
+    return args
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> "argparse.ArgumentParser":
     """The full ``qkdrates`` parser, with every subcommand."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="qkdrates",
         description="Key generation rates, thresholds, and Monte Carlo checks "
@@ -387,11 +432,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    cfg = load_config(args.config) if args.config else RunConfig()
+def _resolve_config(args: dict) -> RunConfig:
+    cfg = load_config(args["config"]) if args["config"] else RunConfig()
     overrides = {}
     for option in _OPTIONS:
-        raw = getattr(args, option.name, None)
+        raw = args.get(option.name)
         if raw is not None:
             overrides[option.name] = _parse(option, raw, _flag(option))
     return cfg._replace(**overrides)
@@ -399,26 +444,23 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # the subcommand's own parser prints what the full one would, except
-    # that only the full parser reports leftover arguments as unrecognized
     command = argv[0] if argv else None
-    if command in _COMMANDS:
-        args, rest = _command_parser(command).parse_known_args(argv[1:])
-    if command not in _COMMANDS or rest:
-        args = _build_parser().parse_args(argv)
-        command = args.command
+    args = _scan(command, argv[1:]) if command in _COMMANDS else None
+    if args is None:
+        args = vars(_build_parser().parse_args(argv))
+        command = args["command"]
     try:
         cfg = _resolve_config(args)
         if command == "rate":
-            return cmd_rate(cfg, args.out)
+            return cmd_rate(cfg, args["out"])
         if command == "threshold":
-            return cmd_threshold(cfg, args.e_x_sq_values, args.out)
+            return cmd_threshold(cfg, args["e_x_sq_values"], args["out"])
         if command == "sweep":
-            return cmd_sweep(cfg, args.out)
+            return cmd_sweep(cfg, args["out"])
         if command == "simulate":
-            return cmd_simulate(cfg, args.out, args.tally_out)
+            return cmd_simulate(cfg, args["out"], args["tally_out"])
         if command == "decoy":
-            return cmd_decoy(cfg, args.out)
+            return cmd_decoy(cfg, args["out"])
         raise AssertionError(f"unhandled command {command}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -369,14 +369,14 @@ def distance_sweep(scn: Scenario, l_min: float, l_max: float, step: float) -> Sw
     import numpy as np
 
     if not all(math.isfinite(v) for v in (l_min, l_max, step)):
-        raise ValueError("l_min, l_max and step must be finite")
+        raise ValueError("length range: l_min, l_max and step must be finite")
     if not 0.0 <= l_min <= l_max:
-        raise ValueError("need 0 <= l_min <= l_max")
+        raise ValueError("length range: need 0 <= l_min <= l_max")
     if step <= 0.0:
-        raise ValueError("step must be positive")
+        raise ValueError("length range: step must be positive")
     n_steps = (l_max - l_min) / step + 1e-9
     if n_steps >= MAX_SWEEP_ROWS:
-        raise ValueError(f"grid has more than {MAX_SWEEP_ROWS} rows")
+        raise ValueError(f"length range: grid has more than {MAX_SWEEP_ROWS} rows")
     lengths = l_min + np.arange(int(math.floor(n_steps)) + 1) * step
     points = scn.at_length(lengths)
     b = breakdown(points)

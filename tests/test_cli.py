@@ -10,7 +10,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from conftest import option_strings, subcommand_flags
+from conftest import subcommand_flags
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -20,9 +20,9 @@ from qkdrates.cli import (
     ConfigError,
     RunConfig,
     _build_parser,
-    _command_parser,
     _flag,
     _resolve_config,
+    _scan,
     config_scenario,
     load_config,
     main,
@@ -110,6 +110,16 @@ class TestConfig:
         # a protocol name is checked once, when the config is read
         with pytest.raises(ConfigError, match="protocol: .*unknown protocol 'b92'"):
             load_config(write_config(tmp_path, "[protocol]\nname = b92\n"))
+
+    def test_percent_reaches_the_field_parser(self, capsys, tmp_path):
+        # "%" is plain text, not the start of an interpolation
+        path = write_config(tmp_path, "[link]\ne_x_sq = 1%\n")
+        code, out, err = run_cli(capsys, "rate", "--config", path)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: e_x_sq: bad value for [link] e_x_sq: '1%' "
+            "(could not convert string to float: '1%')\n"
+        )
 
 
 class TestRateCommand:
@@ -245,7 +255,7 @@ class TestSweepCommand:
         )  # fmt: skip
         code, out, _ = run_cli(capsys, "sweep", *argv)
         assert code == 0
-        cfg = _resolve_config(_build_parser().parse_args(["sweep", *argv]))
+        cfg = _resolve_config(vars(_build_parser().parse_args(["sweep", *argv])))
         scn = config_scenario(cfg)
         lines = [SWEEP_HEADER]
         for i in range(33):
@@ -497,7 +507,7 @@ class TestDecoyCommand:
         code, out, _ = run_cli(capsys, "decoy", *argv)
         assert code == 0
         assert len(calls) == 1
-        cfg = _resolve_config(_build_parser().parse_args(["decoy", *argv]))
+        cfg = _resolve_config(vars(_build_parser().parse_args(["decoy", *argv])))
         scn = config_scenario(cfg._replace(source_kind=SourceKind.POISSONIAN))
         stats = run_simulation(scn, EveKind.NONE, 100_000, 6)
         got, truth = recover_single_photon_rates(stats, scn), breakdown(scn)
@@ -621,7 +631,7 @@ class TestFieldTable:
     def test_flag_round_trip(self, f, command):
         text, value = SAMPLES[f.name]
         args = _build_parser().parse_args([command, f"{_flag(f)}={text}"])
-        cfg = _resolve_config(args)
+        cfg = _resolve_config(vars(args))
         assert cfg == RunConfig()._replace(**{f.name: value})
 
     @pytest.mark.parametrize("f", FIELDS, ids=lambda f: f.name)
@@ -742,28 +752,15 @@ class TestParserPerCommand:
          ["simulate", "--n-pulses", "20000"], ["decoy", "--n-pulses", "20000"]],
         ids=lambda argv: argv[0],
     )  # fmt: skip
-    def test_valid_call_builds_one_parser(self, capsys, argv):
-        _command_parser.cache_clear()
-        built, init = [], argparse.ArgumentParser.__init__
-
-        def recording(parser, *args, **kwargs):
-            init(parser, *args, **kwargs)
-            built.append(parser)
-
-        full = AssertionError("the full parser was built")
-        with (
-            mock.patch.object(argparse.ArgumentParser, "__init__", recording),
-            mock.patch("qkdrates.cli._build_parser", side_effect=full),
-        ):
+    def test_valid_call_builds_no_parser(self, capsys, argv):
+        built = AssertionError("a parser was built")
+        with mock.patch.object(argparse.ArgumentParser, "__init__", side_effect=built):
             first = run_cli(capsys, *argv)
             assert first[0] == 0
-            [parser] = built
             assert run_cli(capsys, *argv) == first
-        assert built == [parser], "a second identical call built a parser"
-        assert parser.prog == f"qkdrates {argv[0]}"
-        subparsers = argparse._SubParsersAction
-        assert not any(isinstance(a, subparsers) for a in parser._actions)
-        assert option_strings(parser) == COMMAND_FLAGS[argv[0]]
+        # and the scanner reads every flag the subcommand takes
+        for flag in COMMAND_FLAGS[argv[0]] - {"-h", "--help"}:
+            assert _scan(argv[0], [flag, "x"]) is not None, flag
 
 
 def outcome(argv):
@@ -778,8 +775,8 @@ def outcome(argv):
 
 
 class TestSharedParser:
-    """A subcommand's parser serves every call of it in a process, so no
-    call may leave state in it that a later call reads."""
+    """Many calls of one subcommand share a process, so no call may leave
+    state that a later call reads."""
 
     THRESHOLD_DEFAULTS = (
         "protocol,e_x_sq,threshold\n"
@@ -792,7 +789,6 @@ class TestSharedParser:
         ids=["values-then-defaults", "defaults-values-defaults"],
     )  # fmt: skip
     def test_threshold_defaults_survive_given_values(self, calls):
-        _command_parser.cache_clear()
         for argv in calls:
             code, out, err = outcome(argv)
             assert (code, err) == (0, "")
@@ -810,26 +806,27 @@ class TestSharedParser:
         assert not tally.exists()
 
     def test_rejected_call_leaves_the_parser_as_built(self):
-        _command_parser.cache_clear()
         code, out, err = outcome(["rate", "--protocol"])
         assert (code, out) == (2, "")
         assert "expected one argument" in err
         after = outcome(["rate"])
-        _command_parser.cache_clear()
         assert after == outcome(["rate"])
 
 
 class TestNoConclusiveResults:
     @pytest.mark.parametrize(
-        "argv", [["rate"], ["simulate", "--n-pulses", "1000"]], ids=lambda a: a[0]
-    )
+        "argv",
+        [["rate", "--length-km", "100000"],
+         ["simulate", "--n-pulses", "1000", "--length-km", "100000"],
+         ["sweep", "--attenuation-db-per-km", "1e300", "--length-min-km", "1",
+          "--length-max-km", "2"]],
+        ids=lambda a: a[0],
+    )  # fmt: skip
     def test_exits_2(self, capsys, argv):
-        code, out, err = run_cli(
-            capsys, *argv, "--length-km", "100000", "--dark-count-prob", "0"
-        )
+        code, out, err = run_cli(capsys, *argv, "--dark-count-prob", "0")
         assert code == 2
         assert out == ""
-        assert "no conclusive results" in err
+        assert err.startswith("error: no conclusive results: ")
         assert "Traceback" not in err
 
 
@@ -920,9 +917,58 @@ def test_fuzzed_flags_exit_cleanly(argv):
 
 @settings(max_examples=100, deadline=None)
 @given(cli_calls())
-def test_warm_parser_answers_like_a_cold_one(argv):
-    # the parsers left by earlier examples are warm; the cold call builds anew
+def test_scanner_answers_like_the_full_parser(argv):
     with mock.patch("qkdrates.scenario.MAX_SWEEP_ROWS", 500):
-        warm = outcome(argv)
-        _command_parser.cache_clear()
-        assert outcome(argv) == warm
+        scanned = outcome(argv)
+        with mock.patch("qkdrates.cli._scan", return_value=None):
+            assert outcome(argv) == scanned
+
+
+# Values a plain call may hold, and tokens that may end one: values that
+# start with "-", "--", help, and abbreviated or foreign flags.
+PLAIN_VALUES = ["0.05", "1e-3", "nan", "inf", "1_0", " 2 ", "", "abc", "a=b", "bb84"]
+ODD_VALUES = ["-1", "-1e-3", "-inf", "-", "--", "-h", "--help"]
+ODD_FLAGS = ["--prot", "--length", "--n-p", "--tally", "--e", "--", "-h", "--help"]
+ODD_FLAGS += sorted(set().union(*COMMAND_FLAGS.values()))
+
+
+@st.composite
+def scan_calls(draw):
+    """A plain call of a subcommand: its own flags, as ``--flag value`` or
+    ``--flag=value``, and for ``threshold`` runs of bare values; then, in
+    about half the examples, one more token put in anywhere, which may end
+    the plain call or change what it means."""
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flag = st.sampled_from(sorted(COMMAND_FLAGS[command] - {"-h", "--help"}))
+    value = st.sampled_from(PLAIN_VALUES)
+    joined = st.builds("{}={}".format, flag, value)
+    items = [st.tuples(flag, value), st.tuples(joined)]
+    if command == "threshold":
+        items.append(st.lists(value, min_size=1, max_size=3).map(tuple))
+    argv = [t for item in draw(st.lists(st.one_of(items), max_size=5)) for t in item]
+    if draw(st.booleans()):
+        odd_value = st.sampled_from(ODD_VALUES + PLAIN_VALUES)
+        odd = st.one_of(
+            odd_value,
+            st.sampled_from(ODD_FLAGS),
+            st.builds("{}={}".format, flag | st.sampled_from(ODD_FLAGS), odd_value),
+        )
+        argv.insert(draw(st.integers(0, len(argv))), draw(odd))
+    return [command, *argv]
+
+
+@settings(max_examples=500, deadline=None)
+@given(scan_calls())
+@example(["threshold"])
+@example(["threshold", "--protocol", "pbc00", "nan", "inf", "1_0"])
+@example(["threshold", "0.1", "--protocol", "bb84", "0.2"])
+@example(["rate", "--out=", "--e-x-sq", "0.02", "--e-x-sq=0.03"])
+@example(["simulate", "--tally-out", "t.csv", "--seed", "3"])
+@example(["sweep", "--length", "5"])  # an ambiguous abbreviation
+def test_scan_gives_what_the_full_parser_gives(argv):
+    scanned = _scan(argv[0], argv[1:])
+    if scanned is not None:
+        full = vars(_build_parser().parse_args(argv))
+        del full["command"]
+        # by repr, as nan != nan
+        assert repr(scanned) == repr(full)

@@ -4,7 +4,9 @@ nor ``dataclasses`` and the ``inspect`` it pulls in.
 numpy takes most of the start-up time of a CLI call, and ``rate`` and
 ``threshold`` do pure float math, so only the code that needs arrays
 imports it.  The records are named tuples, so nothing needs ``dataclasses``.
-Likewise only a call that reads a config file imports ``configparser``.
+Likewise only a call that reads a config file imports ``configparser``, and
+only a call the full parser must read, such as ``--help``, imports
+``argparse`` and the ``gettext`` and ``locale`` its messages load.
 Each check runs in a fresh interpreter and counts only the modules that a
 bare interpreter does not already hold: site hooks preload some on some
 machines.
@@ -69,6 +71,26 @@ def test_configparser_loaded_only_to_read_a_config_file(argv, loaded):
     code = f"import sys\nfrom qkdrates.cli import main\nmain({argv!r})\n"
     result = run_python("-c", code + "print('configparser' in sys.modules)")
     assert result.stdout.splitlines()[-1] == str(loaded)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rate"], ["threshold", "0.05"], ["sweep", "--length-step-km", "100"],
+     ["simulate", "--n-pulses", "1000"]],
+    ids=lambda argv: argv[0],
+)  # fmt: skip
+def test_valid_call_loads_no_parser(argv):
+    parser = [m for m in ("argparse", "gettext", "locale") if m not in preloaded()]
+    code = (
+        f"import sys\nfrom qkdrates.cli import main\nassert main({argv!r}) == 0\n"
+        f"print([m for m in {parser!r} if m in sys.modules])"
+    )
+    assert run_python("-c", code).stdout.splitlines()[-1] == "[]"
+
+
+def test_help_still_prints_usage():
+    code = "from qkdrates.cli import main\nmain(['simulate', '--help'])"
+    assert run_python("-c", code).stdout.startswith("usage: qkdrates simulate ")
 
 
 def importtime_names(code: str) -> list[str]:

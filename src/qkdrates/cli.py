@@ -136,7 +136,7 @@ _OPTIONS = (
     _Option("n_pulses", 1_000_000, "simulation", "n_pulses", int, _SIMULATION),
     _Option(
         "workers", 1, "simulation", "workers", _positive_int, _SIMULATION,
-        "threads that run simulation batches; the result does not depend on it",
+        "no effect: every run is one stream on one thread",
     ),  # fmt: skip
     _Option("seed", 1, "simulation", "seed", int, _SIMULATION, "simulation seed"),
     _Option(
@@ -314,9 +314,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, tally_out: str | None) ->
     from .simulator import compare_to_analytic, run_simulation, tally_csv
 
     scn = config_scenario(cfg)
-    stats = run_simulation(
-        scn, cfg.eve, n_pulses=cfg.n_pulses, seed=cfg.seed, workers=cfg.workers
-    )
+    stats = run_simulation(scn, cfg.eve, n_pulses=cfg.n_pulses, seed=cfg.seed)
     if tally_out is not None:
         _emit(tally_csv(stats), tally_out)
     comparisons = compare_to_analytic(stats, scn, cfg.eve)
@@ -343,9 +341,7 @@ def cmd_decoy(cfg: RunConfig, out_path: str | None) -> int:
 
     cfg = cfg._replace(source_kind=SourceKind.POISSONIAN)
     scn = config_scenario(cfg)
-    stats = run_simulation(
-        scn, EveKind.NONE, cfg.n_pulses, cfg.seed, workers=cfg.workers
-    )
+    stats = run_simulation(scn, EveKind.NONE, cfg.n_pulses, cfg.seed)
     try:
         recovery = recover_single_photon_rates(stats, scn)
     except DecoyInversionError as exc:
@@ -433,7 +429,11 @@ def _build_parser() -> "argparse.ArgumentParser":
 
 
 def _resolve_config(args: dict) -> RunConfig:
-    cfg = load_config(args["config"]) if args["config"] else RunConfig()
+    # argparse reads "--flag=--" as the value [] rather than the text "--"
+    for flag in _FLAGS:
+        if not isinstance(args.get(flag.name), (str, type(None))):
+            raise ConfigError(f"{_flag(flag)}: expected one value")
+    cfg =load_config(args["config"]) if args["config"] else RunConfig()
     overrides = {}
     for option in _OPTIONS:
         raw = args.get(option.name)

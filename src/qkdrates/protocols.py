@@ -35,7 +35,9 @@ class ProtocolSpec(NamedTuple):
     detector_count : int
         Number of single-photon detectors at the receiver.
     dark_conclusive_multiplier : float
-        Factor m in the dark-count conclusive rate ``m * C * (1 - eta)``.
+        Factor m in the dark-count conclusive rate ``m * C * P(no arrival)``:
+        ``m * C * (1 - eta)`` for a single-photon source and
+        ``m * C * exp(-eta * mu)`` for a Poissonian one.
     basis_count : int
         Number of encoding bases, used by the intercept-resend attack model.
     max_bit_error : float

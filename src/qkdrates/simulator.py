@@ -10,7 +10,7 @@ rate formulas assume.  Phase errors are not sampled; the analytic side
 derives them from the protocol relations.
 
 Sampling is event-sparse.  Pulses are independent and most of them are
-silent (no photon arrives and no detector fires), so a batch draws only how
+silent (no photon arrives and no detector fires), so a run draws only how
 many of its pulses carry an arrival and how many of the rest a dark fire,
 as two Binomial counts.  Every event then gets its own Bernoulli trial for
 each step the tally reads, with the exact conditional probabilities of the
@@ -34,22 +34,19 @@ about half of them, so a trial takes two random bits per event on average
 and succeeds with probability exactly its own.  The few events left
 undecided after the stages are counted by gaps.  No per-event mask or
 record is stored, and a stage's words and a count's gaps are drawn in
-pieces of a fixed size, so the memory a batch holds does not grow with its
+pieces of a fixed size, so the memory a run holds does not grow with its
 number of events: at most 128 KB of words or 256 KB of gaps at a time.
 
-Pulses are processed in fixed-size batches of 2**24, so a run of up to
-16 777 216 pulses is one batch.  Each batch is driven by its own PCG64
-stream spawned from ``(seed, batch_index)`` by a ``SeedSequence``, so
-results are bit-identical whether batches run serially or in parallel.
+A run draws all its pulses from one PCG64 stream, seeded by a
+``SeedSequence`` from ``seed``.
 """
 
 import math
 import operator
-import os
 from typing import NamedTuple
 
 # numpy loads numpy.random on first use, so the annotations that name it
-# are quoted: importing this module leaves that to the first batch
+# are quoted: importing this module leaves that to the first run
 import numpy as np
 
 from .scenario import (
@@ -72,21 +69,17 @@ __all__ = [
     "tally_csv",
 ]
 
-# Pulses per batch.  Fixed, as the tallies of a run depend on it.  Each
-# batch pays a fixed cost, a new stream and some 16 trials of 4-7 us each,
-# however few events it holds.  Over the benchmark's 12 scenarios at 1e7
-# pulses (Python 3.11, numpy 2.4.6, 2 cores, medians of 15 interleaved
-# runs), the six at 50 km took 13.9 ms in batches of 1e6 pulses, 6.1 ms in
-# batches of 2**22 and 3.6 ms in one of 2**24; the six at 0 km 22.4, 14.2
-# and 11.7 ms.  2**24 is the least power of two that holds 1e7 pulses.
-_BATCH_SIZE = 1 << 24
 # Raw words per draw of a stage, and Geometric gaps per chunk of a gap
-# count: the largest arrays a batch holds, whatever its size.  2**14 words
+# count: the largest arrays a run holds, whatever its size.  2**14 words
 # (128 KB) are one stage of 1 048 576 events; 2**15 gaps (256 KB) are more
 # than a chunk of 1e6 trials ever needs below _GAP_MAX_P (25 792), so runs
 # of up to 1e6 pulses draw what they drew before the caps.
 _STAGE_WORDS = 2**14
 _GAP_CHUNK = 2**15
+# The most pulses a run takes.  numpy draws its counts as int64, and the
+# gaps of a count of up to this many trials, each capped at one more than
+# the count, sum in int64 too.
+_MAX_PULSES = 2**62
 # Below this probability of the rarer outcome a trial is counted from
 # Geometric gaps alone.  Measured against the staged route from 1e3 to 1e6
 # trials (Python 3.11, numpy 2.4.6, 2 cores, medians of 150 interleaved
@@ -207,11 +200,14 @@ def _gap_count(rng: "np.random.Generator", n: int, q: float) -> int:
     so the successes lie at cumulative sums of Geometric gaps, drawn in
     chunks until they pass the last trial: each chunk holds the expected
     number of successes and five standard deviations more, or
-    ``_GAP_CHUNK`` gaps if that is fewer.
+    ``_GAP_CHUNK`` gaps if that is fewer, and never so many that the sum of
+    its capped gaps passes the int64 range.
     """
     hits = 0
     if q > 0.0 and n > 0:
-        chunk = min(int(n * q + 5.0 * math.sqrt(n * q)) + 1, _GAP_CHUNK)
+        chunk = min(
+            int(n * q + 5.0 * math.sqrt(n * q)) + 1, _GAP_CHUNK, (2**63 - 1) // (n + 1)
+        )
         last = -1  # the position before the first trial
         while last < n:
             # numpy's Geometric saturates at 2**63 - 1 for tiny q, so gaps
@@ -295,10 +291,10 @@ def _draws(scn: Scenario, eve: EveKind) -> _Draws:
 
 
 def _count_batch(d: _Draws, size: int, rng: "np.random.Generator") -> EmpiricalStats:
-    """Draw one batch of ``size`` pulses and count its conclusive results.
+    """Draw ``size`` pulses from ``rng`` and count their conclusive results.
 
     Pulses are independent, so only the number of pulses with an event is
-    drawn per batch; everything else is per-event trials, each counted by
+    drawn; everything else is per-event trials, each counted by
     :func:`_successes` over the events that reach it.  Draw order:
 
     1. the number of arrival pulses, Binomial(``size``, ``d.arrival``);
@@ -319,8 +315,8 @@ def _count_batch(d: _Draws, size: int, rng: "np.random.Generator") -> EmpiricalS
     8. per kept dark count with no, one, then two or more photons, its bit.
 
     A trial with probability 0 or 1, or with no events, draws no random
-    numbers, so the stream depends on the scenario and the earlier counts
-    but not on how batches are scheduled.
+    numbers, so the stream depends only on the scenario and the earlier
+    counts.
     """
     n = int(rng.binomial(size, d.arrival))
     n_dark = int(rng.binomial(size - n, d.dark_fire)) if d.dark_fire > 0.0 else 0
@@ -366,14 +362,6 @@ def _flips(rng: "np.random.Generator", m: int, d: _Draws) -> int:
     return flipped - unflipped + _successes(rng, m - flipped, d.flip)
 
 
-def _batch_rng(seed: int, batch_index: int) -> "np.random.Generator":
-    """The generator of one batch: PCG64 seeded by a ``SeedSequence`` spawned
-    at ``(seed, batch_index)``, so every batch has its own independent
-    stream, whichever thread draws it."""
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(batch_index,))
-    return np.random.Generator(np.random.PCG64(seq))
-
-
 def _count_arg(name: str, value: object, low: int) -> int:
     """``value`` as an int of at least ``low``, or a ValueError naming
     ``name``; a bool is not a count."""
@@ -393,42 +381,22 @@ def run_simulation(
     eve: EveKind = EveKind.NONE,
     n_pulses: int = 1_000_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> EmpiricalStats:
-    """Simulate ``n_pulses`` pulses and return merged tallies.
+    """Simulate ``n_pulses`` pulses and return their tallies.
 
-    Deterministic for fixed ``(scn, eve, n_pulses, seed)``; ``workers`` only
-    parallelizes independent batches of ``_BATCH_SIZE`` (2**24) pulses and
-    never changes the result; at most ``min(workers, os.cpu_count(),
-    batches)`` threads run.  ``n_pulses`` and ``workers`` must be integers
-    of at least 1 and ``seed`` one of at least 0, or a ValueError names the
-    argument.
+    Deterministic for fixed ``(scn, eve, n_pulses, seed)``.  ``n_pulses``
+    must be an integer from 1 to 2**62 and ``seed`` one of at least 0, or a
+    ValueError names the argument.
     """
     n_pulses = _count_arg("n_pulses", n_pulses, 1)
+    if n_pulses > _MAX_PULSES:
+        raise ValueError(f"n_pulses must be <= 2**62, got {n_pulses}")
     seed = _count_arg("seed", seed, 0)
-    workers = _count_arg("workers", workers, 1)
-    # batch indices: a batch's size follows from its index when it is drawn
-    n_batches = -(-n_pulses // _BATCH_SIZE)
-    jobs = range(n_batches)
-    threads = min(workers, os.cpu_count() or 1, n_batches)
-    draws = _draws(scn, eve)
-
-    def run_share(share: range) -> EmpiricalStats:
-        total = EmpiricalStats(n_pulses=0)
-        for index in share:
-            size = min(_BATCH_SIZE, n_pulses - index * _BATCH_SIZE)
-            total += _count_batch(draws, size, _batch_rng(seed, index))
-        return total
-
-    if threads <= 1:
-        return run_share(jobs)
-    # imported only here, so that importing the package (and so every CLI
-    # command) does not pay for concurrent.futures
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(run_share, [jobs[t::threads] for t in range(threads)]))
-    return sum(parts[1:], parts[0])
+    # spawned at (seed, 0), where runs once drew their first batch of 2**24
+    # pulses, so every run of up to 2**24 pulses keeps its tallies
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+    rng = np.random.Generator(np.random.PCG64(seq))
+    return _count_batch(_draws(scn, eve), n_pulses, rng)
 
 
 class FieldComparison(NamedTuple):

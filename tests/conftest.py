@@ -171,7 +171,7 @@ def reference_trials(rng, m, p):
 
 
 def sample_events(scn, eve, size, rng):
-    """Per-event reference sampler: the events of one batch of ``size``
+    """Per-event reference sampler: the events of a run of ``size``
     pulses, with each event's photon class, category and bit error stored.
 
     It draws the trials of ``simulator._count_batch`` in the same order and
@@ -182,7 +182,7 @@ def sample_events(scn, eve, size, rng):
     for one, 2 for two or more, -1 where a Poisson pulse's class was not
     drawn, as for a discarded event), ``category`` and ``bit_error``.
     Silent pulses are not stored.  On one stream, ``full_key_tally`` of its
-    events equals the simulator's count of the batch.
+    events equals the simulator's count of the run.
     """
     eta = transmittance(scn.link)
     c = scn.detector.dark_count_prob
@@ -239,7 +239,7 @@ def sample_events(scn, eve, size, rng):
 
 
 def full_key_tally(n_pulses, events):
-    """Reference tally of one batch of ``sample_events``.
+    """Reference tally of one run of ``sample_events``.
 
     Bins every conclusive event by the full key (category, bit error, photon
     class) in one ``bincount``, independent of the counting the simulator

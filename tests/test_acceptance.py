@@ -34,8 +34,6 @@ from qkdrates.simulator import (
     run_simulation,
 )
 
-SIM_WORKERS = 2
-
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:
     status = "PASS" if ok else "FAIL"
@@ -198,9 +196,7 @@ def test_criterion_6_simulator_analytics_agreement():
             scn = scenario(spec, source, length=50.0, c=1e-5, e_x_sq=0.05)
             passes = {name: 0 for name in fields}
             for seed in seeds:
-                stats = run_simulation(
-                    scn, EveKind.NONE, n_pulses, seed=seed, workers=SIM_WORKERS
-                )
+                stats = run_simulation(scn, EveKind.NONE, n_pulses, seed=seed)
                 zs = {row.name: row.z for row in compare_to_analytic(stats, scn)}
                 for name in fields:
                     if abs(zs[name]) <= 3.0:
@@ -220,9 +216,7 @@ def test_criterion_7_intercept_resend_oracle():
     results = []
     for spec, attack_rate in ((BB84, 0.25), (SIX_STATE, 1.0 / 3.0)):
         scn = scenario(spec, SourceModel.single_photon(), 0.0, 0.0, 0.0)
-        stats = run_simulation(
-            scn, EveKind.INTERCEPT_RESEND, 1_200_000, seed=77, workers=SIM_WORKERS
-        )
+        stats = run_simulation(scn, EveKind.INTERCEPT_RESEND, 1_200_000, seed=77)
         se = math.sqrt(attack_rate * (1 - attack_rate) / stats.conclusive_count)
         results.append(
             (spec.name, stats.e_x_hat, attack_rate,
@@ -265,9 +259,7 @@ def test_criterion_8_decoy_round_trip():
 
     # statistical recovery at 1e7 pulses
     scn = scenario(BB84, SourceModel.poissonian(0.5), 50.0, 1e-6, 0.01)
-    stats = run_simulation(
-        scn, EveKind.NONE, 10_000_000, seed=88, workers=SIM_WORKERS
-    )
+    stats = run_simulation(scn, EveKind.NONE, 10_000_000, seed=88)
     recovery = recover_single_photon_rates(stats, scn)
     truth = breakdown(scn)
     sim_ok = (

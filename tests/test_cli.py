@@ -450,6 +450,11 @@ class TestSimulateCommand:
         assert "nan" not in out.lower() and "nan" not in err.lower()
         assert "Warning" not in err
 
+    def test_too_many_pulses_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--n-pulses", str(2**62 + 1))
+        assert (code, out) == (2, "")
+        assert err == f"error: n_pulses must be <= 2**62, got {2**62 + 1}\n"
+
 
 class TestDecoyCommand:
     def test_recovery_report(self, capsys):
@@ -686,7 +691,7 @@ class TestFieldTable:
         for extra in ([], [f"{_flag(f)}={value}"]):
             code, out, _ = run_cli(capsys, *argv, *extra)
             results.append((code, out.splitlines()[1:]))
-        # --workers promises the same result for any number of threads
+        # --workers is still read, but has no effect
         assert (results[0] == results[1]) == (f.name == "workers")
 
 
@@ -850,6 +855,18 @@ class TestUnwritableOutput:
         assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [(c, f) for c, flags in sorted(COMMAND_FLAGS.items()) for f in sorted(flags)
+     if f not in ("-h", "--help")],
+)  # fmt: skip
+def test_dash_dash_value_exits_2(capsys, command, flag):
+    # argparse reads "--flag=--" as the value [] rather than a string
+    code, out, err = run_cli(capsys, command, f"{flag}=--")
+    assert (code, out) == (2, "")
+    assert err == f"error: {flag}: expected one value\n"
+
+
 def test_sweep_tiny_step_exits_2_at_once(capsys):
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "sweep", "--length-step-km", "1e-12")
@@ -861,7 +878,7 @@ def test_sweep_tiny_step_exits_2_at_once(capsys):
 
 FUZZ_EDGES = st.sampled_from(
     ["0", "-1", "1e300", "inf", "-inf", "nan", "1e-320", "", "abc", "0x10",
-     "1,2", "bb84", "poissonian", "intercept-resend"]
+     "1,2", "bb84", "poissonian", "intercept-resend", "--", "--x"]
 )  # fmt: skip
 FUZZ_VALUES = st.one_of(
     FUZZ_EDGES,
@@ -927,7 +944,7 @@ def test_scanner_answers_like_the_full_parser(argv):
 # Values a plain call may hold, and tokens that may end one: values that
 # start with "-", "--", help, and abbreviated or foreign flags.
 PLAIN_VALUES = ["0.05", "1e-3", "nan", "inf", "1_0", " 2 ", "", "abc", "a=b", "bb84"]
-ODD_VALUES = ["-1", "-1e-3", "-inf", "-", "--", "-h", "--help"]
+ODD_VALUES = ["-1", "-1e-3", "-inf", "-", "--", "--x", "-h", "--help"]
 ODD_FLAGS = ["--prot", "--length", "--n-p", "--tally", "--e", "--", "-h", "--help"]
 ODD_FLAGS += sorted(set().union(*COMMAND_FLAGS.values()))
 

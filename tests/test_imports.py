@@ -124,3 +124,15 @@ def test_simulator_import_leaves_numpy_random_to_the_first_batch():
     code = "import sys\nimport qkdrates.simulator\nprint('numpy.random' in sys.modules)"
     result = run_python("-c", code)
     assert result.stdout.splitlines()[-1] == str("numpy.random" in preloaded())
+
+
+def test_simulate_starts_no_thread_pool():
+    # --workers is still read, but a run is one stream on one thread
+    code = (
+        "import sys\nfrom qkdrates.cli import main\n"
+        "main(['simulate', '--n-pulses', '20000000', *sys.argv[1:]])\n"
+        "print('concurrent.futures' in sys.modules)"
+    )
+    outputs = [run_python("-c", code, "--workers", w).stdout for w in ("2", "1")]
+    assert outputs[0] == outputs[1]
+    assert outputs[0].splitlines()[-1] == str("concurrent.futures" in preloaded())

@@ -3,7 +3,6 @@
 import itertools
 import math
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import mpmath
 import numpy as np
@@ -54,22 +53,21 @@ def make_scenario(spec=BB84, source=None, length=50.0, c=1e-5, e_x_sq=0.05):
 
 
 def count_batch(scn, eve, size, seed):
-    """Counts of one batch of ``size`` pulses, as ``run_simulation`` draws
-    them."""
+    """Counts of ``size`` pulses drawn as ``run_simulation`` draws them, from
+    ``default_rng(seed)``."""
     draws = simulator._draws(scn, eve)
     return simulator._count_batch(draws, size, np.random.default_rng(seed))
 
 
 def reference_events(scn, eve, size, seed):
-    """The reference sampler's events of the same batch."""
+    """The reference sampler's events of the same pulses."""
     return sample_events(scn, eve, size, np.random.default_rng(seed))
 
 
-@pytest.fixture
-def small_batches(monkeypatch):
-    """Batches of 100 000 pulses, so that a run of a few hundred thousand
-    pulses spans several batches."""
-    monkeypatch.setattr(simulator, "_BATCH_SIZE", 100_000)
+def run_stream(seed):
+    """The one generator a run with ``seed`` draws from."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
+    return np.random.Generator(np.random.PCG64(seq))
 
 
 class TestDeterminism:
@@ -85,32 +83,16 @@ class TestDeterminism:
         b = run_simulation(scn, EveKind.NONE, 200_000, seed=2)
         assert a != b
 
-    @pytest.mark.usefixtures("small_batches")
-    def test_workers_bit_identical(self):
-        # thirty batches of 100 000 pulses
-        scn = make_scenario(source=SourceModel.poissonian(0.5))
-        serial = run_simulation(scn, EveKind.NONE, 3_000_000, seed=9)
-        threaded = run_simulation(scn, EveKind.NONE, 3_000_000, seed=9, workers=4)
-        assert serial == threaded
-
-    @pytest.mark.usefixtures("small_batches")
     def test_partial_last_batch(self):
-        # 2_050_001 pulses in batches of 100 000: twenty full batches and 50_001
+        # a run of any size, also above the 2**24 pulses of the batches runs
+        # were once split into, is one count on one stream
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
-        eve = EveKind.NONE
-        whole = run_simulation(scn, eve, 2_050_001, seed=4)
-        prefix = run_simulation(scn, eve, 2_000_000, seed=4)
-        threaded = run_simulation(scn, eve, 2_050_001, seed=4, workers=2)
-        assert whole == threaded
-        assert whole.n_pulses == 2_050_001
-        last = {
-            name: getattr(whole, name) - getattr(prefix, name)
-            for name in EmpiricalStats._fields
-        }
-        assert last["n_pulses"] == 50_001
-        assert all(value >= 0 for value in last.values())
-        conclusive = whole.conclusive_count - prefix.conclusive_count
-        assert 0 < conclusive < 50_001
+        draws = simulator._draws(scn, EveKind.NONE)
+        for n in (2_050_001, 2**24 + 1):
+            whole = run_simulation(scn, EveKind.NONE, n, seed=4)
+            assert whole == simulator._count_batch(draws, n, run_stream(4))
+            assert whole.n_pulses == n
+            assert 0 < whole.conclusive_count < n
 
     @pytest.mark.parametrize(
         ("name", "value", "reason"),
@@ -118,69 +100,43 @@ class TestDeterminism:
             ("n_pulses", 1e5, "an integer"), ("n_pulses", 0, ">= 1"),
             ("n_pulses", True, "an integer"), ("seed", -1, ">= 0"),
             ("seed", 1.5, "an integer"), ("seed", False, "an integer"),
-            ("workers", 0, ">= 1"), ("workers", -3, ">= 1"),
-            ("workers", "2", "an integer"),
+            ("n_pulses", 2**62 + 1, r"<= 2\*\*62"),
         ],
     )  # fmt: skip
     def test_rejects_bad_arguments(self, name, value, reason, monkeypatch):
         # each is caught before anything is drawn
         monkeypatch.setattr(simulator, "_count_batch", None)
-        args = {"n_pulses": 1_000, "seed": 0, "workers": 1}
+        args = {"n_pulses": 1_000, "seed": 0}
         with pytest.raises(ValueError, match=f"^{name} must be {reason}"):
             run_simulation(make_scenario(), EveKind.NONE, **{**args, name: value})
 
-    @pytest.mark.usefixtures("small_batches")
+    def test_largest_run(self):
+        # 2**62 pulses at 850 km, where some 46 carry an arrival
+        scn = make_scenario(length=850.0, c=0.0)
+        stats = run_simulation(scn, EveKind.NONE, 2**62, seed=1)
+        assert stats.n_pulses == 2**62
+        assert 0 < stats.conclusive_count < 100
+
     def test_accepts_numpy_integers(self):
-        # twenty batches of 100 000 pulses
         scn = make_scenario()
         want = run_simulation(scn, EveKind.NONE, 2_000_000, seed=3)
-        got = run_simulation(
-            scn, EveKind.NONE, np.int64(2_000_000), seed=np.uint32(3),
-            workers=np.int8(2),
-        )  # fmt: skip
+        got = run_simulation(scn, EveKind.NONE, np.int64(2_000_000), seed=np.uint32(3))
         assert got == want
 
-    @pytest.mark.usefixtures("small_batches")
-    def test_thread_count_capped(self, monkeypatch):
-        seen = []
-
-        class Recording(ThreadPoolExecutor):
-            def __init__(self, max_workers):
-                seen.append(max_workers)
-                super().__init__(max_workers=max_workers)
-
-        monkeypatch.setattr("concurrent.futures.ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(simulator.os, "cpu_count", lambda: 3)
-        scn = make_scenario()
-        batch = simulator._BATCH_SIZE
-        serial = run_simulation(scn, EveKind.NONE, 5 * batch, seed=3)
-        for workers, batches, want in ((10_000, 5, [3]), (10_000, 2, [2]), (2, 5, [2])):
-            seen.clear()
-            stats = run_simulation(
-                scn, EveKind.NONE, batches * batch, seed=3, workers=workers
-            )
-            assert seen == want
-            if batches == 5:
-                assert stats == serial
-        monkeypatch.setattr(simulator.os, "cpu_count", lambda: None)
-        seen.clear()
-        assert run_simulation(scn, EveKind.NONE, 5 * batch, seed=3, workers=8) == serial
-        assert seen == []
-
     def test_batch_plan_memory_bounded(self, monkeypatch):
-        # 1e11 pulses are 1e5 batches: nothing allocated before the first
-        # batch may grow with their number
+        # nothing allocated before a run of 1e11 pulses is counted may grow
+        # with their number
         def refuse(*args):
-            raise RuntimeError("batch drawn")
+            raise RuntimeError("run counted")
 
         monkeypatch.setattr(simulator, "_count_batch", refuse)
         scn = make_scenario()
-        # a first call pays for the imports the batch generator makes
-        with pytest.raises(RuntimeError, match="batch drawn"):
+        # a first call pays for the imports the run's generator makes
+        with pytest.raises(RuntimeError, match="run counted"):
             run_simulation(scn, EveKind.NONE, 1, seed=1)
         tracemalloc.start()
         try:
-            with pytest.raises(RuntimeError, match="batch drawn"):
+            with pytest.raises(RuntimeError, match="run counted"):
                 run_simulation(scn, EveKind.NONE, 10**11, seed=1)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -198,14 +154,14 @@ WORKSPACE_SCENARIOS = [
 
 
 class TestWorkspace:
-    """A batch holds no state beyond its own draws, and little memory."""
+    """A run holds no state beyond its own draws, and little memory."""
 
     @pytest.mark.parametrize(
         ("warm", "drawn"), itertools.permutations(WORKSPACE_SCENARIOS, 2)
     )
     def test_warmed_equals_fresh(self, warm, drawn):
-        # a batch counted after another scenario's batch counts what the
-        # reference sampler counts: nothing carries over between batches
+        # a run counted after another scenario's run counts what the
+        # reference sampler counts: nothing carries over between runs
         eve = EveKind.INTERCEPT_RESEND
         source, c, length = warm
         warm_scn = make_scenario(PBC00, source=source, c=c, length=length)
@@ -218,23 +174,17 @@ class TestWorkspace:
     @pytest.mark.parametrize(
         "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
     )
-    @pytest.mark.usefixtures("small_batches")
     def test_reuse_changes_no_tally(self, source):
-        # each batch counted on its own, one thread serially, and two threads
+        # a run counts what its stream counts afresh, and so does a second
+        # run after it
         scn, eve = make_scenario(source=source, length=0.0, c=1e-3), EveKind.NONE
-        seed, batch = 12, simulator._BATCH_SIZE
-        n = 2 * batch
-        draws = simulator._draws(scn, eve)
-        fresh = EmpiricalStats(n_pulses=0)
-        for index in range(n // batch):
-            rng = simulator._batch_rng(seed, index)
-            fresh += simulator._count_batch(draws, batch, rng)
-        serial = run_simulation(scn, eve, n, seed=seed)
-        threaded = run_simulation(scn, eve, n, seed=seed, workers=2)
-        assert fresh == serial == threaded
+        seed, n = 12, 200_000
+        fresh = simulator._count_batch(simulator._draws(scn, eve), n, run_stream(seed))
+        first = run_simulation(scn, eve, n, seed=seed)
+        assert fresh == first == run_simulation(scn, eve, n, seed=seed)
 
     def test_warm_batch_allocation_bounded(self):
-        # a 1e6-pulse PBC00 batch at 0 km, where every single-photon pulse
+        # a 1e6-pulse PBC00 run at 0 km, where every single-photon pulse
         # arrives, holds at most one stage's random words at a time: 15 625
         # words are 125 KB.  tracemalloc's peak is 0.21 MB single-photon and
         # 0.11 MB Poissonian (numpy 2.4.6); one stored per-event mask would
@@ -243,7 +193,7 @@ class TestWorkspace:
         for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5)):
             scn = make_scenario(PBC00, source=source, length=0.0)
             draws = simulator._draws(scn, eve)
-            # a first batch pays for what numpy sets up on first use
+            # a first run pays for what numpy sets up on first use
             simulator._count_batch(draws, n, np.random.default_rng(1))
             rng = np.random.default_rng(2)
             tracemalloc.start()
@@ -259,26 +209,25 @@ class TestWorkspace:
         "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
     )
     def test_full_batch_allocation_bounded(self, source, e_x_sq):
-        # a full batch of 2**24 pulses stays within the bound of a 1e6-pulse
-        # one.  At 0 km every single-photon pulse arrives: one draw of its
-        # sifting stage would take 2 MB of words and, at e_x_sq = 0.02 (below
-        # _GAP_MAX_P), one chunk of its flips' gaps 1.3 MB.  tracemalloc's
-        # peak is 0.19-0.26 MB (numpy 2.4.6), and 0.4-2.4 MB with either cap
-        # removed
-        eve, n = EveKind.NONE, simulator._BATCH_SIZE
+        # a run of 1e8 pulses, one count on one stream, stays within the
+        # bound of a 1e6-pulse one.  At 0 km every single-photon pulse
+        # arrives: one draw of its sifting stage would take 12.5 MB of words
+        # and, at e_x_sq = 0.02 (below _GAP_MAX_P), one chunk of its flips'
+        # gaps 8.1 MB.  tracemalloc's peak is 0.20-0.26 MB (numpy 2.4.6)
+        eve, n = EveKind.NONE, 10**8
         scn = make_scenario(PBC00, source=source, length=0.0, e_x_sq=e_x_sq)
-        draws = simulator._draws(scn, eve)
-        # a first batch pays for what numpy sets up on first use
-        simulator._count_batch(draws, 1_000, np.random.default_rng(1))
-        rng = np.random.default_rng(2)
+        # a first run pays for what numpy sets up on first use
+        run_simulation(scn, eve, 1_000, seed=1)
         tracemalloc.start()
         try:
-            stats = simulator._count_batch(draws, n, rng)
+            stats = run_simulation(scn, eve, n, seed=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert stats.conclusive_count > n // 10
         assert peak <= 300_000
+        for row in compare_to_analytic(stats, scn, eve):
+            assert abs(row.z) <= 5.0, row
 
 
 class TestPulseInvariants:
@@ -746,6 +695,13 @@ class TestBernoulli:
         outcomes = reference_trials(np.random.default_rng(89), 1000, 0.5)
         assert count == np.count_nonzero(outcomes)
 
+    def test_gap_sum_stays_in_int64(self):
+        # 2**62 trials at q = 2**-62, one success on average: a chunk of
+        # gaps, each capped at 2**62 + 1, must not sum past the int64 range
+        rng, runs = np.random.default_rng(101), 400
+        counts = [simulator._gap_count(rng, 2**62, 2.0**-62) for _ in range(runs)]
+        assert abs(np.mean(counts) - 1.0) <= 5 * math.sqrt(1.0 / runs)
+
     @pytest.mark.parametrize("m", [1, 13, 63, 64, 65, 127, 1000, 99_999])
     @pytest.mark.parametrize("p", [0.2, 0.5, 0.7])
     def test_partial_last_word(self, m, p):
@@ -789,7 +745,7 @@ class TestBernoulli:
 
 
 class TestCountingTally:
-    """``_count_batch`` counts each batch as it draws it; the reference
+    """``_count_batch`` counts a run's pulses as it draws them; the reference
     sampler stores every event and ``full_key_tally`` bins them."""
 
     @pytest.mark.parametrize("spec", [BB84, SIX_STATE, PBC00])
@@ -810,7 +766,7 @@ class TestCountingTally:
         "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
     )
     def test_small_pieces_equal_full_key_tally(self, source, monkeypatch):
-        # every stage and gap count of the batch split into pieces of 2
+        # every stage and gap count of the run split into pieces of 2
         # words and chunks of 16 gaps
         monkeypatch.setattr(simulator, "_STAGE_WORDS", 2)
         monkeypatch.setattr(simulator, "_GAP_CHUNK", 16)

@@ -21,10 +21,8 @@ from qkdrates import (
     transmittance,
     worst_case_no_decoy,
 )
-from qkdrates.simulator import (
-    recover_single_photon_rates,
-    run_simulation,
-)
+from qkdrates.decoy import recover_single_photon_rates
+from qkdrates.simulator import run_simulation
 
 scn = Scenario(
     protocol=get_protocol("bb84"),

@@ -337,7 +337,8 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, tally_out: str | None) ->
 
 
 def cmd_decoy(cfg: RunConfig, out_path: str | None) -> int:
-    from .simulator import recover_single_photon_rates, run_simulation
+    from .decoy import recover_single_photon_rates
+    from .simulator import run_simulation
 
     cfg = cfg._replace(source_kind=SourceKind.POISSONIAN)
     scn = config_scenario(cfg)

@@ -54,18 +54,14 @@ from .scenario import (
     Scenario,
     SourceKind,
     breakdown as analytic_breakdown,
-    decoy_invert,
-    intrinsic_error_from_decoy_with_slope,
     transmittance,
 )
 
 __all__ = [
     "EmpiricalStats",
     "FieldComparison",
-    "DecoyRecovery",
     "run_simulation",
     "compare_to_analytic",
-    "recover_single_photon_rates",
     "tally_csv",
 ]
 
@@ -251,55 +247,19 @@ def _multi_fire_probability(n: int, c: float) -> float:
     return math.fsum(weights[1:]) / math.fsum(weights)
 
 
-class _Draws(NamedTuple):
-    """The probabilities of a run's draws.  They depend only on the scenario
-    and the eavesdropper, so a run works them out once."""
-
-    arrival: float  # a pulse carries an arrival
-    dark_fire: float  # a detector fires in the dark (0 when C = 0)
-    multi_arrived: float  # two or more photons arrived, given one did
-    lost: float  # one or more photons were lost, given an arrival
-    dark_lost: float  # one or more photons were lost, given no arrival
-    lost_again: float  # two or more were lost, given one was
-    keep: float  # sifting keeps an arrival
-    eve_flip: float
-    flip: float  # the intrinsic error channel flips a qubit
-    multi_fire: float  # two or more detectors fired, given one did
-    dark_keep: float  # dark sifting keeps a single fire
-
-
-def _draws(scn: Scenario, eve: EveKind) -> _Draws:
-    eta = transmittance(scn.link)
-    c = scn.detector.dark_count_prob
-    n_det = scn.detector.detector_count
-    poisson = scn.source.kind is SourceKind.POISSONIAN
-    mu = scn.source.mean_photon_number
-    lost, lost_again = _poisson_steps(mu * (1.0 - eta)) if poisson else (0.0, 0.0)
-    return _Draws(
-        arrival=-math.expm1(-mu * eta) if poisson else eta,
-        dark_fire=-math.expm1(n_det * math.log1p(-c)) if c > 0.0 else 0.0,
-        multi_arrived=_poisson_steps(mu * eta)[1] if poisson else 0.0,
-        lost=lost,
-        dark_lost=lost if poisson else 1.0,
-        lost_again=lost_again,
-        keep=scn.protocol.conclusive_factor(scn.e_x_sq),
-        eve_flip=eve.flip_probability(scn.protocol.basis_count),
-        flip=scn.e_x_sq,
-        multi_fire=_multi_fire_probability(n_det, c),
-        dark_keep=scn.protocol.dark_conclusive_multiplier / n_det,
-    )
-
-
-def _count_batch(d: _Draws, size: int, rng: "np.random.Generator") -> EmpiricalStats:
-    """Draw ``size`` pulses from ``rng`` and count their conclusive results.
+def _count_batch(
+    scn: Scenario, eve: EveKind, size: int, rng: "np.random.Generator"
+) -> EmpiricalStats:
+    """Draw ``size`` pulses of ``scn`` under ``eve`` from ``rng`` and count
+    their conclusive results.
 
     Pulses are independent, so only the number of pulses with an event is
     drawn; everything else is per-event trials, each counted by
     :func:`_successes` over the events that reach it.  Draw order:
 
-    1. the number of arrival pulses, Binomial(``size``, ``d.arrival``);
+    1. the number of arrival pulses, Binomial(``size``, ``p_arrival``);
     2. the number of dark events among the other pulses,
-       Binomial(``size - arrivals``, ``d.dark_fire``);
+       Binomial(``size - arrivals``, ``p_dark_fire``);
     3. per arrival, sifting;
     4. per kept arrival, by Poisson thinning, whether two or more photons
        arrived given that one did, then, for those where not, whether one
@@ -318,23 +278,45 @@ def _count_batch(d: _Draws, size: int, rng: "np.random.Generator") -> EmpiricalS
     numbers, so the stream depends only on the scenario and the earlier
     counts.
     """
-    n = int(rng.binomial(size, d.arrival))
-    n_dark = int(rng.binomial(size - n, d.dark_fire)) if d.dark_fire > 0.0 else 0
+    eta = transmittance(scn.link)
+    c = scn.detector.dark_count_prob
+    n_det = scn.detector.detector_count
+    poisson = scn.source.kind is SourceKind.POISSONIAN
+    mu = scn.source.mean_photon_number
+    # one or more photons were lost given an arrival, and two or more given
+    # that one was
+    p_lost, p_lost_again = _poisson_steps(mu * (1.0 - eta)) if poisson else (0.0, 0.0)
+    p_arrival = -math.expm1(-mu * eta) if poisson else eta
+    # a detector fires in the dark (0 when C = 0)
+    p_dark_fire = -math.expm1(n_det * math.log1p(-c)) if c > 0.0 else 0.0
+    # two or more photons arrived, given one did
+    p_multi_arrived = _poisson_steps(mu * eta)[1] if poisson else 0.0
+    # one or more photons were lost, given no arrival
+    p_dark_lost = p_lost if poisson else 1.0
+    p_keep = scn.protocol.conclusive_factor(scn.e_x_sq)  # sifting
+    p_eve_flip = eve.flip_probability(scn.protocol.basis_count)
+    p_flip = scn.e_x_sq  # the intrinsic error channel flips a qubit
+    # two or more detectors fired, given one did
+    p_multi_fire = _multi_fire_probability(n_det, c)
+    p_dark_keep = scn.protocol.dark_conclusive_multiplier / n_det  # dark sifting
+
+    n = int(rng.binomial(size, p_arrival))
+    n_dark = int(rng.binomial(size - n, p_dark_fire)) if p_dark_fire > 0.0 else 0
 
     # a kept arrival is a single-photon qubit, or a multi-photon one if more
     # than one photon was emitted
-    kept = _successes(rng, n, d.keep)
-    multi = _successes(rng, kept, d.multi_arrived)
-    multi += _successes(rng, kept - multi, d.lost)
+    kept = _successes(rng, n, p_keep)
+    multi = _successes(rng, kept, p_multi_arrived)
+    multi += _successes(rng, kept - multi, p_lost)
     single = kept - multi
-    single_errors = _flips(rng, single, d)
-    multi_errors = _flips(rng, multi, d)
+    single_errors = _flips(rng, single, p_eve_flip, p_flip)
+    multi_errors = _flips(rng, multi, p_eve_flip, p_flip)
 
     # dark events: an empty pulse emitted only photons that were lost
-    fired_once = n_dark - _successes(rng, n_dark, d.multi_fire)
-    dark = _successes(rng, fired_once, d.dark_keep)
-    lost = _successes(rng, dark, d.dark_lost)
-    lost_again = _successes(rng, lost, d.lost_again)
+    fired_once = n_dark - _successes(rng, n_dark, p_multi_fire)
+    dark = _successes(rng, fired_once, p_dark_keep)
+    lost = _successes(rng, dark, p_dark_lost)
+    lost_again = _successes(rng, lost, p_lost_again)
     # dark counts by photon class (0, 1 or 2), and their bit errors
     classes = (dark - lost, lost - lost_again, lost_again)
     dark_errors = [_successes(rng, group, 0.5) for group in classes]
@@ -353,13 +335,14 @@ def _count_batch(d: _Draws, size: int, rng: "np.random.Generator") -> EmpiricalS
     )
 
 
-def _flips(rng: "np.random.Generator", m: int, d: _Draws) -> int:
-    """Bit errors of ``m`` kept arrivals: an eavesdropper flip, then an
-    intrinsic flip of the eavesdropper-flipped ones and then of the others,
-    an error where exactly one flip succeeded."""
-    flipped = _successes(rng, m, d.eve_flip)
-    unflipped = _successes(rng, flipped, d.flip)
-    return flipped - unflipped + _successes(rng, m - flipped, d.flip)
+def _flips(rng: "np.random.Generator", m: int, eve_flip: float, flip: float) -> int:
+    """Bit errors of ``m`` kept arrivals: an eavesdropper flip, at
+    ``eve_flip``, then an intrinsic flip, at ``flip``, of the
+    eavesdropper-flipped ones and then of the others, an error where exactly
+    one flip succeeded."""
+    flipped = _successes(rng, m, eve_flip)
+    unflipped = _successes(rng, flipped, flip)
+    return flipped - unflipped + _successes(rng, m - flipped, flip)
 
 
 def _count_arg(name: str, value: object, low: int) -> int:
@@ -396,7 +379,7 @@ def run_simulation(
     # pulses, so every run of up to 2**24 pulses keeps its tallies
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     rng = np.random.Generator(np.random.PCG64(seq))
-    return _count_batch(_draws(scn, eve), n_pulses, rng)
+    return _count_batch(scn, eve, n_pulses, rng)
 
 
 class FieldComparison(NamedTuple):
@@ -444,49 +427,6 @@ def compare_to_analytic(
         FieldComparison(name, empirical, analytic, _z_score(empirical, analytic, trials))
         for name, empirical, analytic, trials in rows
     ]
-
-
-class DecoyRecovery(NamedTuple):
-    """Single-photon qubit rate and intrinsic error rate recovered from a
-    simulated run, with propagated binomial standard errors."""
-
-    p_sq: float
-    p_sq_se: float
-    e_x_sq: float
-    e_x_sq_se: float
-
-
-def recover_single_photon_rates(stats: EmpiricalStats, scn: Scenario) -> DecoyRecovery:
-    """Feed a run's single-photon-pulse tallies through the decoy inversion.
-
-    Uses the omniscient per-pulse-class tallies as the stand-in for the
-    decoy-state estimate of the single-photon conclusive rate and error
-    rate, then inverts the dark-count contamination.
-    """
-    if scn.source.kind is not SourceKind.POISSONIAN:
-        raise ValueError("decoy recovery needs a Poissonian source")
-    mu = scn.source.mean_photon_number
-    eta = transmittance(scn.link)
-    c = scn.detector.dark_count_prob
-    n = stats.n_pulses
-
-    w_hat = stats.single_pulse_conclusive / n
-    q_hat = stats.single_pulse_errors / n
-    e_x_1 = stats.single_pulse_errors / max(stats.single_pulse_conclusive, 1)
-    p_sq, e_raw = decoy_invert(
-        w_hat, e_x_1, mu, eta, c, scn.protocol.dark_conclusive_multiplier
-    )
-
-    p1 = math.exp(-mu) * mu
-    p_sq_se = math.sqrt(w_hat * (1.0 - w_hat) / n)
-    e_raw_se = math.sqrt(q_hat * (1.0 - q_hat) / n) / (p1 * eta)
-    e_x_sq, slope = intrinsic_error_from_decoy_with_slope(scn.protocol, e_raw)
-    return DecoyRecovery(
-        p_sq=p_sq,
-        p_sq_se=p_sq_se,
-        e_x_sq=e_x_sq,
-        e_x_sq_se=slope * e_raw_se,
-    )
 
 
 def tally_csv(stats: EmpiricalStats) -> str:

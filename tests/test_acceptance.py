@@ -8,6 +8,7 @@ import time
 import numpy as np
 from conftest import brute_force_worst_case, record_criterion
 
+from qkdrates.decoy import recover_single_photon_rates
 from qkdrates.entropy import binary_entropy, worst_case_conditional_phase_entropy
 from qkdrates.keyrate import (
     max_distance,
@@ -28,11 +29,7 @@ from qkdrates.scenario import (
     decoy_invert,
     transmittance,
 )
-from qkdrates.simulator import (
-    compare_to_analytic,
-    recover_single_photon_rates,
-    run_simulation,
-)
+from qkdrates.simulator import compare_to_analytic, run_simulation
 
 
 def report(number: int, description: str, ok: bool, detail: str = "") -> None:

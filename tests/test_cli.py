@@ -27,10 +27,11 @@ from qkdrates.cli import (
     load_config,
     main,
 )
+from qkdrates.decoy import recover_single_photon_rates
 from qkdrates.keyrate import rate_gllp, rate_improved
 from qkdrates.protocols import BB84, PBC00
 from qkdrates.scenario import EveKind, SourceKind, breakdown, transmittance
-from qkdrates.simulator import recover_single_photon_rates, run_simulation
+from qkdrates.simulator import run_simulation
 
 FIELDS = _OPTIONS
 

@@ -12,6 +12,7 @@ import pytest
 MODULES = [
     "qkdrates",
     "qkdrates.cli",
+    "qkdrates.decoy",
     "qkdrates.entropy",
     "qkdrates.keyrate",
     "qkdrates.protocols",

@@ -6,7 +6,9 @@ numpy takes most of the start-up time of a CLI call, and ``rate`` and
 imports it.  The records are named tuples, so nothing needs ``dataclasses``.
 Likewise only a call that reads a config file imports ``configparser``, and
 only a call the full parser must read, such as ``--help``, imports
-``argparse`` and the ``gettext`` and ``locale`` its messages load.
+``argparse`` and the ``gettext`` and ``locale`` its messages load.  Only
+``decoy`` loads the decoy recovery, which loads neither numpy nor the
+simulator, so ``simulate`` compiles only the simulation.
 Each check runs in a fresh interpreter and counts only the modules that a
 bare interpreter does not already hold: site hooks preload some on some
 machines.
@@ -21,7 +23,7 @@ from pathlib import Path
 import pytest
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-HEAVY = ("numpy", "qkdrates.simulator", "dataclasses", "inspect")
+HEAVY = ("numpy", "qkdrates.simulator", "qkdrates.decoy", "dataclasses", "inspect")
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
@@ -84,6 +86,28 @@ def test_valid_call_loads_no_parser(argv):
     code = (
         f"import sys\nfrom qkdrates.cli import main\nassert main({argv!r}) == 0\n"
         f"print([m for m in {parser!r} if m in sys.modules])"
+    )
+    assert run_python("-c", code).stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "command, loaded", [("simulate", False), ("decoy", True)]
+)  # fmt: skip
+def test_decoy_recovery_loaded_only_by_decoy(command, loaded):
+    # simulate compiles only the simulation, not the recovery it never runs
+    code = (
+        "import sys\nfrom qkdrates.cli import main\n"
+        f"assert main([{command!r}, '--n-pulses', '200000']) == 0\n"
+        "print('qkdrates.decoy' in sys.modules)"
+    )
+    assert run_python("-c", code).stdout.splitlines()[-1] == str(loaded)
+
+
+def test_decoy_loads_no_numpy_nor_simulator():
+    heavy = [m for m in ("numpy", "qkdrates.simulator") if m not in preloaded()]
+    code = (
+        "import sys\nimport qkdrates.decoy\n"
+        f"print([m for m in {heavy!r} if m in sys.modules])"
     )
     assert run_python("-c", code).stdout.splitlines()[-1] == "[]"
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from qkdrates.cli import RunConfig, config_scenario
+from qkdrates.decoy import recover_single_photon_rates
 from qkdrates.protocols import BB84
 from qkdrates.scenario import (
     DetectorModel,
@@ -24,12 +25,7 @@ from qkdrates.scenario import (
     distance_sweep,
     worst_case_no_decoy,
 )
-from qkdrates.simulator import (
-    EmpiricalStats,
-    compare_to_analytic,
-    recover_single_photon_rates,
-    run_simulation,
-)
+from qkdrates.simulator import EmpiricalStats, compare_to_analytic, run_simulation
 
 LINK = LinkModel(0.2, 10.0)
 DETECTOR = DetectorModel(1e-6, 2)

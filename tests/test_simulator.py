@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from qkdrates import simulator
 from qkdrates.cli import main
+from qkdrates.decoy import recover_single_photon_rates
 from qkdrates.protocols import BB84, PBC00, SIX_STATE
 from qkdrates.scenario import (
     DetectorModel,
@@ -36,7 +37,6 @@ from qkdrates.scenario import (
 from qkdrates.simulator import (
     EmpiricalStats,
     compare_to_analytic,
-    recover_single_photon_rates,
     run_simulation,
     tally_csv,
 )
@@ -55,8 +55,7 @@ def make_scenario(spec=BB84, source=None, length=50.0, c=1e-5, e_x_sq=0.05):
 def count_batch(scn, eve, size, seed):
     """Counts of ``size`` pulses drawn as ``run_simulation`` draws them, from
     ``default_rng(seed)``."""
-    draws = simulator._draws(scn, eve)
-    return simulator._count_batch(draws, size, np.random.default_rng(seed))
+    return simulator._count_batch(scn, eve, size, np.random.default_rng(seed))
 
 
 def reference_events(scn, eve, size, seed):
@@ -70,7 +69,50 @@ def run_stream(seed):
     return np.random.Generator(np.random.PCG64(seq))
 
 
+# Whole tallies of 1e6-pulse runs, read from the simulator when a run was
+# last drawn differently (a change that moves a stream updates them and says
+# so): BB84 single photon at 50 km; criterion 8's scenario, whose
+# multi-photon trial (p = 0.0248) is counted by gaps; PBC00 Poisson at 0 km;
+# six-state single photon at 0 km under intercept-resend
+PINNED_TALLIES = [
+    (
+        make_scenario(),
+        EveKind.NONE,
+        11,
+        (1000000, 100428, 4933, 0, 0, 20, 9, 100448, 4942, 0),
+    ),
+    (
+        make_scenario(source=SourceModel.poissonian(0.5), c=1e-6, e_x_sq=0.01),
+        EveKind.NONE,
+        12,
+        (1000000, 30350, 283, 18632, 192, 1, 0, 30351, 283, 0),
+    ),
+    (
+        make_scenario(PBC00, source=SourceModel.poissonian(0.5), length=0.0),
+        EveKind.NONE,
+        13,
+        (1000000, 155768, 7848, 45990, 2355, 9, 2, 155768, 7848, 9),
+    ),
+    (
+        make_scenario(SIX_STATE, length=0.0),
+        EveKind.INTERCEPT_RESEND,
+        14,
+        (1000000, 1000000, 349594, 0, 0, 0, 0, 1000000, 349594, 0),
+    ),
+]
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize(
+        ("scn", "eve", "seed", "want"),
+        PINNED_TALLIES,
+        ids=["bb84-single-50km", "bb84-poisson-50km", "pbc00-poisson-0km",
+             "six-state-single-0km-intercept-resend"],
+    )  # fmt: skip
+    def test_pinned_tallies(self, scn, eve, seed, want):
+        # a kernel change that moves the stream, or any tally, fails here
+        assert run_simulation(scn, eve, 1_000_000, seed=seed) == EmpiricalStats(*want)
+
     def test_identical_runs(self):
         scn = make_scenario(source=SourceModel.poissonian(0.5))
         a = run_simulation(scn, EveKind.NONE, 200_000, seed=42)
@@ -87,10 +129,9 @@ class TestDeterminism:
         # a run of any size, also above the 2**24 pulses of the batches runs
         # were once split into, is one count on one stream
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
-        draws = simulator._draws(scn, EveKind.NONE)
         for n in (2_050_001, 2**24 + 1):
             whole = run_simulation(scn, EveKind.NONE, n, seed=4)
-            assert whole == simulator._count_batch(draws, n, run_stream(4))
+            assert whole == simulator._count_batch(scn, EveKind.NONE, n, run_stream(4))
             assert whole.n_pulses == n
             assert 0 < whole.conclusive_count < n
 
@@ -179,7 +220,7 @@ class TestWorkspace:
         # run after it
         scn, eve = make_scenario(source=source, length=0.0, c=1e-3), EveKind.NONE
         seed, n = 12, 200_000
-        fresh = simulator._count_batch(simulator._draws(scn, eve), n, run_stream(seed))
+        fresh = simulator._count_batch(scn, eve, n, run_stream(seed))
         first = run_simulation(scn, eve, n, seed=seed)
         assert fresh == first == run_simulation(scn, eve, n, seed=seed)
 
@@ -192,13 +233,12 @@ class TestWorkspace:
         eve, n = EveKind.NONE, 1_000_000
         for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5)):
             scn = make_scenario(PBC00, source=source, length=0.0)
-            draws = simulator._draws(scn, eve)
             # a first run pays for what numpy sets up on first use
-            simulator._count_batch(draws, n, np.random.default_rng(1))
+            simulator._count_batch(scn, eve, n, np.random.default_rng(1))
             rng = np.random.default_rng(2)
             tracemalloc.start()
             try:
-                simulator._count_batch(draws, n, rng)
+                simulator._count_batch(scn, eve, n, rng)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

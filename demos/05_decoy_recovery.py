@@ -19,9 +19,8 @@ from qkdrates import (
     breakdown,
     get_protocol,
     transmittance,
-    worst_case_no_decoy,
 )
-from qkdrates.decoy import recover_single_photon_rates
+from qkdrates.decoy import recover_single_photon_rates, worst_case_no_decoy
 from qkdrates.simulator import run_simulation
 
 scn = Scenario(

@@ -29,7 +29,6 @@ from .protocols import (
     protocol_catalog,
 )
 from .scenario import (
-    DecoyInversionError,
     DetectorModel,
     EveKind,
     LinkModel,
@@ -37,10 +36,8 @@ from .scenario import (
     SourceKind,
     SourceModel,
     breakdown,
-    decoy_invert,
     distance_sweep,
     transmittance,
-    worst_case_no_decoy,
 )
 
 # The simulator needs numpy, so it is imported on first use of one of these
@@ -58,7 +55,6 @@ def __getattr__(name: str):
 
 __all__ = [
     "BB84",
-    "DecoyInversionError",
     "DetectorModel",
     "EmpiricalStats",
     "EveKind",
@@ -73,7 +69,6 @@ __all__ = [
     "SourceModel",
     "binary_entropy",
     "breakdown",
-    "decoy_invert",
     "distance_sweep",
     "get_protocol",
     "max_distance",
@@ -87,6 +82,5 @@ __all__ = [
     "threshold_bit_error",
     "transmittance",
     "worst_case_conditional_phase_entropy",
-    "worst_case_no_decoy",
     "zero_dark_threshold",
 ]

@@ -37,7 +37,6 @@ from .keyrate import (
 )
 from .protocols import BB84, get_protocol, protocol_catalog
 from .scenario import (
-    DecoyInversionError,
     DetectorModel,
     EveKind,
     LinkModel,
@@ -337,7 +336,7 @@ def cmd_simulate(cfg: RunConfig, out_path: str | None, tally_out: str | None) ->
 
 
 def cmd_decoy(cfg: RunConfig, out_path: str | None) -> int:
-    from .decoy import recover_single_photon_rates
+    from .decoy import DecoyInversionError, recover_single_photon_rates
     from .simulator import run_simulation
 
     cfg = cfg._replace(source_kind=SourceKind.POISSONIAN)
@@ -434,7 +433,7 @@ def _resolve_config(args: dict) -> RunConfig:
     for flag in _FLAGS:
         if not isinstance(args.get(flag.name), (str, type(None))):
             raise ConfigError(f"{_flag(flag)}: expected one value")
-    cfg =load_config(args["config"]) if args["config"] else RunConfig()
+    cfg = load_config(args["config"]) if args["config"] else RunConfig()
     overrides = {}
     for option in _OPTIONS:
         raw = args.get(option.name)

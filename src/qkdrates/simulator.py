@@ -94,8 +94,8 @@ _TAIL = 512
 # Like every record of the package, the ones here are named tuples; the rule
 # and its reason are in qkdrates._record.
 class EmpiricalStats(NamedTuple):
-    """Tallies from one simulation run.  Merging shards is addition, field
-    by field (not the concatenation of tuples)."""
+    """Tallies from one simulation run.  Adding two tallies adds them field
+    by field (not the concatenation of tuples), pooling their runs."""
 
     n_pulses: int
     single_qubit: int = 0
@@ -247,19 +247,19 @@ def _multi_fire_probability(n: int, c: float) -> float:
     return math.fsum(weights[1:]) / math.fsum(weights)
 
 
-def _count_batch(
-    scn: Scenario, eve: EveKind, size: int, rng: "np.random.Generator"
+def _tally(
+    scn: Scenario, eve: EveKind, n_pulses: int, rng: "np.random.Generator"
 ) -> EmpiricalStats:
-    """Draw ``size`` pulses of ``scn`` under ``eve`` from ``rng`` and count
+    """Draw ``n_pulses`` pulses of ``scn`` under ``eve`` from ``rng`` and count
     their conclusive results.
 
     Pulses are independent, so only the number of pulses with an event is
     drawn; everything else is per-event trials, each counted by
     :func:`_successes` over the events that reach it.  Draw order:
 
-    1. the number of arrival pulses, Binomial(``size``, ``p_arrival``);
+    1. the number of arrival pulses, Binomial(``n_pulses``, ``p_arrival``);
     2. the number of dark events among the other pulses,
-       Binomial(``size - arrivals``, ``p_dark_fire``);
+       Binomial(``n_pulses - arrivals``, ``p_dark_fire``);
     3. per arrival, sifting;
     4. per kept arrival, by Poisson thinning, whether two or more photons
        arrived given that one did, then, for those where not, whether one
@@ -300,8 +300,8 @@ def _count_batch(
     p_multi_fire = _multi_fire_probability(n_det, c)
     p_dark_keep = scn.protocol.dark_conclusive_multiplier / n_det  # dark sifting
 
-    n = int(rng.binomial(size, p_arrival))
-    n_dark = int(rng.binomial(size - n, p_dark_fire)) if p_dark_fire > 0.0 else 0
+    n = int(rng.binomial(n_pulses, p_arrival))
+    n_dark = int(rng.binomial(n_pulses - n, p_dark_fire)) if p_dark_fire > 0.0 else 0
 
     # a kept arrival is a single-photon qubit, or a multi-photon one if more
     # than one photon was emitted
@@ -322,7 +322,7 @@ def _count_batch(
     dark_errors = [_successes(rng, group, 0.5) for group in classes]
 
     return EmpiricalStats(
-        n_pulses=size,
+        n_pulses=n_pulses,
         single_qubit=single,
         single_qubit_errors=single_errors,
         multi_qubit=multi,
@@ -379,7 +379,7 @@ def run_simulation(
     # pulses, so every run of up to 2**24 pulses keeps its tallies
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(0,))
     rng = np.random.Generator(np.random.PCG64(seq))
-    return _count_batch(scn, eve, n_pulses, rng)
+    return _tally(scn, eve, n_pulses, rng)
 
 
 class FieldComparison(NamedTuple):

@@ -174,7 +174,7 @@ def sample_events(scn, eve, size, rng):
     """Per-event reference sampler: the events of a run of ``size``
     pulses, with each event's photon class, category and bit error stored.
 
-    It draws the trials of ``simulator._count_batch`` in the same order and
+    It draws the trials of ``simulator._tally`` in the same order and
     over the same events, but works out every probability itself and
     re-derives every event's outcome from the stream
     (:func:`reference_trials`): ``n_arrivals`` arrival events first, then

@@ -8,7 +8,7 @@ import time
 import numpy as np
 from conftest import brute_force_worst_case, record_criterion
 
-from qkdrates.decoy import recover_single_photon_rates
+from qkdrates.decoy import decoy_invert, recover_single_photon_rates
 from qkdrates.entropy import binary_entropy, worst_case_conditional_phase_entropy
 from qkdrates.keyrate import (
     max_distance,
@@ -26,7 +26,6 @@ from qkdrates.scenario import (
     Scenario,
     SourceModel,
     breakdown,
-    decoy_invert,
     transmittance,
 )
 from qkdrates.simulator import compare_to_analytic, run_simulation

@@ -7,8 +7,9 @@ imports it.  The records are named tuples, so nothing needs ``dataclasses``.
 Likewise only a call that reads a config file imports ``configparser``, and
 only a call the full parser must read, such as ``--help``, imports
 ``argparse`` and the ``gettext`` and ``locale`` its messages load.  Only
-``decoy`` loads the decoy recovery, which loads neither numpy nor the
-simulator, so ``simulate`` compiles only the simulation.
+``decoy`` loads the decoy-state estimate, which loads neither numpy nor the
+simulator, so ``sweep`` compiles only the models and ``simulate`` only the
+simulation.
 Each check runs in a fresh interpreter and counts only the modules that a
 bare interpreter does not already hold: site hooks preload some on some
 machines.
@@ -91,16 +92,32 @@ def test_valid_call_loads_no_parser(argv):
 
 
 @pytest.mark.parametrize(
-    "command, loaded", [("simulate", False), ("decoy", True)]
+    "argv, loaded",
+    [(["sweep", "--length-step-km", "100"], False),
+     (["simulate", "--n-pulses", "200000"], False),
+     (["decoy", "--n-pulses", "200000"], True)],
+    ids=lambda value: value[0] if isinstance(value, list) else None,
 )  # fmt: skip
-def test_decoy_recovery_loaded_only_by_decoy(command, loaded):
-    # simulate compiles only the simulation, not the recovery it never runs
+def test_decoy_recovery_loaded_only_by_decoy(argv, loaded):
+    # sweep and simulate compile only the models and the simulation, not the
+    # decoy estimate they never run
     code = (
         "import sys\nfrom qkdrates.cli import main\n"
-        f"assert main([{command!r}, '--n-pulses', '200000']) == 0\n"
+        f"assert main({argv!r}) == 0\n"
         "print('qkdrates.decoy' in sys.modules)"
     )
     assert run_python("-c", code).stdout.splitlines()[-1] == str(loaded)
+
+
+@pytest.mark.parametrize("module", ["qkdrates", "qkdrates.scenario"])
+def test_decoy_inversion_lives_only_in_decoy(module):
+    # no other module defines or re-exports the decoy-state estimate
+    names = ("DecoyInversionError", "decoy_invert", "worst_case_no_decoy")
+    code = (
+        f"import importlib\nmodule = importlib.import_module({module!r})\n"
+        f"print([name for name in {names!r} if hasattr(module, name)])"
+    )
+    assert run_python("-c", code).stdout.splitlines()[-1] == "[]"
 
 
 def test_decoy_loads_no_numpy_nor_simulator():
@@ -142,7 +159,7 @@ def test_simulator_names_resolve_on_use():
     assert run_python("-c", code).stdout.splitlines()[-1] == "True"
 
 
-def test_simulator_import_leaves_numpy_random_to_the_first_batch():
+def test_simulator_import_leaves_numpy_random_to_the_first_run():
     # numpy loads numpy.random on first use, which takes about 14 ms; a
     # simulator annotation that names it must not trigger that at import
     code = "import sys\nimport qkdrates.simulator\nprint('numpy.random' in sys.modules)"

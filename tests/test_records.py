@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from qkdrates.cli import RunConfig, config_scenario
-from qkdrates.decoy import recover_single_photon_rates
+from qkdrates.decoy import recover_single_photon_rates, worst_case_no_decoy
 from qkdrates.protocols import BB84
 from qkdrates.scenario import (
     DetectorModel,
@@ -23,7 +23,6 @@ from qkdrates.scenario import (
     SourceModel,
     breakdown,
     distance_sweep,
-    worst_case_no_decoy,
 )
 from qkdrates.simulator import EmpiricalStats, compare_to_analytic, run_simulation
 

@@ -52,10 +52,10 @@ def make_scenario(spec=BB84, source=None, length=50.0, c=1e-5, e_x_sq=0.05):
     )
 
 
-def count_batch(scn, eve, size, seed):
-    """Counts of ``size`` pulses drawn as ``run_simulation`` draws them, from
-    ``default_rng(seed)``."""
-    return simulator._count_batch(scn, eve, size, np.random.default_rng(seed))
+def count_run(scn, eve, n_pulses, seed):
+    """Counts of ``n_pulses`` pulses drawn as ``run_simulation`` draws them,
+    from ``default_rng(seed)``."""
+    return simulator._tally(scn, eve, n_pulses, np.random.default_rng(seed))
 
 
 def reference_events(scn, eve, size, seed):
@@ -125,13 +125,13 @@ class TestDeterminism:
         b = run_simulation(scn, EveKind.NONE, 200_000, seed=2)
         assert a != b
 
-    def test_partial_last_batch(self):
+    def test_any_size_is_one_count(self):
         # a run of any size, also above the 2**24 pulses of the batches runs
         # were once split into, is one count on one stream
         scn = make_scenario(source=SourceModel.poissonian(0.5), c=1e-3)
         for n in (2_050_001, 2**24 + 1):
             whole = run_simulation(scn, EveKind.NONE, n, seed=4)
-            assert whole == simulator._count_batch(scn, EveKind.NONE, n, run_stream(4))
+            assert whole == simulator._tally(scn, EveKind.NONE, n, run_stream(4))
             assert whole.n_pulses == n
             assert 0 < whole.conclusive_count < n
 
@@ -146,7 +146,7 @@ class TestDeterminism:
     )  # fmt: skip
     def test_rejects_bad_arguments(self, name, value, reason, monkeypatch):
         # each is caught before anything is drawn
-        monkeypatch.setattr(simulator, "_count_batch", None)
+        monkeypatch.setattr(simulator, "_tally", None)
         args = {"n_pulses": 1_000, "seed": 0}
         with pytest.raises(ValueError, match=f"^{name} must be {reason}"):
             run_simulation(make_scenario(), EveKind.NONE, **{**args, name: value})
@@ -164,13 +164,13 @@ class TestDeterminism:
         got = run_simulation(scn, EveKind.NONE, np.int64(2_000_000), seed=np.uint32(3))
         assert got == want
 
-    def test_batch_plan_memory_bounded(self, monkeypatch):
+    def test_setup_memory_bounded(self, monkeypatch):
         # nothing allocated before a run of 1e11 pulses is counted may grow
         # with their number
         def refuse(*args):
             raise RuntimeError("run counted")
 
-        monkeypatch.setattr(simulator, "_count_batch", refuse)
+        monkeypatch.setattr(simulator, "_tally", refuse)
         scn = make_scenario()
         # a first call pays for the imports the run's generator makes
         with pytest.raises(RuntimeError, match="run counted"):
@@ -206,11 +206,11 @@ class TestWorkspace:
         eve = EveKind.INTERCEPT_RESEND
         source, c, length = warm
         warm_scn = make_scenario(PBC00, source=source, c=c, length=length)
-        count_batch(warm_scn, eve, 40_000, 5)
+        count_run(warm_scn, eve, 40_000, 5)
         source, c, length = drawn
         scn = make_scenario(PBC00, source=source, c=c, length=length)
         want = full_key_tally(20_000, reference_events(scn, eve, 20_000, 6))
-        assert count_batch(scn, eve, 20_000, 6) == want
+        assert count_run(scn, eve, 20_000, 6) == want
 
     @pytest.mark.parametrize(
         "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
@@ -220,11 +220,11 @@ class TestWorkspace:
         # run after it
         scn, eve = make_scenario(source=source, length=0.0, c=1e-3), EveKind.NONE
         seed, n = 12, 200_000
-        fresh = simulator._count_batch(scn, eve, n, run_stream(seed))
+        fresh = simulator._tally(scn, eve, n, run_stream(seed))
         first = run_simulation(scn, eve, n, seed=seed)
         assert fresh == first == run_simulation(scn, eve, n, seed=seed)
 
-    def test_warm_batch_allocation_bounded(self):
+    def test_warm_run_allocation_bounded(self):
         # a 1e6-pulse PBC00 run at 0 km, where every single-photon pulse
         # arrives, holds at most one stage's random words at a time: 15 625
         # words are 125 KB.  tracemalloc's peak is 0.21 MB single-photon and
@@ -234,11 +234,11 @@ class TestWorkspace:
         for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5)):
             scn = make_scenario(PBC00, source=source, length=0.0)
             # a first run pays for what numpy sets up on first use
-            simulator._count_batch(scn, eve, n, np.random.default_rng(1))
+            simulator._tally(scn, eve, n, np.random.default_rng(1))
             rng = np.random.default_rng(2)
             tracemalloc.start()
             try:
-                simulator._count_batch(scn, eve, n, rng)
+                simulator._tally(scn, eve, n, rng)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -248,7 +248,7 @@ class TestWorkspace:
     @pytest.mark.parametrize(
         "source", [SourceModel.single_photon(), SourceModel.poissonian(0.5)]
     )
-    def test_full_batch_allocation_bounded(self, source, e_x_sq):
+    def test_large_run_allocation_bounded(self, source, e_x_sq):
         # a run of 1e8 pulses, one count on one stream, stays within the
         # bound of a 1e6-pulse one.  At 0 km every single-photon pulse
         # arrives: one draw of its sifting stage would take 12.5 MB of words
@@ -274,7 +274,7 @@ class TestPulseInvariants:
     def test_category_rules(self):
         scn = make_scenario(source=SourceModel.poissonian(0.8), length=30.0, c=0.3)
         ev = reference_events(scn, EveKind.NONE, 30_000, seed=13)
-        assert count_batch(scn, EveKind.NONE, 30_000, 13) == full_key_tally(30_000, ev)
+        assert count_run(scn, EveKind.NONE, 30_000, 13) == full_key_tally(30_000, ev)
         arr, dark = slice(0, ev.n_arrivals), slice(ev.n_arrivals, None)
         cat = ev.category
         single = cat == SINGLE_QUBIT
@@ -549,7 +549,7 @@ class TestClassDraws:
         length = -50.0 * math.log10(min(0.5, 1.0 / mu))
         scn = make_scenario(source=SourceModel.poissonian(mu), length=length, c=0.3)
         events = reference_events(scn, EveKind.NONE, 400_000, seed=97)
-        counted = count_batch(scn, EveKind.NONE, 400_000, 97)
+        counted = count_run(scn, EveKind.NONE, 400_000, 97)
         assert counted == full_key_tally(400_000, events)
         arrival_pmf, dark_pmf = photon_class_pmfs(mu, transmittance(scn.link))
         # a class is drawn for kept events only, and sifting is independent
@@ -785,7 +785,7 @@ class TestBernoulli:
 
 
 class TestCountingTally:
-    """``_count_batch`` counts a run's pulses as it draws them; the reference
+    """``_tally`` counts a run's pulses as it draws them; the reference
     sampler stores every event and ``full_key_tally`` bins them."""
 
     @pytest.mark.parametrize("spec", [BB84, SIX_STATE, PBC00])
@@ -799,7 +799,7 @@ class TestCountingTally:
                 for eve in (EveKind.NONE, EveKind.INTERCEPT_RESEND):
                     scn = make_scenario(spec, source=source, length=length, c=c)
                     want = full_key_tally(n, reference_events(scn, eve, n, seed))
-                    assert count_batch(scn, eve, n, seed) == want, (length, c, eve)
+                    assert count_run(scn, eve, n, seed) == want, (length, c, eve)
                     seed += 1
 
     @pytest.mark.parametrize(
@@ -815,7 +815,7 @@ class TestCountingTally:
             for eve in (EveKind.NONE, EveKind.INTERCEPT_RESEND):
                 scn = make_scenario(PBC00, source=source, length=length, c=c)
                 want = full_key_tally(n, reference_events(scn, eve, n, seed))
-                assert count_batch(scn, eve, n, seed) == want, (length, c, eve)
+                assert count_run(scn, eve, n, seed) == want, (length, c, eve)
                 seed += 1
 
 
@@ -859,7 +859,7 @@ class TestHighDarkRate:
         c, n = 0.3, 50_000
         scn = make_scenario(PBC00, c=c)
         events = reference_events(scn, EveKind.NONE, n, seed=2026)
-        assert count_batch(scn, EveKind.NONE, n, 2026) == full_key_tally(n, events)
+        assert count_run(scn, EveKind.NONE, n, 2026) == full_key_tally(n, events)
         discarded = np.count_nonzero(events.category[events.n_arrivals :] == 0)
         d, m = PBC00.detector_count, PBC00.dark_conclusive_multiplier
         one_fire = d * c * (1 - c) ** (d - 1)

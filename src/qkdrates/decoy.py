@@ -145,6 +145,14 @@ def recover_single_photon_rates(
     Uses the omniscient per-pulse-class tallies as the stand-in for the
     decoy-state estimate of the single-photon conclusive rate and error
     rate, then inverts the dark-count contamination.
+
+    Raises
+    ------
+    DecoyInversionError
+        If the run expects fewer than one single-photon arrival
+        (``n_pulses * mu * exp(-mu) * eta < 1``), so that whatever the
+        inversion returned would be the dark counts' noise, or if
+        :func:`decoy_invert` finds no physical solution.
     """
     if scn.source.kind is not SourceKind.POISSONIAN:
         raise ValueError("decoy recovery needs a Poissonian source")
@@ -152,6 +160,15 @@ def recover_single_photon_rates(
     eta = transmittance(scn.link)
     c = scn.detector.dark_count_prob
     n = stats.n_pulses
+    p1 = math.exp(-mu) * mu
+    arrivals = n * p1 * eta
+    # eta = 0 is left to decoy_invert, whose message names it
+    if eta > 0.0 and arrivals < 1.0:
+        raise DecoyInversionError(
+            f"the run expects {arrivals:.3g} single-photon arrivals "
+            "(n_pulses * mu * exp(-mu) * eta), fewer than 1, so it holds "
+            "no single-photon signal to recover"
+        )
 
     w_hat = stats.single_pulse_conclusive / n
     q_hat = stats.single_pulse_errors / n
@@ -160,7 +177,6 @@ def recover_single_photon_rates(
         w_hat, e_x_1, mu, eta, c, scn.protocol.dark_conclusive_multiplier
     )
 
-    p1 = math.exp(-mu) * mu
     p_sq_se = math.sqrt(w_hat * (1.0 - w_hat) / n)
     e_raw_se = math.sqrt(q_hat * (1.0 - q_hat) / n) / (p1 * eta)
     e_x_sq, slope = intrinsic_error_from_decoy_with_slope(scn.protocol, e_raw)

@@ -19,6 +19,7 @@ expressions take Python floats or, elementwise, numpy arrays; the two
 solvers work on floats.
 """
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -250,6 +251,7 @@ def _threshold_y(spec: ProtocolSpec, e_x_sq: float) -> float | None:
         y = after
 
 
+@functools.lru_cache(maxsize=16)
 def zero_dark_threshold(spec: ProtocolSpec) -> float:
     """Largest tolerable bit error rate when dark counts earn no credit.
 
@@ -258,6 +260,9 @@ def zero_dark_threshold(spec: ProtocolSpec) -> float:
     9.81% for PBC00.  It is also the gllp threshold on the observed error
     rate of a single-photon source, whose gllp rate depends on that rate
     alone; :func:`threshold_bit_error` is the one with dark counts credited.
+
+    The root is a constant of the protocol, so Brent's search runs once per
+    distinct ``spec`` per process; later calls return the cached float.
     """
     def margin(e: float) -> float:
         return rate_shor_preskill(1.0, e, spec)
@@ -288,7 +293,9 @@ def max_distance(
     which is at ``ln(1 + R p_sq(0) / p_dk(cap_km)) / A`` with ``R = (1 -
     2 e_x_sq)/y* - 1`` and ``A`` the attenuation in nepers per km.  The result
     is ``tol_km/2`` short of that, or 0.0 if that is negative, and
-    ``math.inf`` if ``y* = 0``.
+    ``math.inf`` if ``y* = 0``.  The gllp root is solved once per protocol
+    per process (:func:`zero_dark_threshold` caches it), so a later gllp
+    reach costs the two end-point breakdowns and a ``log1p``.
 
     Otherwise a search starts where the single-photon signal falls to the
     floor, ``ln(p_sq(0) / p_dk(cap_km)) / A``, or at 1 km without a floor.

@@ -95,7 +95,12 @@ _TAIL = 512
 # and its reason are in qkdrates._record.
 class EmpiricalStats(NamedTuple):
     """Tallies from one simulation run.  Adding two tallies adds them field
-    by field (not the concatenation of tuples), pooling their runs."""
+    by field (not the concatenation of tuples), pooling their runs.
+
+    Nothing in the package adds tallies, since a run is one stream, but
+    ``__add__`` stays: a record replaces any tuple operation that would be
+    wrong for it (see ``_record``), and without it ``a + b`` would silently
+    make a 20-field tuple."""
 
     n_pulses: int
     single_qubit: int = 0

@@ -500,6 +500,22 @@ class TestDecoyCommand:
         assert err == ""
         assert out.startswith("decoy inversion failed: transmittance is 0")
 
+    def test_no_single_photon_signal_exits_1_whatever_the_seed(self, capsys):
+        # eta is about 1e-40: the run expects 3e-35 single-photon arrivals, so
+        # the cause is named before the dark counts' noise reaches the inversion
+        outs = set()
+        for seed in range(1, 7):
+            code, out, err = run_cli(
+                capsys, "decoy", "--length-km", "2000", "--seed", str(seed)
+            )
+            assert (code, err) == (1, "")
+            outs.add(out)
+        assert outs == {
+            "decoy inversion failed: the run expects 3.03e-35 single-photon "
+            "arrivals (n_pulses * mu * exp(-mu) * eta), fewer than 1, so it "
+            "holds no single-photon signal to recover\n"
+        }
+
     def test_report_is_one_run_recovered(self, capsys, monkeypatch):
         argv = ("--length-km", "30", "--e-x-sq", "0.02", "--n-pulses", "100000",
                 "--seed", "6")  # fmt: skip

@@ -28,7 +28,7 @@ from qkdrates.keyrate import (
     single_photon_class_error,
     threshold_bit_error,
 )
-from qkdrates.protocols import BB84, PBC00, SIX_STATE, protocol_catalog
+from qkdrates.protocols import BB84, PBC00, SIX_STATE, ProtocolSpec, protocol_catalog
 from qkdrates.scenario import (
     DetectorModel,
     LinkModel,
@@ -202,6 +202,39 @@ class TestShorPreskillRate:
         with mpmath.workdps(50):
             assert abs(got - exact_zero_dark_threshold(spec)) <= 1e-15
         assert got == pytest.approx(ZERO_DARK_THRESHOLDS[name], abs=5e-4)
+
+
+class TestZeroDarkThresholdCache:
+    """The zero-dark root is a constant of the protocol, solved once per
+    distinct spec per process."""
+
+    @pytest.mark.parametrize("spec", protocol_catalog(), ids=lambda s: s.name)
+    def test_cached_value_is_the_solve(self, spec):
+        solve = keyrate.zero_dark_threshold.__wrapped__
+        assert keyrate.zero_dark_threshold(spec).hex() == solve(spec).hex()
+
+    def test_one_solve_per_protocol(self):
+        # single-photon gllp reaches over 3 protocols x 4 dark rates
+        keyrate.zero_dark_threshold.cache_clear()
+        for spec in protocol_catalog():
+            for dark in (1e-7, 1e-6, 1e-5, 1e-4):
+                assert 0.0 < max_distance(fig1_scenario(spec, dark=dark), "gllp")
+        info = keyrate.zero_dark_threshold.cache_info()
+        assert (info.misses, info.hits) == (3, 9)
+
+    @pytest.mark.parametrize("spec", protocol_catalog(), ids=lambda s: s.name)
+    def test_equal_spec_hits(self, spec):
+        want = keyrate.zero_dark_threshold(spec)
+        before = keyrate.zero_dark_threshold.cache_info()
+        rebuilt = ProtocolSpec(**spec._asdict())
+        assert rebuilt is not spec
+        assert keyrate.zero_dark_threshold(rebuilt) == want
+        after = keyrate.zero_dark_threshold.cache_info()
+        assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+    def test_bounded(self):
+        maxsize = keyrate.zero_dark_threshold.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 1000
 
 
 class TestGllpRate:

@@ -151,7 +151,9 @@ def recover_single_photon_rates(
     DecoyInversionError
         If the run expects fewer than one single-photon arrival
         (``n_pulses * mu * exp(-mu) * eta < 1``), so that whatever the
-        inversion returned would be the dark counts' noise, or if
+        inversion returned would be the dark counts' noise; if its
+        single-pulse results hold fewer errors than the dark counts alone
+        are expected to make, which would invert to ``e_x_sq < 0``; or if
         :func:`decoy_invert` finds no physical solution.
     """
     if scn.source.kind is not SourceKind.POISSONIAN:
@@ -170,12 +172,23 @@ def recover_single_photon_rates(
             "no single-photon signal to recover"
         )
 
-    w_hat = stats.single_pulse_conclusive / n
-    q_hat = stats.single_pulse_errors / n
-    e_x_1 = stats.single_pulse_errors / max(stats.single_pulse_conclusive, 1)
-    p_sq, e_raw = decoy_invert(
-        w_hat, e_x_1, mu, eta, c, scn.protocol.dark_conclusive_multiplier
-    )
+    conclusive, errors = stats.single_pulse_conclusive, stats.single_pulse_errors
+    m = scn.protocol.dark_conclusive_multiplier
+    # single-pulse results the dark counts alone are expected to make, half of
+    # them errors; errors - dark/2 is the inversion's e_x_sq times the arrivals
+    # (conclusive <= dark is left to decoy_invert's dark-count floor)
+    dark = n * p1 * m * c * (1.0 - eta)
+    if eta > 0.0 and conclusive > dark and errors - 0.5 * dark < -1e-9 * arrivals:
+        raise DecoyInversionError(
+            f"the run's {conclusive} single-pulse conclusive results hold "
+            f"{errors} errors, fewer than the {0.5 * dark:.3g} the dark counts "
+            "alone are expected to make: too few to resolve e_x_sq"
+        )
+
+    w_hat = conclusive / n
+    q_hat = errors / n
+    e_x_1 = errors / max(conclusive, 1)
+    p_sq, e_raw = decoy_invert(w_hat, e_x_1, mu, eta, c, m)
 
     p_sq_se = math.sqrt(w_hat * (1.0 - w_hat) / n)
     e_raw_se = math.sqrt(q_hat * (1.0 - q_hat) / n) / (p1 * eta)

@@ -6,7 +6,8 @@ where conclusive results come from:
 * ``rate_shor_preskill``: one-way CSS rate ``p_c * [1 - H(e_x) - H(e_z|e_x)]``
   treating every conclusive result as a single-photon qubit.
 * ``rate_gllp``: discounts multi-photon pulses via the fractions ``omega0``
-  (empty-pulse results) and ``omega1`` (single-photon-pulse results).
+  (empty-pulse results) and ``omega1`` (single-photon-pulse results);
+  where ``omega1 = 0`` its single-photon term is exactly 0.
 * ``rate_bob`` / ``rate_alice``: additionally credit dark-count results,
   which carry no information usable by an eavesdropper, either on the
   receiver's or the sender's side of the key.
@@ -103,17 +104,18 @@ def single_photon_class_error(b: RateBreakdown) -> float:
     pulses whose photon was lost, in the proportions implied by ``omega1``.
     A dark count's bit is uniform, independent of the sender's, so it errs
     with probability 1/2.
+
+    Where ``omega1 * p_c`` is not positive the class is empty; 1 joins the
+    divisor there, so the rate is about ``p_sq * e_x_sq``, at most 1e-9 by
+    the consistency check, and ``omega1 = 0`` times its entropy is 0.
     """
     w1pc = b.omega1 * b.p_c
-    if any_(w1pc <= 0.0):
-        raise InfeasibleRatesError("no single-photon conclusive results")
     dark_single = w1pc - b.p_sq
     if any_(dark_single < -1e-9 * maximum(w1pc, 1.0)):
-        raise InfeasibleRatesError(
-            "omega1 inconsistent with single-photon qubit rate"
-        )
+        raise InfeasibleRatesError("omega1 inconsistent with single-photon qubit rate")
     dark_single = maximum(dark_single, 0.0)
-    return (b.p_sq * b.e_x_sq + dark_single * 0.5) / w1pc
+    # adding False (0) keeps a positive w1pc's bits
+    return (b.p_sq * b.e_x_sq + dark_single * 0.5) / (w1pc + (w1pc <= 0.0))
 
 
 def rate_shor_preskill(p_c: float, e_x: float, spec: ProtocolSpec) -> float:
@@ -129,31 +131,12 @@ def rate_gllp(b: RateBreakdown, spec: ProtocolSpec) -> float:
 
     ``p_c * [omega0 + omega1 - H(e_x) - omega1 * H(e_z^1 | e_x^1)]`` where
     the conditional entropy is the protocol worst case at the
-    single-photon-pulse error rate.  The last term vanishes where
-    ``omega1 = 0``, element by element for an array breakdown.
+    single-photon-pulse error rate.  The last term is exactly 0 where
+    ``omega1 = 0``, element by element for an array breakdown, since the
+    class error is finite there too.
     """
-    value = b.omega0 + b.omega1 - binary_entropy(b.e_x)
-    single = b.omega1 > 0.0
-    if all_(single):
-        return b.p_c * (value - _single_photon_term(b, spec))
-    if any_(single):
-        # only an array gets here: omega1 underflows to 0 at some elements
-        # (a subnormal single-photon probability), so the term is taken at
-        # the others alone
-        import numpy as np
-
-        *fields, single = np.broadcast_arrays(*b, single)
-        part = RateBreakdown._make(field[single] for field in fields)
-        term = np.zeros(single.shape)
-        term[single] = _single_photon_term(part, spec)
-        value = value - term
-    return b.p_c * value
-
-
-def _single_photon_term(b: RateBreakdown, spec: ProtocolSpec) -> float:
-    """``omega1 * H(e_z^1 | e_x^1)`` at the single-photon-pulse error rate."""
-    e_x_1 = single_photon_class_error(b)
-    return b.omega1 * worst_case_conditional_phase_entropy(spec, e_x_1)
+    h_worst = worst_case_conditional_phase_entropy(spec, single_photon_class_error(b))
+    return b.p_c * (b.omega0 + b.omega1 - binary_entropy(b.e_x) - b.omega1 * h_worst)
 
 
 def rate_bob(b: RateBreakdown, spec: ProtocolSpec) -> float:

@@ -5,6 +5,7 @@ formula per quantity; the scalar calls are the reference for the array
 path.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -155,20 +156,23 @@ def test_infeasible_element_raises_like_scalar(case):
 
 def test_underflowing_omega1_matches_the_float_route(capsys):
     # at mu = 745 the single-photon probability mu e^-mu is subnormal, so
-    # omega1 is positive out to 100 km and underflows to 0 from 200 km
-    scn = make_scenario(BB84, 745.0, 0.2, -10.0, 0.01)
-    scn = scn._replace(detector=DetectorModel(dark_count_prob=0.0, detector_count=2))
+    # omega1 is positive out to 100 km and underflows to 0 from 200 km; the
+    # cases run in one test so that its id stays the one the suite has had
     lengths = [0.0, 100.0, 200.0, 300.0, 400.0]
-    b = breakdown(scn.at_length(np.array(lengths)))
-    assert b.omega1[1] > 0.0 and b.omega1[2] == 0.0
-    want = [rate_gllp(breakdown(scn.at_length(length)), BB84) for length in lengths]
-    assert rate_gllp(b, BB84).tolist() == want
-    argv = [
-        "sweep", "--source-kind", "poissonian", "--mean-photon-number", "745",
-        "--dark-count-prob", "0", "--length-max-km", "400", "--length-step-km", "100",
-    ]  # fmt: skip
-    assert main(argv) == 0
-    assert len(capsys.readouterr().out.splitlines()) == 1 + len(lengths)
+    for spec, dark in itertools.product(protocol_catalog(), [0.0, 1e-9]):
+        scn = make_scenario(spec, 745.0, 0.2, -10.0, 0.01)
+        scn = scn._replace(detector=DetectorModel(dark, spec.detector_count))
+        b = breakdown(scn.at_length(np.array(lengths)))
+        assert b.omega1[1] > 0.0 and b.omega1[2] == 0.0
+        want = [rate_gllp(breakdown(scn.at_length(x)), spec) for x in lengths]
+        assert rate_gllp(b, spec).tolist() == want, (spec.name, dark)
+        argv = [
+            "sweep", "--protocol", spec.name, "--source-kind", "poissonian",
+            "--mean-photon-number", "745", "--dark-count-prob", repr(dark),
+            "--length-max-km", "400", "--length-step-km", "100",
+        ]  # fmt: skip
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1 + len(lengths)
 
 
 # The math formula each helper must follow on a scalar, whatever its class.

@@ -516,6 +516,23 @@ class TestDecoyCommand:
             "holds no single-photon signal to recover\n"
         }
 
+    @pytest.mark.parametrize(
+        ("seed", "conclusive"), [("1", 7), ("2", 10), ("3", 4), ("4", 7)]
+    )
+    def test_too_few_errors_name_the_counts(self, capsys, seed, conclusive):
+        # about 6 single-photon arrivals at a 1% error rate: no error is the
+        # likeliest tally, fewer than the dark counts alone are expected to make
+        code, out, err = run_cli(
+            capsys, "decoy", "--length-km", "200", "--n-pulses", "200000",
+            "--seed", seed,
+        )  # fmt: skip
+        assert (code, err) == (1, "")
+        assert out == (
+            f"decoy inversion failed: the run's {conclusive} single-pulse "
+            "conclusive results hold 0 errors, fewer than the 0.0606 the dark "
+            "counts alone are expected to make: too few to resolve e_x_sq\n"
+        )
+
     def test_report_is_one_run_recovered(self, capsys, monkeypatch):
         argv = ("--length-km", "30", "--e-x-sq", "0.02", "--n-pulses", "100000",
                 "--seed", "6")  # fmt: skip
@@ -747,8 +764,8 @@ class TestRemovedInputs:
 
 
 class TestParserPerCommand:
-    """``main`` parses a call that names a subcommand with that subcommand's
-    parser alone; what a user sees is the same as from the full parser."""
+    """A plain call is read by ``_scan`` and builds no parser; any other call
+    goes to the full parser, so help and errors are exactly its own."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -798,7 +815,8 @@ def outcome(argv):
 
 class TestSharedParser:
     """Many calls of one subcommand share a process, so no call may leave
-    state that a later call reads."""
+    state that a later call reads.  No parser is shared or cached; the name
+    is kept so that the suite's test ids stay stable."""
 
     THRESHOLD_DEFAULTS = (
         "protocol,e_x_sq,threshold\n"

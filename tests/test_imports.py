@@ -15,6 +15,7 @@ bare interpreter does not already hold: site hooks preload some on some
 machines.
 """
 
+import ast
 import functools
 import os
 import subprocess
@@ -127,6 +128,23 @@ def test_decoy_loads_no_numpy_nor_simulator():
         f"print([m for m in {heavy!r} if m in sys.modules])"
     )
     assert run_python("-c", code).stdout.splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize("module", ["keyrate", "entropy"])
+def test_rate_engine_neither_imports_nor_names_numpy(module):
+    # the formulas reach numpy only through qkdrates._elementwise
+    tree = ast.parse((Path(SRC) / "qkdrates" / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.add((node.module or "").partition(".")[0])
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    assert not {"numpy", "np"} & found
 
 
 def test_help_still_prints_usage():

@@ -258,6 +258,33 @@ class TestGllpRate:
         # with a single-photon source the class error equals the mixed rate
         assert single_photon_class_error(b) == pytest.approx(b.e_x, abs=1e-12)
 
+    # consistent records with no single-photon results: only multi-photon
+    # qubits and dark counts on empty pulses, as a float and as an array
+    NO_SINGLE_PHOTON = [
+        dict(p_sq=0.0, p_mq=0.5, p_dk=0.1, omega0=0.1 / 0.6, omega1=0.0,
+             e_x=0.2, e_x_sq=0.03),
+        dict(p_sq=0.0, p_mq=1e-3, p_dk=0.0, omega0=0.0, omega1=0.0,
+             e_x=0.0, e_x_sq=0.0),
+        dict(p_sq=0.0, p_mq=np.array([0.3, 1e-9, 0.0]),
+             p_dk=np.array([0.0, 1e-7, 0.2]), omega0=np.array([0.0, 0.9, 1.0]),
+             omega1=np.zeros(3), e_x=np.array([0.1, 0.45, 0.5]), e_x_sq=0.05),
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize("fields", NO_SINGLE_PHOTON)
+    def test_class_error_is_finite_without_single_photon_results(self, fields):
+        e_x_1 = np.asarray(single_photon_class_error(RateBreakdown(**fields)))
+        assert np.all(np.isfinite(e_x_1))
+        assert np.all((0.0 <= e_x_1) & (e_x_1 <= 0.5))
+
+    @pytest.mark.parametrize("spec", protocol_catalog(), ids=lambda s: s.name)
+    @pytest.mark.parametrize("fields", NO_SINGLE_PHOTON)
+    def test_gllp_without_single_photon_results_drops_the_term(self, fields, spec):
+        b = RateBreakdown(**fields)
+        got = rate_gllp(b, spec)
+        want = b.p_c * (b.omega0 - binary_entropy(b.e_x))
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
 
 class TestBobAndAliceRates:
     def test_perfect_single_photon(self):

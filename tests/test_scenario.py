@@ -134,6 +134,20 @@ class TestSinglePhotonBreakdown:
         assert np.all(b.omega0 == 0.0)
         assert np.all(b.omega1 == 1.0)
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: linearized dark rate")
+    @pytest.mark.parametrize("c", [0.01, 0.3, 0.9999999])
+    @pytest.mark.parametrize("spec", protocol_catalog(), ids=lambda s: s.name)
+    def test_dark_rate_is_the_exact_single_fire_rate(self, spec, c):
+        # a dark count is conclusive only when its detector fires alone: the
+        # other n - 1 stay dark, and no photon arrives to fire one
+        scn = make_scenario(spec, length=50.0, c=c)
+        b = breakdown(scn)
+        n = spec.detector_count
+        no_arrival = 1.0 - transmittance(scn.link)
+        want = spec.dark_conclusive_multiplier * c * (1.0 - c) ** (n - 1) * no_arrival
+        assert b.p_dk == pytest.approx(want, rel=1e-12)
+        assert b.p_c <= 1.0
+
 
 class TestNoConclusiveResults:
     # 1e5 km at 0.2 dB/km: the transmittance underflows to exactly 0

@@ -187,7 +187,7 @@ class TestDeterminism:
 
 # (source, dark count probability, length in km): C = 0 at 0 km makes every
 # pulse an arrival, C = 0.3 at 50 km makes most events dark
-WORKSPACE_SCENARIOS = [
+CARRY_OVER_SCENARIOS = [
     (source, c, length)
     for source in (SourceModel.single_photon(), SourceModel.poissonian(0.5))
     for c, length in ((0.0, 0.0), (0.3, 50.0))
@@ -195,10 +195,12 @@ WORKSPACE_SCENARIOS = [
 
 
 class TestWorkspace:
-    """A run holds no state beyond its own draws, and little memory."""
+    """A run holds no state beyond its own draws, and little memory.  No
+    workspace outlives a run; the name is kept so that the suite's test ids
+    stay stable."""
 
     @pytest.mark.parametrize(
-        ("warm", "drawn"), itertools.permutations(WORKSPACE_SCENARIOS, 2)
+        ("warm", "drawn"), itertools.permutations(CARRY_OVER_SCENARIOS, 2)
     )
     def test_warmed_equals_fresh(self, warm, drawn):
         # a run counted after another scenario's run counts what the

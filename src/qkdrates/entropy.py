@@ -6,14 +6,18 @@ phase error means Phi- or Psi-, and a Y error means Phi- or Psi+.  Privacy
 amplification cost is the conditional entropy of the phase error given the
 bit error, maximized over the Y error rate interval the protocol leaves
 unconstrained.  That maximum has a closed form: the Y rate that makes the
-phase error independent of the bit error, clipped to the interval.
-:func:`conditional_phase_entropy` is that objective, written on the four
-outcome probabilities the three error rates determine.
+phase error independent of the bit error, clipped to the interval.  Where
+the interval admits that rate no clip is needed and the maximum is the
+binary entropy of the phase error alone, which is how BB84 and PBC00 are
+always evaluated; the six-state protocol pins the Y rate to ``e_x``, which
+is that rate only at ``e_x`` 0 and 1/2.  :func:`conditional_phase_entropy`
+is the objective, written on the four outcome probabilities the three
+error rates determine.
 
 Every function here takes Python floats or, elementwise, numpy arrays.
 """
 
-from ._elementwise import any_, entropy_term, first_failing, maximum, minimum
+from ._elementwise import all_, any_, entropy_term, first_failing, maximum, minimum
 from .protocols import ProtocolSpec
 
 __all__ = [
@@ -93,17 +97,30 @@ def worst_case_conditional_phase_entropy(spec: ProtocolSpec, e_x):
     feasible set.  With ``e_x`` and ``e_z`` fixed the objective is concave
     in ``e_y`` and stationary where the phase error is independent of the
     bit error, ``e_y* = e_x + e_z - 2 e_x e_z``, so the maximum is the
-    objective at ``e_y*`` clipped to the interval.  For BB84 that is
-    ``H(e_x)``; the six-state interval is a single point.
+    objective at ``e_y*`` clipped to the interval.
+
+    ``e_y*`` is always feasible: it is the Y rate of the product
+    distribution ``((1-e_x)(1-e_z), e_x(1-e_z), (1-e_x)e_z, e_x e_z)``,
+    which is non-negative.  So wherever ``e_y*`` lies in the admissible
+    interval (and ``e_z <= 1``) the clip is the identity and the value is
+    ``H(e_z)``, one binary entropy with no objective evaluated.  BB84 and
+    PBC00 take that route on all of ``[0, max_bit_error]`` (PBC00 needs
+    ``e_y* >= e_x/4``, true for ``e_x <= 0.8``); for BB84 it is the
+    Shor-Preskill cost ``H(e_x)``.  The six-state interval is the single
+    point ``e_x``, which is ``e_y*`` only at 0 and 1/2.  An array takes the
+    route only if every element admits it, so floats and arrays share one
+    code path.
 
     Raises
     ------
     InfeasibleRatesError
         If the admissible interval does not intersect the feasible set.
     ValueError
-        If ``e_x`` exceeds the protocol's largest meaningful bit error rate.
+        If ``e_x`` is NaN, negative, or exceeds the protocol's largest
+        meaningful bit error rate.
     """
-    bad = (e_x < 0.0) | (e_x > spec.max_bit_error + NEG_TOL)
+    # e_x != e_x flags NaN, which the clamps below would pass through
+    bad = (e_x < 0.0) | (e_x > spec.max_bit_error + NEG_TOL) | (e_x != e_x)
     if any_(bad):
         raise ValueError(
             f"e_x={first_failing(e_x, bad)} outside [0, {spec.max_bit_error}] "
@@ -111,8 +128,13 @@ def worst_case_conditional_phase_entropy(spec: ProtocolSpec, e_x):
         )
     e_x = minimum(maximum(e_x, 0.0), spec.max_bit_error)
     e_z = spec.phase_ratio * e_x
-    # intersect with the rates whose outcome probabilities are all >= 0
+    e_y = e_x + e_z - 2.0 * e_x * e_z
     lo, hi = spec.y_interval(e_x)
+    # e_y* is feasible, so where it is admissible it is the maximiser, and
+    # phase and bit errors are independent there
+    if all_((lo <= e_y) & (e_y <= hi) & (e_z <= 1.0)):
+        return binary_entropy(e_z)
+    # intersect with the rates whose outcome probabilities are all >= 0
     lo = maximum(lo, abs(e_x - e_z))
     hi = minimum(hi, minimum(e_x + e_z, 2.0 - e_x - e_z))
     bad = hi < lo - NEG_TOL
@@ -121,5 +143,4 @@ def worst_case_conditional_phase_entropy(spec: ProtocolSpec, e_x):
             f"admissible Y interval empty for {spec.name} "
             f"at e_x={first_failing(e_x, bad)}"
         )
-    e_y = maximum(lo, minimum(e_x + e_z - 2.0 * e_x * e_z, hi))
-    return conditional_phase_entropy(e_x, e_y, e_z)
+    return conditional_phase_entropy(e_x, maximum(lo, minimum(e_y, hi)), e_z)

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import io
 import re
 import time
@@ -201,6 +202,59 @@ class TestThresholdCommand:
         code, _, err = run_cli(capsys, "threshold", "--protocol", "e91")
         assert code == 2
         assert "protocol" in err
+
+
+# sha256 of stdout for the benchmark's threshold grid (e_x_sq = i/1000, i in
+# 0..200) and for rate with its defaults.  Both commands compute on floats
+# through libm and never load numpy, so a kernel change that moves a
+# printed byte fails here and has to update the digests on purpose.
+# Sweeps are left out: numpy's SIMD log2 may differ in the last bit
+# between machines.
+THRESHOLD_GRID_SHA256 = {
+    "bb84": "9fe44bcec34216282f6e77e30979abac67e464e6b4e7b0548cd9aa2d01a36209",
+    "six-state": "50da99763745918a601eb78448f558c4bdfb480dcf298af991740da7ad533b7a",
+    "pbc00": "eb76485a4eaef263e9967c0e6888a11d9d014735b3549d51ccac516b1f15ff25",
+}
+RATE_DEFAULTS_SHA256 = {
+    ("bb84", "single-photon"): (
+        "958104ecbe229c16d679a70f59111c4163afeffc476bf3b253aed2ef124a9a72"
+    ),
+    ("bb84", "poissonian"): (
+        "3aa000761fbac47329e153285b54a2e2384a234fcf284596b85f7255b624bbe7"
+    ),
+    ("six-state", "single-photon"): (
+        "6b396e6f6de9e3396e7ae5403707f36fc6e50fe11b400fd41b409ff459705c1c"
+    ),
+    ("six-state", "poissonian"): (
+        "eba13a3d9671663e5a8f8dced2567b3488d6ead2a4900f1f87f71d1d79bf32e1"
+    ),
+    ("pbc00", "single-photon"): (
+        "73220bfec67546a99e5567b45ac61a9e96833ffcc7051cf0b572656359956434"
+    ),
+    ("pbc00", "poissonian"): (
+        "455a396e2bdecd7384176298ca0d7dfae93c4b2fca64e774a2eaf84e8f466756"
+    ),
+}
+
+
+def stdout_sha256(capsys, *argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("protocol", THRESHOLD_GRID_SHA256)
+    def test_threshold_grid(self, capsys, protocol):
+        grid = [repr(i / 1000) for i in range(201)]
+        digest = stdout_sha256(capsys, "threshold", "--protocol", protocol, *grid)
+        assert digest == THRESHOLD_GRID_SHA256[protocol]
+
+    @pytest.mark.parametrize("protocol, source", RATE_DEFAULTS_SHA256)
+    def test_rate_defaults(self, capsys, protocol, source):
+        argv = ["rate", "--protocol", protocol, "--source-kind", source]
+        digest = stdout_sha256(capsys, *argv)
+        assert digest == RATE_DEFAULTS_SHA256[protocol, source]
 
 
 class TestSweepCommand:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 from conftest import brute_force_worst_case
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdrates.entropy import (
@@ -136,6 +136,13 @@ class TestWorstCaseConditionalEntropy:
         with pytest.raises(ValueError):
             worst_case_conditional_phase_entropy(SIX_STATE, 0.7)
 
+    @pytest.mark.parametrize(
+        "e_x", [float("nan"), np.array([0.1, float("nan")])], ids=["float", "array"]
+    )
+    def test_nan_names_itself_and_the_protocol(self, e_x):
+        with pytest.raises(ValueError, match=r"^e_x=nan outside \[0, 0.8\] for pbc00$"):
+            worst_case_conditional_phase_entropy(PBC00, e_x)
+
     def test_empty_admissible_interval_raises(self):
         # a Y interval above e_x + e_z leaves every outcome distribution
         # with a negative probability
@@ -145,15 +152,20 @@ class TestWorstCaseConditionalEntropy:
             worst_case_conditional_phase_entropy(spec, 0.1)
 
 
+def feasible_y_interval(spec, e_x):
+    """``e_z`` and the part of the admissible Y interval whose outcome
+    probabilities are all non-negative, in plain float arithmetic."""
+    e_z = spec.phase_ratio * e_x
+    lo, hi = spec.y_interval(e_x)
+    return e_z, max(lo, abs(e_x - e_z)), min(hi, e_x + e_z, 2.0 - e_x - e_z)
+
+
 @st.composite
 def admissible_points(draw):
     """A protocol, an admissible bit error rate and a Y rate in its interval."""
     spec = draw(st.sampled_from(protocol_catalog()))
     e_x = draw(st.floats(0.0, spec.max_bit_error))
-    e_z = spec.phase_ratio * e_x
-    lo, hi = spec.y_interval(e_x)
-    lo = max(lo, abs(e_x - e_z))
-    hi = min(hi, e_x + e_z, 2.0 - e_x - e_z)
+    e_z, lo, hi = feasible_y_interval(spec, e_x)
     t = draw(st.floats(0.0, 1.0))
     return spec, e_x, e_z, max(lo, min(lo + t * (hi - lo), hi))
 
@@ -169,3 +181,65 @@ class TestClosedFormProperties:
     def test_bb84_is_shor_preskill(self, e_x):
         value = worst_case_conditional_phase_entropy(BB84, e_x)
         assert value == pytest.approx(binary_entropy(e_x), abs=1e-12)
+
+
+# BB84 with its Y interval cut to [0, e_x/2]: e_y* = 2 e_x (1 - e_x) lies
+# above it for e_x < 3/4, so the clip binds on part of the range only.
+NARROW_Y = BB84._replace(name="narrow-y", y_hi_ratio=0.5)
+SPECS = [*protocol_catalog(), NARROW_Y]
+
+
+def clipped_rates(spec, e_x):
+    """``e_z`` and the independence point clipped to the feasible part of
+    the admissible Y interval."""
+    e_z, lo, hi = feasible_y_interval(spec, e_x)
+    return e_z, max(lo, min(e_x + e_z - 2.0 * e_x * e_z, hi))
+
+
+def admissible(spec, e_x):
+    """Whether the independence point lies in the protocol's Y interval."""
+    e_z = spec.phase_ratio * e_x
+    lo, hi = spec.y_interval(e_x)
+    return lo <= e_x + e_z - 2.0 * e_x * e_z <= hi
+
+
+class TestIndependencePoint:
+    """Where ``e_y*`` is admissible the worst case is one binary entropy;
+    elsewhere it is the objective at the clipped point.  Both routes must
+    give the same maximum."""
+
+    @settings(deadline=None)
+    @given(spec=st.sampled_from(SPECS), data=st.data())
+    def test_equals_the_clipped_objective_and_the_grid(self, spec, data):
+        e_x = data.draw(st.floats(0.0, spec.max_bit_error))
+        got = worst_case_conditional_phase_entropy(spec, e_x)
+        e_z, e_y = clipped_rates(spec, e_x)
+        assert abs(got - conditional_phase_entropy(e_x, e_y, e_z)) <= 1e-12
+        # no grid point beats the maximum; the grid's best is within its
+        # spacing of it
+        grid = brute_force_worst_case(spec, e_x, n_grid=2_000)
+        assert grid - 1e-12 <= got <= grid + 1e-6
+
+    @settings(deadline=None)
+    @given(
+        spec=st.sampled_from(SPECS),
+        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_array_equals_its_floats(self, spec, fractions):
+        e_x = [f * spec.max_bit_error for f in fractions]
+        got = worst_case_conditional_phase_entropy(spec, np.array(e_x))
+        want = [worst_case_conditional_phase_entropy(spec, v) for v in e_x]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "spec, e_x",
+        [(SIX_STATE, [0.0, 0.1, 0.5, 0.3]), (NARROW_Y, [0.1, 0.8, 0.5, 1.0])],
+        ids=["six-state", "narrow-y"],
+    )
+    def test_mixed_array_equals_its_floats(self, spec, e_x):
+        # some elements admit e_y* and some do not, so the array takes the
+        # clipped route for all of them
+        assert len({admissible(spec, v) for v in e_x}) == 2
+        got = worst_case_conditional_phase_entropy(spec, np.array(e_x))
+        want = [worst_case_conditional_phase_entropy(spec, v) for v in e_x]
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)

@@ -15,7 +15,7 @@ from conftest import reference_max_distance
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qkdrates import keyrate, scenario
+from qkdrates import entropy, keyrate, scenario
 from qkdrates.entropy import binary_entropy, worst_case_conditional_phase_entropy
 from qkdrates.keyrate import (
     RateBreakdown,
@@ -504,6 +504,27 @@ class TestThresholdBitError:
                 calls = 0
                 if threshold_bit_error(spec, i / 1000) is not None:
                     assert calls <= 12, (spec.name, i)
+
+    def test_worst_case_skips_the_objective_at_the_independence_point(
+        self, monkeypatch
+    ):
+        # the benchmark's grid: BB84 and PBC00 admit e_y* everywhere and pay
+        # one binary entropy; six-state pins Y away from it except at 0
+        objective = entropy.conditional_phase_entropy
+        calls = 0
+
+        def counted(e_x, e_y, e_z):
+            nonlocal calls
+            calls += 1
+            return objective(e_x, e_y, e_z)
+
+        monkeypatch.setattr(entropy, "conditional_phase_entropy", counted)
+        want = {"bb84": 0, "pbc00": 0, "six-state": 200}
+        for spec in protocol_catalog():
+            calls = 0
+            for i in range(201):
+                threshold_bit_error(spec, i / 1000)
+            assert calls == want[spec.name], spec.name
 
     @given(
         spec=st.sampled_from(protocol_catalog()),
